@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import UnitSpec, build_standalone_unit
-from .graph import NetworkGraph
+from .graph import OPS, NetworkGraph
 
 
 @dataclass
@@ -90,22 +90,12 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _node_param_count(node) -> int:
-    if node.op == "conv":
-        n = node.conv.weights.size
-        if node.conv.bias is not None:
-            n += node.conv.bias.size
-        return int(n)
-    if node.op == "bn":
-        return int(node.bn.gamma.size + node.bn.beta.size)
-    if node.op == "fc":
-        return int(node.fc.weights.size + node.fc.bias.size)
-    return 0
-
-
 def count_parameters(graph: NetworkGraph) -> tuple[int, dict[str, int]]:
     """Exact count of learnable scalars; batch-norm running stats excluded."""
-    per_node = {name: _node_param_count(graph.nodes[name]) for name in graph.order}
+    per_node = {graph.input_name: 0}
+    for name in graph.order[1:]:
+        node = graph.nodes[name]
+        per_node[name] = sum(a.size for a in OPS[node.op].params(node).values())
     return sum(per_node.values()), per_node
 
 
@@ -113,22 +103,15 @@ def count_macs(graph: NetworkGraph, input_hw: tuple[int, int]
                ) -> tuple[int, dict[str, int], dict[str, int]]:
     """Per-sample MAC counts plus elementwise op counts, from static shapes."""
     shapes = graph.infer_shapes(input_hw)
-    macs: dict[str, int] = {}
-    elementwise: dict[str, int] = {}
-    for name in graph.order:
+    macs = {graph.input_name: 0}
+    elementwise = {graph.input_name: 0}
+    for name in graph.order[1:]:
         node = graph.nodes[name]
         out_c, out_h, out_w = shapes[name]
-        numel = out_c * out_h * out_w
-        if node.op == "conv":
-            kh, kw = node.conv.kernel
-            macs[name] = node.conv.in_channels * kh * kw * node.conv.out_channels * out_h * out_w
-            elementwise[name] = 0
-        elif node.op == "fc":
-            macs[name] = node.fc.weights.size
-            elementwise[name] = 0
-        else:
-            macs[name] = 0
-            elementwise[name] = 0 if node.op == "input" else numel
+        # weight size x output positions: C_in*k^2*C_out*H*W (conv), D_in*D_out (fc)
+        weight = OPS[node.op].params(node).get("weight")
+        macs[name] = 0 if weight is None else weight.size * out_h * out_w
+        elementwise[name] = out_c * out_h * out_w if weight is None else 0
     return sum(macs.values()), macs, elementwise
 
 

@@ -184,14 +184,9 @@ def build_network(config: NetworkConfig, seed: int = 0, dtype=DEFAULT_DTYPE) -> 
     g.add_fc("head/fc", x, make_fc(final_c, config.num_classes, dtype=dtype))
 
     rng = np.random.default_rng(seed)
-    for name in g.order:
-        node = g.nodes[name]
-        if node.op == "conv":
-            msr_initialize(node.conv, rng)
-        elif node.op == "bn":
-            msr_initialize(node.bn, rng)
-        elif node.op == "fc":
-            msr_initialize(node.fc, rng)
+    for node in g.nodes.values():
+        if node.params is not None:
+            msr_initialize(node.params, rng)
     return g
 
 

@@ -43,10 +43,13 @@ class CliError(Exception):
 
 
 def _parse_shape(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"--input-shape wants C,H,W, got {text!r}")
-    return tuple(int(p) for p in parts)
+    try:
+        c, h, w = (int(p) for p in text.split(","))
+    except ValueError:
+        c = h = w = 0
+    if min(c, h, w) < 1:
+        raise CliError(f"--input-shape wants positive integers C,H,W, got {text!r}")
+    return c, h, w
 
 
 def _resolve_config(net: str, num_classes: int,
@@ -297,7 +300,12 @@ def _read_kitti_dir(directory: str) -> dict[str, list[data_io.KittiObject]]:
 
 
 def cmd_detect_eval(args) -> int:
-    img_w, img_h = (float(v) for v in args.img_size.split(","))
+    try:
+        img_w, img_h = (float(v) for v in args.img_size.split(","))
+    except ValueError:
+        img_w = img_h = 0.0
+    if not (img_w > 0 and img_h > 0):
+        raise CliError(f"--img-size wants positive pixel sizes W,H, got {args.img_size!r}")
     gt_files = _read_kitti_dir(args.gt_dir)
     det_files = _read_kitti_dir(args.det_dir)
     orphans = sorted(set(det_files) - set(gt_files))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import layers
 from .blocks import UnitSpec, build_standalone_unit
-from .builder import NetworkConfig, StageConfig, build_network, execute
+from .builder import NetworkConfig, StageConfig, build_network
 from .graph import NetworkGraph
 
 DEFAULT_STEP = 1e-5
@@ -79,109 +79,92 @@ def _projection(y0: np.ndarray, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Layer-level checks
+# Layer-level checks: each case draws a float64 instance from the generator
+# and returns (objective, analytic gradients, arrays the gradients are for).
 # ---------------------------------------------------------------------------
 
-def check_conv(seed: int = 0, step: float = DEFAULT_STEP) -> float:
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 3, 8, 8))
-    p = layers.make_conv(3, 4, 3, stride=2, bias=True, dtype=np.float64)
-    layers.msr_initialize(p, rng)
-    y0, _ = layers.conv2d_forward(x, p)
+def _projected(rng, forward: Callable[[], tuple], backward: Callable[..., tuple],
+               arrays: list[np.ndarray]) -> tuple[Callable[[], float], tuple, list]:
+    """The objective sum(forward() * proj) for a random projection drawn at
+    the base point, with its gradients from ``backward(proj, cache)``."""
+    y0, _ = forward()
     proj = _projection(y0, rng)
 
     def loss() -> float:
-        y, _ = layers.conv2d_forward(x, p)
+        y, _ = forward()
         return float(np.sum(y * proj))
 
-    _, cache = layers.conv2d_forward(x, p)
-    dx, dw, db = layers.conv2d_backward(proj, cache)
-    nx, nw, nb = fd_gradients(loss, [x, p.weights, p.bias], step)
-    return max(relative_error(dx, nx), relative_error(dw, nw), relative_error(db, nb))
+    _, cache = forward()
+    return loss, backward(proj, cache), arrays
 
 
-def check_batch_norm(seed: int = 0, step: float = DEFAULT_STEP) -> float:
-    rng = np.random.default_rng(seed)
+def _conv_case(rng):
+    x = rng.normal(size=(2, 3, 8, 8))
+    p = layers.make_conv(3, 4, 3, stride=2, bias=True, dtype=np.float64)
+    layers.msr_initialize(p, rng)
+    return _projected(rng, lambda: layers.conv2d_forward(x, p),
+                      layers.conv2d_backward, [x, p.weights, p.bias])
+
+
+def _batch_norm_case(rng):
     x = rng.normal(size=(3, 4, 5, 5)) * 2.0 + 0.3
     p = layers.make_batch_norm(4, dtype=np.float64)
     p.gamma[...] = rng.normal(1.0, 0.2, size=4)
     p.beta[...] = rng.normal(0.0, 0.2, size=4)
-    y0, _ = layers.batch_norm_forward(x, p, mode="train", update_stats=False)
-    proj = _projection(y0, rng)
-
-    def loss() -> float:
-        y, _ = layers.batch_norm_forward(x, p, mode="train", update_stats=False)
-        return float(np.sum(y * proj))
-
-    _, cache = layers.batch_norm_forward(x, p, mode="train", update_stats=False)
-    dx, dgamma, dbeta = layers.batch_norm_backward(proj, cache)
-    nx, ngamma, nbeta = fd_gradients(loss, [x, p.gamma, p.beta], step)
-    return max(relative_error(dx, nx), relative_error(dgamma, ngamma),
-               relative_error(dbeta, nbeta))
+    return _projected(
+        rng, lambda: layers.batch_norm_forward(x, p, mode="train", update_stats=False),
+        layers.batch_norm_backward, [x, p.gamma, p.beta])
 
 
-def check_relu(seed: int = 0, step: float = DEFAULT_STEP) -> float:
-    rng = np.random.default_rng(seed)
+def _relu_case(rng):
     x = rng.normal(size=(2, 3, 6, 6))
     x = np.where(np.abs(x) < 1e-3, 1e-3, x)  # keep clear of the kink
-    y0, mask = layers.relu_forward(x)
-    proj = _projection(y0, rng)
-
-    def loss() -> float:
-        y, _ = layers.relu_forward(x)
-        return float(np.sum(y * proj))
-
-    dx = layers.relu_backward(proj, mask)
-    (nx,) = fd_gradients(loss, [x], step)
-    return relative_error(dx, nx)
+    return _projected(rng, lambda: layers.relu_forward(x),
+                      lambda dy, mask: (layers.relu_backward(dy, mask),), [x])
 
 
-def check_global_avg_pool(seed: int = 0, step: float = DEFAULT_STEP) -> float:
-    rng = np.random.default_rng(seed)
+def _global_avg_pool_case(rng):
     x = rng.normal(size=(2, 3, 4, 4))
-    y0, cache = layers.global_avg_pool_forward(x)
-    proj = _projection(y0, rng)
-
-    def loss() -> float:
-        y, _ = layers.global_avg_pool_forward(x)
-        return float(np.sum(y * proj))
-
-    dx = layers.global_avg_pool_backward(proj, cache)
-    (nx,) = fd_gradients(loss, [x], step)
-    return relative_error(dx, nx)
+    return _projected(rng, lambda: layers.global_avg_pool_forward(x),
+                      lambda dy, cache: (layers.global_avg_pool_backward(dy, cache),),
+                      [x])
 
 
-def check_fully_connected(seed: int = 0, step: float = DEFAULT_STEP) -> float:
-    rng = np.random.default_rng(seed)
+def _fully_connected_case(rng):
     x = rng.normal(size=(3, 7))
     p = layers.make_fc(7, 4, dtype=np.float64)
     layers.msr_initialize(p, rng)
     p.bias[...] = rng.normal(size=4)
-    y0, _ = layers.fully_connected_forward(x, p)
-    proj = _projection(y0, rng)
-
-    def loss() -> float:
-        y, _ = layers.fully_connected_forward(x, p)
-        return float(np.sum(y * proj))
-
-    _, cache = layers.fully_connected_forward(x, p)
-    dx, dw, db = layers.fully_connected_backward(proj, cache)
-    nx, nw, nb = fd_gradients(loss, [x, p.weights, p.bias], step)
-    return max(relative_error(dx, nx), relative_error(dw, nw), relative_error(db, nb))
+    return _projected(rng, lambda: layers.fully_connected_forward(x, p),
+                      layers.fully_connected_backward, [x, p.weights, p.bias])
 
 
-def check_softmax_cross_entropy(seed: int = 0, step: float = DEFAULT_STEP) -> float:
-    rng = np.random.default_rng(seed)
+def _softmax_cross_entropy_case(rng):
     logits = rng.normal(size=(4, 5))
     labels = rng.integers(0, 5, size=4)
-
-    def loss() -> float:
-        value, _ = layers.softmax_cross_entropy(logits, labels)
-        return value
-
     _, grad = layers.softmax_cross_entropy(logits, labels)
-    (num,) = fd_gradients(loss, [logits], step)
-    return relative_error(grad, num)
+    return (lambda: layers.softmax_cross_entropy(logits, labels)[0]), (grad,), [logits]
+
+
+LAYER_CASES: dict[str, Callable[[np.random.Generator], tuple]] = {
+    "conv2d": _conv_case,
+    "batch_norm": _batch_norm_case,
+    "relu": _relu_case,
+    "global_avg_pool": _global_avg_pool_case,
+    "fully_connected": _fully_connected_case,
+    "softmax_cross_entropy": _softmax_cross_entropy_case,
+}
+
+
+def _worst_error(loss: Callable[[], float], analytic, arrays: list[np.ndarray],
+                 step: float) -> float:
+    numeric = fd_gradients(loss, arrays, step)
+    return max(relative_error(a, n) for a, n in zip(analytic, numeric))
+
+
+def check_layer(name: str, seed: int = 0, step: float = DEFAULT_STEP) -> float:
+    """Worst relative error of one layer's backward pass, over every array."""
+    return _worst_error(*LAYER_CASES[name](np.random.default_rng(seed)), step)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +179,12 @@ UNIT_SPECS = {
 
 
 def _init_graph_params(g: NetworkGraph, rng: np.random.Generator) -> None:
-    for name in g.order:
-        node = g.nodes[name]
-        if node.op == "conv":
-            layers.msr_initialize(node.conv, rng)
-        elif node.op == "bn":
-            layers.msr_initialize(node.bn, rng)
+    for node in g.nodes.values():
+        if node.params is not None:
+            layers.msr_initialize(node.params, rng)
+        if node.bn is not None:
             node.bn.gamma[...] = rng.normal(1.0, 0.1, size=node.bn.gamma.shape)
             node.bn.beta[...] = rng.normal(0.0, 0.1, size=node.bn.beta.shape)
-        elif node.op == "fc":
-            layers.msr_initialize(node.fc, rng)
 
 
 def _min_relu_input(g: NetworkGraph, x: np.ndarray) -> float:
@@ -219,33 +198,45 @@ def _min_relu_input(g: NetworkGraph, x: np.ndarray) -> float:
     return margin
 
 
-def check_unit(spec: UnitSpec, seed: int = 0, step: float = DEFAULT_STEP) -> float:
-    g = None
+def _kink_free(draw: Callable[[np.random.Generator, int], tuple[NetworkGraph, np.ndarray]],
+               seed: int) -> tuple[NetworkGraph, np.ndarray, np.random.Generator]:
+    """The first instance ``draw(rng, attempt)`` whose ReLU inputs all clear
+    KINK_MARGIN, with the generator it was drawn from."""
     for attempt in range(MAX_REDRAWS):
         rng = np.random.default_rng((seed, attempt))
-        g, out = build_standalone_unit(spec, dtype=np.float64)
-        _init_graph_params(g, rng)
-        x = rng.normal(size=(2, spec.in_channels, 8, 8))
+        g, x = draw(rng, attempt)
         if _min_relu_input(g, x) >= KINK_MARGIN:
-            break
-    else:
-        raise RuntimeError(f"no kink-free instance found for seed {seed}")
-    first = g.forward(x, mode="train", update_stats=False)
-    proj = _projection(first.outputs[out], rng)
-    params = g.parameters()
+            return g, x, rng
+    raise RuntimeError(f"no kink-free instance found for seed {seed}")
 
+
+def _graph_error(g: NetworkGraph, x: np.ndarray,
+                 objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+                 step: float) -> float:
+    """Worst relative error over every parameter and the input, for the scalar
+    ``objective(graph output) -> (value, gradient)``."""
     def loss() -> float:
         r = g.forward(x, mode="train", update_stats=False)
-        return float(np.sum(r.outputs[out] * proj))
+        return objective(r.outputs[g.output_name])[0]
 
     result = g.forward(x, mode="train", update_stats=False, keep_caches=True)
-    analytic, input_grad = g.backward(result, {out: proj})
-    worst = 0.0
-    numeric = fd_gradients(loss, list(params.values()) + [x], step)
-    for (name, _), num in zip(params.items(), numeric[:-1]):
-        worst = max(worst, relative_error(analytic[name], num))
-    worst = max(worst, relative_error(input_grad, numeric[-1]))
-    return worst
+    _, dout = objective(result.outputs[g.output_name])
+    analytic, input_grad = g.backward(result, {g.output_name: dout})
+    params = g.parameters()
+    return _worst_error(loss, [analytic[name] for name in params] + [input_grad],
+                        list(params.values()) + [x], step)
+
+
+def check_unit(spec: UnitSpec, seed: int = 0, step: float = DEFAULT_STEP) -> float:
+    def draw(rng, attempt):
+        g, _ = build_standalone_unit(spec, dtype=np.float64)
+        _init_graph_params(g, rng)
+        return g, rng.normal(size=(2, spec.in_channels, 8, 8))
+
+    g, x, rng = _kink_free(draw, seed)
+    first = g.forward(x, mode="train", update_stats=False)
+    proj = _projection(first.outputs[g.output_name], rng)
+    return _graph_error(g, x, lambda y: (float(np.sum(y * proj)), proj), step)
 
 
 def miniature_config(num_classes: int = 4) -> NetworkConfig:
@@ -259,56 +250,27 @@ def miniature_config(num_classes: int = 4) -> NetworkConfig:
 
 
 def check_miniature_network(seed: int = 0, step: float = DEFAULT_STEP) -> float:
-    g = None
-    for attempt in range(MAX_REDRAWS):
-        rng = np.random.default_rng((seed, attempt))
+    def draw(rng, attempt):
         g = build_network(miniature_config(), seed=seed + 7919 * attempt,
                           dtype=np.float64)
-        x = rng.normal(size=(2, 3, 8, 8))
-        if _min_relu_input(g, x) >= KINK_MARGIN:
-            break
-    else:
-        raise RuntimeError(f"no kink-free instance found for seed {seed}")
+        return g, rng.normal(size=(2, 3, 8, 8))
+
+    g, x, rng = _kink_free(draw, seed)
     labels = rng.integers(0, 4, size=2)
-
-    def loss() -> float:
-        r = g.forward(x, mode="train", update_stats=False)
-        value, _ = layers.softmax_cross_entropy(r.outputs[g.output_name], labels)
-        return value
-
-    result = g.forward(x, mode="train", update_stats=False, keep_caches=True)
-    _, dlogits = layers.softmax_cross_entropy(result.outputs[g.output_name], labels)
-    analytic, input_grad = g.backward(result, {g.output_name: dlogits})
-    params = g.parameters()
-    worst = 0.0
-    numeric = fd_gradients(loss, list(params.values()) + [x], step)
-    for (name, _), num in zip(params.items(), numeric[:-1]):
-        worst = max(worst, relative_error(analytic[name], num))
-    worst = max(worst, relative_error(input_grad, numeric[-1]))
-    return worst
+    return _graph_error(g, x, lambda y: layers.softmax_cross_entropy(y, labels), step)
 
 
 # ---------------------------------------------------------------------------
 # Suite
 # ---------------------------------------------------------------------------
 
-LAYER_CHECKS: dict[str, Callable[[int, float], float]] = {
-    "conv2d": check_conv,
-    "batch_norm": check_batch_norm,
-    "relu": check_relu,
-    "global_avg_pool": check_global_avg_pool,
-    "fully_connected": check_fully_connected,
-    "softmax_cross_entropy": check_softmax_cross_entropy,
-}
-
-
 def run_suite(seed: int = 0, tolerance: float = DEFAULT_TOLERANCE,
               step: float = DEFAULT_STEP, corrupt: bool = False) -> list[CheckResult]:
     """All layer, unit, and miniature-network checks for one seed. ``corrupt``
     injects a known error into one result, as a harness negative control."""
     results = []
-    for name, fn in LAYER_CHECKS.items():
-        results.append(CheckResult(name, fn(seed, step), tolerance))
+    for name in LAYER_CASES:
+        results.append(CheckResult(name, check_layer(name, seed, step), tolerance))
     for name, spec in UNIT_SPECS.items():
         results.append(CheckResult(name, check_unit(spec, seed, step), tolerance))
     results.append(CheckResult("miniature-network",

@@ -5,13 +5,17 @@ A :class:`NetworkGraph` is a list of named layer nodes in construction
 reverse, accumulating gradients. Parameters live in a registry keyed by
 hierarchical names (``stage1/unit0/conv1/weight``) so optimizers, freeze masks,
 and checkpoints all address the same namespace.
+
+Each node kind is defined once, as an :class:`Op` in the table :data:`OPS`;
+evaluation, shape and receptive-field inference, the registry and cost
+analysis all read that table.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,12 +38,17 @@ class NodeNonFiniteError(tensor.NonFiniteError):
 @dataclass
 class Node:
     name: str
-    op: str  # input|conv|bn|relu|add|concat|gap|fc
+    op: str  # "input" or a key of OPS
     inputs: list[str]
     conv: Optional[ConvParams] = None
     bn: Optional[BatchNormParams] = None
     fc: Optional[FCParams] = None
     channels: int = 0  # output channels (D_out for fc)
+
+    @property
+    def params(self):
+        """The node's parameter object (conv, bn or fc), or None."""
+        return next((p for p in (self.conv, self.bn, self.fc) if p is not None), None)
 
 
 @dataclass
@@ -49,6 +58,117 @@ class ForwardResult:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.outputs[name]
+
+
+Shape = tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class Op:
+    """What one node kind means.
+
+    ``forward(node, inputs, mode, update_stats, keep_caches)`` returns
+    ``(y, cache)``; ``backward(node, dy, cache)`` returns one gradient per
+    input, then one per ``params`` entry (the kernels' dx, dw, db order).
+    ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
+    ShapeError naming the node; ``window(node, input shape)`` gives the
+    (kernel, stride) step of the receptive-field recurrence. ``params`` and
+    ``buffers(node)`` map entry names to arrays, registered as
+    ``<node>/<entry>``. The defaults describe a pointwise op without state.
+
+    Entries look kernels up on their module at call time (``lambda ...:
+    layers.conv2d_forward(...)``), never through a reference stored here:
+    tracers and tests observe kernels by replacing module attributes, and a
+    stored reference would bypass them.
+    """
+
+    forward: Callable[..., tuple[np.ndarray, object]]
+    backward: Callable[[Node, np.ndarray, object], tuple]
+    shape: Callable[[Node, list[Shape]], Shape] = lambda node, shapes: shapes[0]
+    window: Callable[[Node, Shape], tuple[int, int]] = lambda node, shape: (1, 1)
+    params: Callable[[Node], dict[str, np.ndarray]] = lambda node: {}
+    buffers: Callable[[Node], dict[str, np.ndarray]] = lambda node: {}
+
+
+def _conv_shape(node: Node, shapes: list[Shape]) -> Shape:
+    _, h, w = shapes[0]
+    p = node.conv
+    kh, kw = p.kernel
+    h = layers.conv_output_size(h, kh, p.stride, p.padding)
+    w = layers.conv_output_size(w, kw, p.stride, p.padding)
+    if h < 1 or w < 1:
+        raise ShapeError(f"node {node.name!r} output collapses to {h}x{w}")
+    return (p.out_channels, h, w)
+
+
+def _join_shape(node: Node, shapes: list[Shape]) -> Shape:
+    hw = shapes[0][1:]
+    if any(s[1:] != hw for s in shapes[1:]):
+        raise ShapeError(f"{node.op} {node.name!r}: spatial mismatch {shapes}")
+    return (node.channels, *hw)
+
+
+def _fc_shape(node: Node, shapes: list[Shape]) -> Shape:
+    c, h, w = shapes[0]
+    d_out, d_in = node.fc.weights.shape
+    if d_in != c * h * w:
+        raise ShapeError(
+            f"fc {node.name!r} expects {d_in} input features, node "
+            f"{node.inputs[0]!r} provides {c}x{h}x{w} = {c * h * w}")
+    return (d_out, 1, 1)
+
+
+def _fc_forward(node: Node, xs: list[np.ndarray], *_) -> tuple[np.ndarray, tuple]:
+    x = xs[0]
+    y, cache = layers.fully_connected_forward(x.reshape(x.shape[0], -1), node.fc)
+    return y, (cache, x.shape)
+
+
+def _fc_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
+    fc_cache, in_shape = cache
+    dx, dw, db = layers.fully_connected_backward(dy, fc_cache)
+    return dx.reshape(in_shape), dw, db
+
+
+OPS: dict[str, Op] = {
+    "conv": Op(
+        forward=lambda n, xs, mode, update_stats, keep_caches:
+            layers.conv2d_forward(xs[0], n.conv, keep_cols=keep_caches),
+        backward=lambda n, dy, cache: layers.conv2d_backward(dy, cache),
+        shape=_conv_shape,
+        window=lambda n, shape: (n.conv.kernel[0], n.conv.stride),
+        params=lambda n: {k: v for k, v in (("weight", n.conv.weights),
+                                            ("bias", n.conv.bias)) if v is not None}),
+    "bn": Op(
+        forward=lambda n, xs, mode, update_stats, keep_caches:
+            layers.batch_norm_forward(xs[0], n.bn, mode=mode, update_stats=update_stats),
+        backward=lambda n, dy, cache: layers.batch_norm_backward(dy, cache),
+        params=lambda n: {"gamma": n.bn.gamma, "beta": n.bn.beta},
+        buffers=lambda n: {"running_mean": n.bn.running_mean,
+                           "running_var": n.bn.running_var}),
+    "relu": Op(
+        forward=lambda n, xs, *_: layers.relu_forward(xs[0]),
+        backward=lambda n, dy, mask: (layers.relu_backward(dy, mask),)),
+    "add": Op(
+        forward=lambda n, xs, *_: (tensor.add_elementwise(xs[0], xs[1]), None),
+        backward=lambda n, dy, cache: (dy, dy),
+        shape=_join_shape),
+    "concat": Op(
+        forward=lambda n, xs, *_: (tensor.concat_channels(xs),
+                                   tuple(a.shape[1] for a in xs)),
+        backward=lambda n, dy, sizes: np.split(dy, np.cumsum(sizes)[:-1], axis=1),
+        shape=_join_shape),
+    "gap": Op(
+        forward=lambda n, xs, *_: layers.global_avg_pool_forward(xs[0]),
+        backward=lambda n, dy, cache: (layers.global_avg_pool_backward(dy, cache),),
+        shape=lambda n, shapes: (shapes[0][0], 1, 1),
+        window=lambda n, shape: (shape[1], shape[1])),
+    "fc": Op(
+        forward=_fc_forward,
+        backward=_fc_backward,
+        shape=_fc_shape,
+        params=lambda n: {"weight": n.fc.weights, "bias": n.fc.bias}),
+}
 
 
 class NetworkGraph:
@@ -104,6 +224,8 @@ class NetworkGraph:
         return self._add(Node(name, "add", [a, b], channels=ca))
 
     def add_concat(self, name: str, inputs: list[str]) -> str:
+        if not inputs:
+            raise ShapeError(f"concat {name!r} needs at least one input")
         channels = sum(self.nodes[i].channels for i in inputs)
         return self._add(Node(name, "concat", list(inputs), channels=channels))
 
@@ -116,32 +238,21 @@ class NetworkGraph:
 
     # -- parameter registry --------------------------------------------------
 
+    def _entries(self, kind: str) -> dict[str, np.ndarray]:
+        out: dict[str, np.ndarray] = {}
+        for name in self.order[1:]:
+            node = self.nodes[name]
+            for entry, array in getattr(OPS[node.op], kind)(node).items():
+                out[f"{name}/{entry}"] = array
+        return out
+
     def parameters(self) -> dict[str, np.ndarray]:
         """Learnable arrays in construction order, hierarchically named."""
-        out: dict[str, np.ndarray] = {}
-        for name in self.order:
-            node = self.nodes[name]
-            if node.op == "conv":
-                out[f"{name}/weight"] = node.conv.weights
-                if node.conv.bias is not None:
-                    out[f"{name}/bias"] = node.conv.bias
-            elif node.op == "bn":
-                out[f"{name}/gamma"] = node.bn.gamma
-                out[f"{name}/beta"] = node.bn.beta
-            elif node.op == "fc":
-                out[f"{name}/weight"] = node.fc.weights
-                out[f"{name}/bias"] = node.fc.bias
-        return out
+        return self._entries("params")
 
     def buffers(self) -> dict[str, np.ndarray]:
         """Non-learnable state (batch-norm running statistics)."""
-        out: dict[str, np.ndarray] = {}
-        for name in self.order:
-            node = self.nodes[name]
-            if node.op == "bn":
-                out[f"{name}/running_mean"] = node.bn.running_mean
-                out[f"{name}/running_var"] = node.bn.running_var
-        return out
+        return self._entries("buffers")
 
     def state_entries(self) -> dict[str, np.ndarray]:
         entries = self.parameters()
@@ -152,9 +263,13 @@ class NetworkGraph:
 
     def forward(self, x: np.ndarray, mode: str = "infer", update_stats: bool = True,
                 keep_caches: bool = False, check_finite: bool = False) -> ForwardResult:
-        """Evaluate all nodes in topological order. ``check_finite`` validates
-        every node output and raises :class:`NodeNonFiniteError` at the first
-        offender (the diagnostic mode the trainer uses after a bad loss)."""
+        """Evaluate all nodes in topological order. ``mode`` is ``"train"``
+        (batch statistics) or ``"infer"`` (running statistics).
+        ``check_finite`` validates every node output and raises
+        :class:`NodeNonFiniteError` at the first offender (the diagnostic mode
+        the trainer uses after a bad loss)."""
+        if mode not in ("train", "infer"):
+            raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         x = tensor.require_nchw(x, "network input")
         if x.shape[1] != self.nodes[self.input_name].channels:
             raise ShapeError(
@@ -166,28 +281,7 @@ class NetworkGraph:
             node = self.nodes[name]
             ins = [outputs[i] for i in node.inputs]
             try:
-                if node.op == "conv":
-                    y, cache = layers.conv2d_forward(ins[0], node.conv,
-                                                     keep_cols=keep_caches)
-                elif node.op == "bn":
-                    y, cache = layers.batch_norm_forward(
-                        ins[0], node.bn, mode=("train" if mode == "train" else "infer"),
-                        update_stats=update_stats)
-                elif node.op == "relu":
-                    y, cache = layers.relu_forward(ins[0])
-                elif node.op == "add":
-                    y, cache = tensor.add_elementwise(ins[0], ins[1]), None
-                elif node.op == "concat":
-                    y = tensor.concat_channels(ins)
-                    cache = tuple(a.shape[1] for a in ins)
-                elif node.op == "gap":
-                    y, cache = layers.global_avg_pool_forward(ins[0])
-                elif node.op == "fc":
-                    flat = ins[0].reshape(ins[0].shape[0], -1)
-                    y, cache = layers.fully_connected_forward(flat, node.fc)
-                    cache = (cache, ins[0].shape)
-                else:  # pragma: no cover
-                    raise ValueError(f"unknown op {node.op!r}")
+                y, cache = OPS[node.op].forward(node, ins, mode, update_stats, keep_caches)
             except tensor.NonFiniteError as exc:
                 raise NodeNonFiniteError(name) from exc
             if check_finite and not np.all(np.isfinite(y)):
@@ -202,7 +296,8 @@ class NetworkGraph:
         """Backpropagate from injected output gradients.
 
         ``out_grads`` maps node names to gradients of the scalar objective with
-        respect to those nodes' outputs. Returns (parameter gradients, input
+        respect to those nodes' outputs. ``result`` must come from a forward
+        pass with ``keep_caches=True``. Returns (parameter gradients, input
         gradient). Gradients are accumulated without mutating shared arrays.
         """
         acc: dict[str, np.ndarray] = {}
@@ -222,76 +317,32 @@ class NetworkGraph:
         for name in reversed(self.order[1:]):
             if name not in acc:
                 continue
-            g = acc.pop(name)
+            if name not in result.caches:
+                raise ValueError(f"no cache for node {name!r}: backward needs "
+                                 "a forward pass made with keep_caches=True")
             node = self.nodes[name]
-            cache = result.caches[name]
-            if node.op == "conv":
-                dx, dw, db = layers.conv2d_backward(g, cache)
-                param_grads[f"{name}/weight"] = dw
-                if db is not None:
-                    param_grads[f"{name}/bias"] = db
-                contribute(node.inputs[0], dx)
-            elif node.op == "bn":
-                dx, dgamma, dbeta = layers.batch_norm_backward(g, cache)
-                param_grads[f"{name}/gamma"] = dgamma
-                param_grads[f"{name}/beta"] = dbeta
-                contribute(node.inputs[0], dx)
-            elif node.op == "relu":
-                contribute(node.inputs[0], layers.relu_backward(g, cache))
-            elif node.op == "add":
-                contribute(node.inputs[0], g)
-                contribute(node.inputs[1], g)
-            elif node.op == "concat":
-                sizes = cache
-                offsets = np.cumsum((0,) + sizes)
-                for inp, lo, hi in zip(node.inputs, offsets[:-1], offsets[1:]):
-                    contribute(inp, g[:, lo:hi])
-            elif node.op == "gap":
-                contribute(node.inputs[0], layers.global_avg_pool_backward(g, cache))
-            elif node.op == "fc":
-                fc_cache, in_shape = cache
-                dx, dw, db = layers.fully_connected_backward(g, fc_cache)
-                param_grads[f"{name}/weight"] = dw
-                param_grads[f"{name}/bias"] = db
-                contribute(node.inputs[0], dx.reshape(in_shape))
+            op = OPS[node.op]
+            grads = op.backward(node, acc.pop(name), result.caches[name])
+            k = len(node.inputs)
+            # zip stops at the node's entries: a conv without bias has no
+            # "bias" entry and its kernel returns db=None.
+            for entry, grad in zip(op.params(node), grads[k:]):
+                param_grads[f"{name}/{entry}"] = grad
+            for inp, grad in zip(node.inputs, grads[:k]):
+                contribute(inp, grad)
         input_grad = acc.get(self.input_name)
         return param_grads, input_grad
 
     # -- static shape inference ----------------------------------------------
 
-    def infer_shapes(self, input_hw: tuple[int, int]) -> dict[str, tuple[int, int, int]]:
+    def infer_shapes(self, input_hw: tuple[int, int]) -> dict[str, Shape]:
         """Per-node output shape (C, H, W) for a single sample; fc yields (D, 1, 1)."""
-        shapes: dict[str, tuple[int, int, int]] = {
+        shapes: dict[str, Shape] = {
             self.input_name: (self.nodes[self.input_name].channels, *input_hw)
         }
         for name in self.order[1:]:
             node = self.nodes[name]
-            first = shapes[node.inputs[0]]
-            if node.op == "conv":
-                p = node.conv
-                kh, kw = p.kernel
-                h = layers.conv_output_size(first[1], kh, p.stride, p.padding)
-                w = layers.conv_output_size(first[2], kw, p.stride, p.padding)
-                if h < 1 or w < 1:
-                    raise ShapeError(f"node {name!r} output collapses to {h}x{w}")
-                shapes[name] = (p.out_channels, h, w)
-            elif node.op in ("bn", "relu"):
-                shapes[name] = first
-            elif node.op == "add":
-                second = shapes[node.inputs[1]]
-                if first != second:
-                    raise ShapeError(f"add {name!r}: {first} vs {second}")
-                shapes[name] = first
-            elif node.op == "concat":
-                hw = first[1:]
-                for inp in node.inputs[1:]:
-                    if shapes[inp][1:] != hw:
-                        raise ShapeError(f"concat {name!r}: spatial mismatch")
-                shapes[name] = (node.channels, *hw)
-            elif node.op == "gap":
-                shapes[name] = (first[0], 1, 1)
-            elif node.op == "fc":
-                shapes[name] = (node.fc.weights.shape[0], 1, 1)
+            shapes[name] = OPS[node.op].shape(node, [shapes[i] for i in node.inputs])
         return shapes
 
     # -- receptive fields ------------------------------------------------------
@@ -301,9 +352,10 @@ class NetworkGraph:
         """Receptive field extent and effective stride per node.
 
         Computed by the recurrence rf' = rf + (k - 1) * stride_product along
-        each path; at add/concat joins the per-branch extents are recorded and
-        the maximum becomes the node's extent. Global average pooling behaves
-        like a kernel covering the whole incoming map.
+        each path, with (k, stride) the node's window: the kernel for a conv,
+        the whole incoming map for global average pooling, (1, 1) otherwise.
+        At add/concat joins the per-branch extents are recorded and the
+        maximum becomes the node's extent.
 
         Returns name -> (rf, stride_product, per-branch rf tuple).
         """
@@ -314,32 +366,16 @@ class NetworkGraph:
         for name in self.order[1:]:
             node = self.nodes[name]
             ins = node.inputs
-            if node.op == "conv":
-                k = node.conv.kernel[0]
-                rf[name] = rf[ins[0]] + (k - 1) * sp[ins[0]]
-                sp[name] = sp[ins[0]] * node.conv.stride
-                branches[name] = (rf[name],)
-            elif node.op in ("bn", "relu"):
-                rf[name], sp[name] = rf[ins[0]], sp[ins[0]]
-                branches[name] = (rf[name],)
-            elif node.op in ("add", "concat"):
-                per = tuple(rf[i] for i in ins)
-                strides = {sp[i] for i in ins}
-                if len(strides) != 1:
-                    raise ShapeError(f"join {name!r} merges paths of unequal stride")
-                rf[name] = max(per)
-                sp[name] = strides.pop()
-                branches[name] = per
-            elif node.op == "gap":
-                h_in = shapes[ins[0]][1]
-                rf[name] = rf[ins[0]] + (h_in - 1) * sp[ins[0]]
-                sp[name] = sp[ins[0]] * h_in
-                branches[name] = (rf[name],)
-            elif node.op == "fc":
-                rf[name], sp[name] = rf[ins[0]], sp[ins[0]]
-                branches[name] = (rf[name],)
+            per = tuple(rf[i] for i in ins)
+            strides = {sp[i] for i in ins}
+            if len(strides) != 1:
+                raise ShapeError(f"join {name!r} merges paths of unequal stride")
+            stride_in = strides.pop()
+            k, s = OPS[node.op].window(node, shapes[ins[0]])
+            rf[name] = max(per) + (k - 1) * stride_in
+            sp[name] = stride_in * s
+            branches[name] = per if len(ins) > 1 else (rf[name],)
         return {n: (rf[n], sp[n], branches[n]) for n in self.order}
-
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic "WRIN", version byte, then per entry

@@ -10,7 +10,8 @@ from wrinet.analysis import (analyze, compare_unit_cost, count_macs,
 from wrinet.blocks import UnitSpec
 from wrinet.builder import NetworkConfig, build_network, builtin_config
 from wrinet.graph import NetworkGraph
-from wrinet.layers import make_conv
+from wrinet.layers import make_conv, make_fc
+from wrinet.tensor import ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +99,16 @@ def test_projection_macs_per_position():
     g.add_conv("c", "input", make_conv(320, 128, 1, padding=0))
     total, _, _ = count_macs(g, (1, 1))
     assert total == 320 * 128 == 40960
+
+
+def test_fc_width_must_match_flattened_input():
+    g = NetworkGraph(3)
+    g.add_conv("c", "input", make_conv(3, 4, 3))
+    g.add_fc("head", "c", make_fc(4, 10))  # input is 4x8x8 = 256 wide, not 4
+    with pytest.raises(ShapeError, match="'head' expects 4 input features"):
+        g.infer_shapes((8, 8))
+    with pytest.raises(ShapeError, match="'head'"):
+        analyze(g, input_hw=(8, 8))
 
 
 def test_macs_additive_and_order_invariant():

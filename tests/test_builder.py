@@ -8,7 +8,8 @@ from wrinet.builder import (BUILTIN_NAMES, NetworkConfig, StageConfig,
                             build_network, builtin_config, execute)
 from wrinet.blocks import UnitSpec
 from wrinet.gradcheck import miniature_config
-from wrinet.graph import load_checkpoint, save_checkpoint
+from wrinet import layers, tensor
+from wrinet.graph import NetworkGraph, load_checkpoint, save_checkpoint
 from wrinet.tensor import ShapeError
 
 PARAM_WINDOWS = {
@@ -93,6 +94,58 @@ def test_execute_freeze_filters_gradients():
     frozen = execute(g, x, mode="train", labels=labels, freeze=("conv1", "stage1/"))
     assert all(not k.startswith(("conv1", "stage1/")) for k in frozen.grads)
     assert len(frozen.grads) < len(full.grads)
+
+
+def test_forward_rejects_unknown_mode():
+    g = build_network(miniature_config(), seed=0)
+    with pytest.raises(ValueError, match="'trian'"):
+        g.forward(np.zeros((2, 3, 8, 8), dtype=np.float32), mode="trian")
+
+
+def test_backward_without_caches_says_so():
+    g = build_network(miniature_config(), seed=0)
+    result = g.forward(np.ones((2, 3, 8, 8), dtype=np.float32), mode="train")
+    with pytest.raises(ValueError, match="keep_caches=True"):
+        g.backward(result, {g.output_name: np.ones((2, 4), dtype=np.float32)})
+
+
+def test_empty_concat_rejected_when_added():
+    g = NetworkGraph(3)
+    with pytest.raises(ValueError, match="'cat' needs at least one input"):
+        g.add_concat("cat", [])
+    assert "cat" not in g.nodes
+
+
+def test_graph_looks_kernels_up_at_call_time(monkeypatch):
+    """Kernel wrappers installed on the modules (as a tracer does) must see
+    every node's call, forward and backward."""
+    g = build_network(miniature_config(), seed=0, dtype=np.float64)
+    seen = {"conv_fwd": [], "conv_bwd": 0, "add": 0}
+    conv_fwd, conv_bwd = layers.conv2d_forward, layers.conv2d_backward
+    add = tensor.add_elementwise
+
+    def counting_conv_fwd(x, p, **kwargs):
+        seen["conv_fwd"].append(id(p))
+        return conv_fwd(x, p, **kwargs)
+
+    def counting_conv_bwd(dy, cache):
+        seen["conv_bwd"] += 1
+        return conv_bwd(dy, cache)
+
+    def counting_add(a, b):
+        seen["add"] += 1
+        return add(a, b)
+
+    monkeypatch.setattr(layers, "conv2d_forward", counting_conv_fwd)
+    monkeypatch.setattr(layers, "conv2d_backward", counting_conv_bwd)
+    monkeypatch.setattr(tensor, "add_elementwise", counting_add)
+    x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
+    result = g.forward(x, mode="train", keep_caches=True)
+    g.backward(result, {g.output_name: np.ones_like(result[g.output_name])})
+    convs = [id(n.conv) for n in g.nodes.values() if n.op == "conv"]
+    assert sorted(seen["conv_fwd"]) == sorted(convs)
+    assert seen["conv_bwd"] == len(convs)
+    assert seen["add"] == sum(n.op == "add" for n in g.nodes.values()) > 0
 
 
 def test_chaining_violation_reports_stage_index():

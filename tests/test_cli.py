@@ -54,6 +54,13 @@ def test_analyze_unknown_net_exits_2(capsys):
     assert "nosuch" in err
 
 
+@pytest.mark.parametrize("shape", ["a,b,c", "3,32", "3,0,32"])
+def test_analyze_bad_input_shape_exits_2(capsys, shape):
+    code, _, err = run(capsys, "analyze", "--net", "wrn-16-4", "--input-shape", shape)
+    assert code == 2
+    assert err.startswith("error:") and "--input-shape" in err
+
+
 def test_analyze_accepts_config_file(tmp_path, capsys):
     cfg = builtin_config("wrn-16-4")
     path = tmp_path / "net.json"
@@ -318,3 +325,12 @@ def test_detect_eval_text_and_json_agree(kitti_dirs, capsys):
                         "--det-dir", str(det), "--difficulty", "easy", "--json")
     parsed = json.loads(raw)
     assert f"{100 * parsed['mAP']:.2f}" in text
+
+
+@pytest.mark.parametrize("size", ["10", "a,b", "0,512"])
+def test_detect_eval_bad_img_size_exits_2(kitti_dirs, capsys, size):
+    gt, det = kitti_dirs
+    code, _, err = run(capsys, "detect-eval", "--gt-dir", str(gt),
+                       "--det-dir", str(det), "--img-size", size)
+    assert code == 2
+    assert err.startswith("error:") and "--img-size" in err

@@ -75,7 +75,7 @@ def test_conv_rejects_bad_inputs():
 
 
 def test_conv_gradients_match_finite_differences():
-    assert gradcheck.check_conv(seed=0) < TOL
+    assert gradcheck.check_layer("conv2d", seed=0) < TOL
 
 
 def test_conv_cached_patches_give_same_gradients():
@@ -144,7 +144,7 @@ def test_batch_norm_rejects_single_element_batch():
 
 
 def test_batch_norm_gradients_match_finite_differences():
-    assert gradcheck.check_batch_norm(seed=0) < TOL
+    assert gradcheck.check_layer("batch_norm", seed=0) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_relu_basics():
 
 
 def test_relu_gradients_match_finite_differences():
-    assert gradcheck.check_relu(seed=0) < TOL
+    assert gradcheck.check_layer("relu", seed=0) < TOL
 
 
 def test_global_avg_pool_values():
@@ -177,7 +177,7 @@ def test_global_avg_pool_gradient_is_uniform():
     y, cache = global_avg_pool_forward(x)
     dx = global_avg_pool_backward(np.ones_like(y), cache)
     assert np.allclose(dx, 1.0 / 16.0)
-    assert gradcheck.check_global_avg_pool(seed=0) < TOL
+    assert gradcheck.check_layer("global_avg_pool", seed=0) < TOL
 
 
 def test_fully_connected_identity_and_constant():
@@ -197,7 +197,7 @@ def test_fully_connected_rejects_dim_mismatch():
 
 
 def test_fully_connected_gradients_match_finite_differences():
-    assert gradcheck.check_fully_connected(seed=0) < TOL
+    assert gradcheck.check_layer("fully_connected", seed=0) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_softmax_ce_rejects_bad_labels():
 
 
 def test_softmax_ce_gradients_match_finite_differences():
-    assert gradcheck.check_softmax_cross_entropy(seed=0) < TOL
+    assert gradcheck.check_layer("softmax_cross_entropy", seed=0) < TOL
 
 
 # ---------------------------------------------------------------------------
