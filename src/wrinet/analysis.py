@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .blocks import UnitSpec, build_standalone_unit
 from .graph import OPS, NetworkGraph
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .graph import NetworkGraph
 from .layers import make_batch_norm, make_conv
 from .tensor import DEFAULT_DTYPE

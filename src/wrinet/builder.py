@@ -10,7 +10,7 @@ inception variants, and the 164-layer bottleneck baseline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import data as data_io
 from . import detection as det
-from .analysis import analyze, compare_unit_cost, unit_macs_per_position
+from .analysis import analyze
 from .blocks import UnitSpec
 from .builder import BUILTIN_NAMES, NetworkConfig, build_network, builtin_config
 from .gradcheck import run_suite
-from .graph import load_checkpoint, save_checkpoint
-from .optim import (NonFiniteLossError, TrainConfig, classification_defaults,
+from .graph import load_checkpoint
+from .optim import (NonFiniteLossError, classification_defaults,
                     evaluate_classifier, train_epochs)
 
 EXIT_OK = 0
@@ -56,7 +56,12 @@ def _resolve_config(net: str, num_classes: int,
                     input_shape: tuple[int, int, int]) -> NetworkConfig:
     if os.path.exists(net):
         with open(net) as fh:
-            return NetworkConfig.from_json(fh.read())
+            text = fh.read()
+        try:
+            return NetworkConfig.from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{net}: not a network config "
+                           f"({type(exc).__name__}: {exc})") from exc
     try:
         return builtin_config(net, num_classes=num_classes, input_shape=input_shape)
     except KeyError as exc:

@@ -118,6 +118,15 @@ def _fc_shape(node: Node, shapes: list[Shape]) -> Shape:
     return (d_out, 1, 1)
 
 
+def _flatten_shape(node: Node, shapes: list[Shape]) -> Shape:
+    c, h, w = shapes[0]
+    if c * h * w != node.channels:
+        raise ShapeError(
+            f"flatten {node.name!r} was built for {node.channels} features, node "
+            f"{node.inputs[0]!r} provides {c}x{h}x{w} = {c * h * w}")
+    return (node.channels, 1, 1)
+
+
 def _fc_forward(node: Node, xs: list[np.ndarray], *_) -> tuple[np.ndarray, tuple]:
     x = xs[0]
     y, cache = layers.fully_connected_forward(x.reshape(x.shape[0], -1), node.fc)
@@ -162,6 +171,14 @@ OPS: dict[str, Op] = {
         forward=lambda n, xs, *_: layers.global_avg_pool_forward(xs[0]),
         backward=lambda n, dy, cache: (layers.global_avg_pool_backward(dy, cache),),
         shape=lambda n, shapes: (shapes[0][0], 1, 1),
+        window=lambda n, shape: (shape[1], shape[1])),
+    # (N, C, H, W) -> (N, H*W*C, 1, 1) in (row, col, channel) order
+    "flatten": Op(
+        forward=lambda n, xs, *_: (xs[0].transpose(0, 2, 3, 1).reshape(len(xs[0]), -1, 1, 1),
+                                   xs[0].shape),
+        backward=lambda n, dy, shape:
+            (dy.reshape(shape[0], *shape[2:], shape[1]).transpose(0, 3, 1, 2),),
+        shape=_flatten_shape,
         window=lambda n, shape: (shape[1], shape[1])),
     "fc": Op(
         forward=_fc_forward,
@@ -231,6 +248,11 @@ class NetworkGraph:
 
     def add_global_avg_pool(self, name: str, inp: str) -> str:
         return self._add(Node(name, "gap", [inp], channels=self.nodes[inp].channels))
+
+    def add_flatten(self, name: str, inp: str, hw: tuple[int, int]) -> str:
+        """Flatten ``inp``, whose maps are ``hw`` in size; other sizes are a ShapeError."""
+        features = self.nodes[inp].channels * hw[0] * hw[1]
+        return self._add(Node(name, "flatten", [inp], channels=features))
 
     def add_fc(self, name: str, inp: str, params: FCParams) -> str:
         return self._add(Node(name, "fc", [inp], fc=params,
@@ -336,7 +358,8 @@ class NetworkGraph:
     # -- static shape inference ----------------------------------------------
 
     def infer_shapes(self, input_hw: tuple[int, int]) -> dict[str, Shape]:
-        """Per-node output shape (C, H, W) for a single sample; fc yields (D, 1, 1)."""
+        """Per-node output shape (C, H, W) for a single sample; fc and flatten
+        yield (D, 1, 1)."""
         shapes: dict[str, Shape] = {
             self.input_name: (self.nodes[self.input_name].channels, *input_hw)
         }
@@ -353,9 +376,9 @@ class NetworkGraph:
 
         Computed by the recurrence rf' = rf + (k - 1) * stride_product along
         each path, with (k, stride) the node's window: the kernel for a conv,
-        the whole incoming map for global average pooling, (1, 1) otherwise.
-        At add/concat joins the per-branch extents are recorded and the
-        maximum becomes the node's extent.
+        the whole incoming map for global average pooling and flatten, (1, 1)
+        otherwise. At add/concat joins the per-branch extents are recorded and
+        the maximum becomes the node's extent.
 
         Returns name -> (rf, stride_product, per-branch rf tuple).
         """

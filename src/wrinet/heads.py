@@ -1,11 +1,15 @@
 """Detection head: 3x3 class/offset predictors on two backbone feature maps.
 
-The head taps the classifier backbone at the ends of its last two stages,
-runs one classification conv and one localization conv per map, and flattens
-predictions in (map, row, col, prior) order so they align with
-:func:`wrinet.detection.generate_priors`. Gradients flow through the head
-convolutions back into the backbone, which supports transfer learning with
-frozen early stages at toy scale.
+The head is ordinary nodes of the backbone graph. :func:`build_detection_head`
+extends the backbone in place: per tap ``i`` a class conv ``head/map{i}/cls``
+and an offset conv ``head/map{i}/loc``, each flattened to (row, col, prior)
+order, and two concats, ``head/logits`` and ``head/offsets``, whose prediction
+order aligns with :func:`wrinet.detection.generate_priors`. Checkpoints,
+MAC counts, non-finite localization and parameter gradients therefore cover
+the head like any other node, and gradients flow through the predictors back
+into the backbone (transfer learning with frozen early stages at toy scale).
+A checkpoint must hold every entry of the graph it is loaded into, so load a
+classifier checkpoint *before* adding the head.
 """
 
 from __future__ import annotations
@@ -14,30 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layers
-from .detection import PriorLayout, evenly_spaced_layout, generate_priors, multibox_loss
-from .graph import NetworkGraph
+from .detection import (PriorLayout, encode_boxes, evenly_spaced_layout, generate_priors,
+                        match_priors, multibox_loss)
+from .graph import ForwardResult, NetworkGraph
 from .layers import ConvParams, make_conv, msr_initialize
 from .tensor import DEFAULT_DTYPE
+
+LOGITS, OFFSETS = "head/logits", "head/offsets"
 
 
 @dataclass
 class DetectionHead:
     taps: tuple[str, ...]
-    cls_convs: list[ConvParams]
-    loc_convs: list[ConvParams]
+    cls_convs: list[ConvParams]  # the parameters of nodes head/map{i}/cls
+    loc_convs: list[ConvParams]  # and head/map{i}/loc
     layout: PriorLayout
     priors: np.ndarray  # (P, 4) normalized
     num_classes: int  # foreground classes; logits carry background at index 0
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, (c, l) in enumerate(zip(self.cls_convs, self.loc_convs)):
-            out[f"head/map{i}/cls/weight"] = c.weights
-            out[f"head/map{i}/cls/bias"] = c.bias
-            out[f"head/map{i}/loc/weight"] = l.weights
-            out[f"head/map{i}/loc/bias"] = l.bias
-        return out
 
 
 def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
@@ -45,89 +42,56 @@ def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
                          aspect_ratios: tuple[float, ...] = (1.0, 2.0, 0.5),
                          s_min: float = 0.2, s_max: float = 0.9,
                          seed: int = 0, dtype=DEFAULT_DTYPE) -> DetectionHead:
+    """Add the head's nodes to ``backbone``, sized for ``input_hw``; a head
+    built earlier on it is replaced. ``backbone.output_name`` is unchanged."""
+    if LOGITS in backbone.nodes:  # the earlier head's nodes are the graph's tail
+        cut = backbone.order.index("head/map0/cls")
+        for name in backbone.order[cut:]:
+            del backbone.nodes[name]
+        del backbone.order[cut:]
     shapes = backbone.infer_shapes(input_hw)
     grids = [shapes[t][1:] for t in taps]
     layout = evenly_spaced_layout(grids, s_min=s_min, s_max=s_max,
                                   aspect_ratios=aspect_ratios)
     rng = np.random.default_rng(seed)
-    cls_convs, loc_convs = [], []
+    output = backbone.output_name
+    convs: dict[str, list[ConvParams]] = {"cls": [], "loc": []}
+    flats: dict[str, list[str]] = {"cls": [], "loc": []}
     for i, tap in enumerate(taps):
-        channels = shapes[tap][0]
+        channels, h, w = shapes[tap]
         per_cell = layout.priors_per_cell(i)
-        cls = make_conv(channels, per_cell * (num_classes + 1), 3, bias=True, dtype=dtype)
-        loc = make_conv(channels, per_cell * 4, 3, bias=True, dtype=dtype)
-        msr_initialize(cls, rng)
-        msr_initialize(loc, rng)
-        cls_convs.append(cls)
-        loc_convs.append(loc)
-    return DetectionHead(taps=tuple(taps), cls_convs=cls_convs, loc_convs=loc_convs,
+        for kind, fields in (("cls", num_classes + 1), ("loc", 4)):
+            conv = make_conv(channels, per_cell * fields, 3, bias=True, dtype=dtype)
+            msr_initialize(conv, rng)
+            convs[kind].append(conv)
+            node = backbone.add_conv(f"head/map{i}/{kind}", tap, conv)
+            flats[kind].append(backbone.add_flatten(f"{node}/flat", node, (h, w)))
+    backbone.add_concat(LOGITS, flats["cls"])
+    backbone.add_concat(OFFSETS, flats["loc"])
+    backbone.output_name = output
+    return DetectionHead(taps=tuple(taps), cls_convs=convs["cls"], loc_convs=convs["loc"],
                          layout=layout, priors=generate_priors(layout),
                          num_classes=num_classes)
 
 
-def _flatten_predictions(y: np.ndarray, per_cell: int, fields: int) -> np.ndarray:
-    """(N, per_cell*fields, H, W) -> (N, H*W*per_cell, fields)."""
-    n, _, h, w = y.shape
-    return (y.reshape(n, per_cell, fields, h, w)
-            .transpose(0, 3, 4, 1, 2)
-            .reshape(n, h * w * per_cell, fields))
-
-
-def _unflatten_gradient(g: np.ndarray, per_cell: int, fields: int,
-                        h: int, w: int) -> np.ndarray:
-    n = g.shape[0]
-    return (g.reshape(n, h, w, per_cell, fields)
-            .transpose(0, 3, 4, 1, 2)
-            .reshape(n, per_cell * fields, h, w))
-
-
 def detection_forward(backbone: NetworkGraph, head: DetectionHead, x: np.ndarray,
-                      mode: str = "train") -> tuple[np.ndarray, np.ndarray, dict]:
-    """Returns per-prior class logits (N, P, C) and offsets (N, P, 4)."""
+                      mode: str = "train") -> tuple[np.ndarray, np.ndarray, ForwardResult]:
+    """Returns per-prior class logits (N, P, C) and offsets (N, P, 4), plus
+    the graph's forward result (with caches in train mode) for backward."""
     result = backbone.forward(x, mode=mode, keep_caches=(mode == "train"))
-    logits_parts, offset_parts, conv_caches = [], [], []
-    for i, tap in enumerate(head.taps):
-        feat = result.outputs[tap]
-        per_cell = head.layout.priors_per_cell(i)
-        cls_y, cls_cache = layers.conv2d_forward(feat, head.cls_convs[i])
-        loc_y, loc_cache = layers.conv2d_forward(feat, head.loc_convs[i])
-        logits_parts.append(_flatten_predictions(cls_y, per_cell, head.num_classes + 1))
-        offset_parts.append(_flatten_predictions(loc_y, per_cell, 4))
-        conv_caches.append((cls_cache, loc_cache, feat.shape))
-    logits = np.concatenate(logits_parts, axis=1)
-    offsets = np.concatenate(offset_parts, axis=1)
-    caches = {"backbone": result, "convs": conv_caches}
-    return logits, offsets, caches
+    n = x.shape[0]
+    return (result[LOGITS].reshape(n, -1, head.num_classes + 1),
+            result[OFFSETS].reshape(n, -1, 4), result)
 
 
-def detection_backward(backbone: NetworkGraph, head: DetectionHead, caches: dict,
+def detection_backward(backbone: NetworkGraph, head: DetectionHead, caches: ForwardResult,
                        grad_logits: np.ndarray, grad_offsets: np.ndarray
                        ) -> dict[str, np.ndarray]:
     """Map per-prior gradients back through the predictor convs and the
-    backbone; returns a merged parameter-gradient dict (head + backbone)."""
-    grads: dict[str, np.ndarray] = {}
-    tap_grads: dict[str, np.ndarray] = {}
-    offset = 0
-    for i, tap in enumerate(head.taps):
-        cls_cache, loc_cache, feat_shape = caches["convs"][i]
-        _, _, h, w = feat_shape
-        per_cell = head.layout.priors_per_cell(i)
-        count = h * w * per_cell
-        g_cls = _unflatten_gradient(grad_logits[:, offset:offset + count],
-                                    per_cell, head.num_classes + 1, h, w)
-        g_loc = _unflatten_gradient(grad_offsets[:, offset:offset + count],
-                                    per_cell, 4, h, w)
-        offset += count
-        dx_cls, dw_cls, db_cls = layers.conv2d_backward(g_cls, cls_cache)
-        dx_loc, dw_loc, db_loc = layers.conv2d_backward(g_loc, loc_cache)
-        grads[f"head/map{i}/cls/weight"] = dw_cls
-        grads[f"head/map{i}/cls/bias"] = db_cls
-        grads[f"head/map{i}/loc/weight"] = dw_loc
-        grads[f"head/map{i}/loc/bias"] = db_loc
-        tap_grads[tap] = dx_cls + dx_loc if tap not in tap_grads else (
-            tap_grads[tap] + dx_cls + dx_loc)
-    backbone_grads, _ = backbone.backward(caches["backbone"], tap_grads)
-    grads.update(backbone_grads)
+    backbone; returns the parameter gradients of the whole graph."""
+    n = grad_logits.shape[0]
+    grads, _ = backbone.backward(caches, {LOGITS: grad_logits.reshape(n, -1, 1, 1),
+                                          OFFSETS: grad_offsets.reshape(n, -1, 1, 1)})
     return grads
 
 
@@ -137,8 +101,6 @@ def detection_loss_batch(logits: np.ndarray, offsets: np.ndarray,
                          negpos_ratio: int = 3
                          ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean multibox loss over a batch with per-image matching and encoding."""
-    from .detection import encode_boxes, match_priors
-
     n = logits.shape[0]
     grad_logits = np.zeros_like(logits)
     grad_offsets = np.zeros_like(offsets)

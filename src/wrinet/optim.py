@@ -22,7 +22,6 @@ import numpy as np
 from . import data as data_io
 from .builder import execute
 from .graph import NetworkGraph, NodeNonFiniteError, save_checkpoint
-from .layers import softmax_cross_entropy
 from .tensor import NonFiniteError, ShapeError
 
 

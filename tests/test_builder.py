@@ -10,6 +10,7 @@ from wrinet.blocks import UnitSpec
 from wrinet.gradcheck import miniature_config
 from wrinet import layers, tensor
 from wrinet.graph import NetworkGraph, load_checkpoint, save_checkpoint
+from wrinet.heads import build_detection_head
 from wrinet.tensor import ShapeError
 
 PARAM_WINDOWS = {
@@ -114,6 +115,17 @@ def test_empty_concat_rejected_when_added():
     with pytest.raises(ValueError, match="'cat' needs at least one input"):
         g.add_concat("cat", [])
     assert "cat" not in g.nodes
+
+
+def test_flatten_rejects_other_input_size():
+    """A detection graph evaluated at a size it was not built for must fail
+    at the flatten node, not report a different prior count."""
+    g = build_network(miniature_config(), seed=0)
+    build_detection_head(g, ("stage1/unit0/add", "stage2/unit0/add"), (8, 8),
+                         num_classes=2, seed=0)
+    assert g.infer_shapes((8, 8))["head/logits"] == (3 * 4 * (8 * 8 + 4 * 4), 1, 1)
+    with pytest.raises(ShapeError, match="flatten 'head/map0/cls/flat'"):
+        g.infer_shapes((16, 16))
 
 
 def test_graph_looks_kernels_up_at_call_time(monkeypatch):

@@ -69,6 +69,17 @@ def test_analyze_accepts_config_file(tmp_path, capsys):
     assert code == 0 and "2,748,890" in out
 
 
+
+@pytest.mark.parametrize("text", ['{"name": "x"}', '{"name": "x", "stages": ',
+                                  '{"name": "x", "stages": 3}'])
+def test_analyze_malformed_config_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "analyze", "--net", str(path))
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--net", "wrn-16-4", "--bogus"])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from wrinet.analysis import analyze, count_macs
 from wrinet.builder import StageConfig, NetworkConfig, build_network
 from wrinet.blocks import UnitSpec
 from wrinet.detection import match_priors
 from wrinet.gradcheck import fd_gradients, relative_error
+from wrinet.graph import NodeNonFiniteError, load_checkpoint, save_checkpoint
 from wrinet.heads import (build_detection_head, detection_backward,
                           detection_forward, detection_loss_batch)
 from wrinet.optim import OptimizerState, sgd_nesterov_step
@@ -70,7 +72,7 @@ def test_head_gradients_match_finite_differences():
 
     logits, offsets, caches = detection_forward(g, head, x, mode="train")
     grads = detection_backward(g, head, caches, proj_l, proj_o)
-    arrays = {**head.parameters()}
+    arrays = {k: v for k, v in g.parameters().items() if k.startswith("head/map")}
     # spot-check head parameters and two backbone parameters
     check = dict(list(arrays.items())[:4])
     check["conv1/weight"] = g.nodes["conv1"].conv.weights
@@ -104,7 +106,7 @@ def test_toy_detection_training_reduces_loss():
         gt_labels.append(labels)
     batch = np.stack(images)
 
-    params = {**g.parameters(), **head.parameters()}
+    params = g.parameters()
     state = OptimizerState.for_parameters(params)
     losses = []
     for step in range(25):
@@ -134,7 +136,7 @@ def test_frozen_backbone_stays_untouched_through_detection_path():
     head = build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=10)
     img, boxes, labels = synth_scene(rng)
     batch = img[None]
-    params = {**g.parameters(), **head.parameters()}
+    params = g.parameters()
     state = OptimizerState.for_parameters(params)
     freeze = ("conv1", "stage1/")
     frozen_before = {k: v.tobytes() for k, v in params.items() if k.startswith(freeze)}
@@ -146,3 +148,59 @@ def test_frozen_backbone_stays_untouched_through_detection_path():
         sgd_nesterov_step(params, grads, state, 0.01, 0.9, 0.0, freeze=freeze)
     frozen_after = {k: v.tobytes() for k, v in params.items() if k.startswith(freeze)}
     assert frozen_before == frozen_after
+
+
+def test_rebuilding_head_replaces_it_in_place():
+    g = tiny_backbone(seed=2)
+    output = g.output_name
+    build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=0)
+    nodes = list(g.order)
+    head = build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=6)
+    assert g.order == nodes and g.output_name == output
+    fresh = tiny_backbone(seed=2)
+    fresh_head = build_detection_head(fresh, TAPS, (16, 16), num_classes=2, seed=6)
+    x = np.random.default_rng(0).normal(size=(1, 3, 16, 16)).astype(np.float32)
+    for a, b in zip(detection_forward(g, head, x, mode="infer")[:2],
+                    detection_forward(fresh, fresh_head, x, mode="infer")[:2]):
+        assert np.array_equal(a, b)
+
+
+def test_head_round_trips_through_checkpoint(tmp_path):
+    g = tiny_backbone(seed=1)
+    head = build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=3)
+    path = str(tmp_path / "det.wrin")
+    save_checkpoint(g, path)
+    other = tiny_backbone(seed=11)
+    other_head = build_detection_head(other, TAPS, (16, 16), num_classes=2, seed=12)
+    x = np.random.default_rng(4).normal(size=(2, 3, 16, 16)).astype(np.float32)
+    before = detection_forward(other, other_head, x, mode="infer")
+    load_checkpoint(other, path)
+    want = detection_forward(g, head, x, mode="infer")
+    got = detection_forward(other, other_head, x, mode="infer")
+    assert not np.array_equal(before[0], want[0])
+    for a, b in zip(got[:2], want[:2]):
+        assert np.array_equal(a, b)
+
+
+def test_nonfinite_head_weight_is_localized():
+    g = tiny_backbone(seed=4)
+    build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=5)
+    g.nodes["head/map1/loc"].conv.weights[0, 0, 1, 1] = np.nan
+    x = np.random.default_rng(1).normal(size=(1, 3, 16, 16)).astype(np.float32)
+    with pytest.raises(NodeNonFiniteError) as info:
+        g.forward(x, check_finite=True)
+    assert info.value.node == "head/map1/loc"
+
+
+def test_head_macs_are_counted_with_the_backbone():
+    g = tiny_backbone(seed=0)
+    backbone_macs, _, _ = count_macs(g, (16, 16))
+    head = build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=1)
+    shapes = g.infer_shapes((16, 16))
+    head_macs = sum(shapes[t][1] * shapes[t][2] * (c.weights.size + l.weights.size)
+                    for t, c, l in zip(head.taps, head.cls_convs, head.loc_convs))
+    assert head_macs > 0
+    assert count_macs(g, (16, 16))[0] == backbone_macs + head_macs
+    report = analyze(g, input_hw=(16, 16))
+    assert report.total_macs == backbone_macs + head_macs
+    assert {n.name for n in report.per_node} >= {"head/logits", "head/offsets"}
