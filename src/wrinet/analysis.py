@@ -11,7 +11,7 @@ counts so the headline number isolates convolution cost.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .blocks import UnitSpec, build_standalone_unit
@@ -126,11 +126,8 @@ def receptive_field(graph: NetworkGraph, node: str, input_hw: tuple[int, int]
 def unit_macs_per_position(spec: UnitSpec) -> int:
     """Convolution MACs per output position at stride 1 (the sum of every
     conv's weight-element count across the unit, projections included)."""
-    from dataclasses import replace
-
     g, _ = build_standalone_unit(replace(spec, stride=1))
-    return sum(int(node.conv.weights.size)
-               for node in g.nodes.values() if node.op == "conv")
+    return count_macs(g, (1, 1))[0]
 
 
 def compare_unit_cost(a: UnitSpec, b: UnitSpec) -> float:
@@ -139,12 +136,9 @@ def compare_unit_cost(a: UnitSpec, b: UnitSpec) -> float:
 
 
 def analyze(graph: NetworkGraph, input_hw: Optional[tuple[int, int]] = None,
-            input_channels: Optional[int] = None,
             comparisons: Optional[list[tuple[UnitSpec, UnitSpec]]] = None) -> CostReport:
     if input_hw is None:
         input_hw = (32, 32)
-    if input_channels is None:
-        input_channels = graph.nodes[graph.input_name].channels
     shapes = graph.infer_shapes(input_hw)
     rf_map = graph.receptive_field_map(input_hw)
     total_params, params = count_parameters(graph)
@@ -167,7 +161,7 @@ def analyze(graph: NetworkGraph, input_hw: Optional[tuple[int, int]] = None,
         })
     return CostReport(
         network=graph.name,
-        input_shape=(input_channels, *input_hw),
+        input_shape=(graph.nodes[graph.input_name].channels, *input_hw),
         per_node=per_node,
         total_params=total_params,
         total_macs=total_macs,

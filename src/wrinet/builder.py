@@ -198,11 +198,10 @@ class ExecutionResult:
 
 
 def execute(graph: NetworkGraph, x: np.ndarray, mode: str = "infer",
-            labels: Optional[np.ndarray] = None,
-            freeze: tuple[str, ...] = ()) -> ExecutionResult:
+            labels: Optional[np.ndarray] = None) -> ExecutionResult:
     """Run the classifier graph. Train mode with labels returns loss and
-    gradients for every non-frozen parameter; infer mode uses running
-    batch-norm statistics and computes no gradients."""
+    gradients for every parameter (the optimizer skips frozen ones); infer
+    mode uses running batch-norm statistics and computes no gradients."""
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "train" and labels is None:
@@ -216,7 +215,4 @@ def execute(graph: NetworkGraph, x: np.ndarray, mode: str = "infer",
     if not want_grads:
         return ExecutionResult(logits=logits, loss=loss)
     grads, _ = graph.backward(result, {graph.output_name: dlogits})
-    if freeze:
-        grads = {k: v for k, v in grads.items()
-                 if not any(k.startswith(p) for p in freeze)}
     return ExecutionResult(logits=logits, loss=loss, grads=grads)

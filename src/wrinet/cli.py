@@ -14,6 +14,7 @@ import glob
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -52,16 +53,23 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
     return c, h, w
 
 
+@contextmanager
+def _config_file(path: str, what: str):
+    """Open the config file ``path``; what parsing it raises as KeyError,
+    TypeError or ValueError (malformed JSON included) becomes a CliError
+    naming the file."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from exc
+
+
 def _resolve_config(net: str, num_classes: int,
                     input_shape: tuple[int, int, int]) -> NetworkConfig:
     if os.path.exists(net):
-        with open(net) as fh:
-            text = fh.read()
-        try:
-            return NetworkConfig.from_json(text)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{net}: not a network config "
-                           f"({type(exc).__name__}: {exc})") from exc
+        with _config_file(net, "network config") as fh:
+            return NetworkConfig.from_json(fh.read())
     try:
         return builtin_config(net, num_classes=num_classes, input_shape=input_shape)
     except KeyError as exc:
@@ -143,16 +151,15 @@ def _split_paths(directory: str, dataset: str, split: str) -> list[str]:
     return paths
 
 
-def _load_split(directory: str, dataset: str, split: str, subset: int | None,
-                normalization) -> tuple[data_io.ClassificationDataset, list]:
+def _read_split(directory: str, dataset: str, split: str,
+                subset: int | None = None) -> list[data_io.LabeledImage]:
+    """The first ``subset`` images of a split (all when None); unreadable or
+    malformed files are a CliError naming the file."""
     try:
-        items = data_io.read_cifar(_split_paths(directory, dataset, split),
-                                   variant=dataset, normalization=normalization)
+        items = data_io.read_cifar(_split_paths(directory, dataset, split), variant=dataset)
     except (data_io.DatasetFormatError, OSError) as exc:
         raise CliError(f"unreadable data: {exc}") from exc
-    if subset:
-        items = items[:subset]
-    return data_io.ClassificationDataset.from_items(items), items
+    return items[:subset] if subset else items
 
 
 def _num_classes(dataset: str) -> int:
@@ -173,25 +180,18 @@ def cmd_train(args) -> int:
         lr_initial=args.lr, augment=not args.no_augment,
         freeze=tuple(args.freeze or ()),
         checkpoint_every=args.checkpoint_every)
-    overrides = {}
     if args.config:
-        with open(args.config) as fh:
+        with _config_file(args.config, "run config") as fh:
             overrides = json.load(fh)
-        if "network" in overrides:
-            config = NetworkConfig.from_dict(overrides["network"])
-        train_fields = {k: v for k, v in overrides.get("train", {}).items()
-                        if hasattr(train_cfg, k)}
-        if "freeze" in train_fields:
-            train_fields["freeze"] = tuple(train_fields["freeze"])
-        train_cfg = replace(train_cfg, **train_fields)
+            if "network" in overrides:
+                config = NetworkConfig.from_dict(overrides["network"])
+            train_fields = {k: v for k, v in overrides.get("train", {}).items()
+                            if hasattr(train_cfg, k)}
+            if "freeze" in train_fields:
+                train_fields["freeze"] = tuple(train_fields["freeze"])
+            train_cfg = replace(train_cfg, **train_fields)
 
-    try:
-        raw_items = data_io.read_cifar(_split_paths(directory, args.dataset, "train"),
-                                       variant=args.dataset)
-    except (data_io.DatasetFormatError, OSError) as exc:
-        raise CliError(f"unreadable data: {exc}") from exc
-    if args.subset:
-        raw_items = raw_items[:args.subset]
+    raw_items = _read_split(directory, args.dataset, "train", args.subset)
     stats = data_io.channel_stats(raw_items)
     dataset = data_io.ClassificationDataset.from_items(
         data_io.normalize_items(raw_items, stats))
@@ -256,22 +256,21 @@ def cmd_eval(args) -> int:
     normalization = None
     config = None
     if args.config:
-        with open(args.config) as fh:
+        with _config_file(args.config, "run config") as fh:
             record = json.load(fh)
-        if "network" in record:
-            config = NetworkConfig.from_dict(record["network"])
-        if "normalization" in record:
-            normalization = (np.array(record["normalization"]["mean"], dtype=np.float32),
-                             np.array(record["normalization"]["std"], dtype=np.float32))
+            if "network" in record:
+                config = NetworkConfig.from_dict(record["network"])
+            if "normalization" in record:
+                normalization = (
+                    np.array(record["normalization"]["mean"], dtype=np.float32),
+                    np.array(record["normalization"]["std"], dtype=np.float32))
     if config is None:
         config = _resolve_config(args.net, num_classes, (3, 32, 32))
     if normalization is None:
-        train_items = data_io.read_cifar(
-            _split_paths(directory, args.dataset, "train"), variant=args.dataset)
-        normalization = data_io.channel_stats(train_items)
+        normalization = data_io.channel_stats(_read_split(directory, args.dataset, "train"))
 
-    dataset, _ = _load_split(directory, args.dataset, "test", args.subset,
-                             normalization)
+    dataset = data_io.ClassificationDataset.from_items(data_io.normalize_items(
+        _read_split(directory, args.dataset, "test", args.subset), normalization))
     graph = build_network(config, seed=args.seed)
     if args.checkpoint:
         load_checkpoint(graph, args.checkpoint)

@@ -3,8 +3,9 @@ label text parsing with difficulty bucketing.
 
 CIFAR-10 records are 3073 bytes (1 label byte + 3072 channel-planar RGB
 pixels, row-major 32x32); CIFAR-100 records are 3074 bytes (coarse then fine
-label byte). Pixels are scaled to [0, 1] and optionally normalized with
-per-channel statistics computed from a training split.
+label byte). Pixels are scaled to [0, 1]; :func:`normalize_items` then
+applies per-channel statistics computed from a training split
+(:func:`channel_stats`).
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class ClassificationDataset:
         labels = np.array([it.label for it in items], dtype=np.int64)
         return cls(images=images, labels=labels)
 
-    def subset(self, n: int) -> "ClassificationDataset":
-        return ClassificationDataset(self.images[:n], self.labels[:n])
-
 
 def _record_length(variant: str) -> int:
     if variant == "cifar10":
@@ -60,14 +58,12 @@ def _record_length(variant: str) -> int:
     raise ValueError(f"unknown CIFAR variant {variant!r}")
 
 
-def read_cifar(paths: Iterable[str] | str, variant: str = "cifar10",
-               normalization: Optional[tuple[np.ndarray, np.ndarray]] = None
+def read_cifar(paths: Iterable[str] | str, variant: str = "cifar10"
                ) -> list[LabeledImage]:
-    """Decode CIFAR binary files into labeled images.
+    """Decode CIFAR binary files into labeled images scaled to [0, 1].
 
-    ``normalization``, when given, is a per-channel (mean, std) pair applied
-    after the 1/255 scaling. Truncated files and out-of-range label bytes are
-    rejected with their byte offsets.
+    Truncated files and out-of-range label bytes are rejected with their byte
+    offsets.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
@@ -102,10 +98,6 @@ def read_cifar(paths: Iterable[str] | str, variant: str = "cifar10",
                         f"offset {offset + 1}")
                 pixels = row[2:]
             image = pixels.reshape(IMAGE_SHAPE).astype(np.float32) / 255.0
-            if normalization is not None:
-                mean, std = normalization
-                image = (image - np.asarray(mean, dtype=np.float32)[:, None, None]) \
-                    / np.asarray(std, dtype=np.float32)[:, None, None]
             items.append(LabeledImage(image=image, label=label, coarse_label=coarse))
     return items
 
@@ -141,6 +133,8 @@ def channel_stats(items: Sequence[LabeledImage]) -> tuple[np.ndarray, np.ndarray
 
 def normalize_items(items: Sequence[LabeledImage],
                     stats: tuple[np.ndarray, np.ndarray]) -> list[LabeledImage]:
+    """Items with each image shifted by the per-channel mean and divided by
+    the per-channel std, in float32."""
     mean, std = stats
     mean = np.asarray(mean, dtype=np.float32)[:, None, None]
     std = np.asarray(std, dtype=np.float32)[:, None, None]

@@ -9,7 +9,6 @@ are converted at the boundary. Heavy operations take (N, 4) arrays; the
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -89,13 +88,11 @@ class PriorMap:
 
 @dataclass
 class PriorLayout:
-    """Per-map grids/scales plus the global scale range. When ``extra_prior``
-    is set, each cell gains a ratio-1 prior at sqrt(s_k * s_{k+1}), using the
-    next map's scale (1.0 after the last map)."""
+    """Per-map grids and scales. When ``extra_prior`` is set, each cell gains
+    a ratio-1 prior at sqrt(s_k * s_{k+1}), using the next map's scale (1.0
+    after the last map)."""
 
     maps: list[PriorMap]
-    s_min: float = 0.2
-    s_max: float = 0.9
     extra_prior: bool = True
 
     def __post_init__(self):
@@ -121,7 +118,7 @@ def evenly_spaced_layout(grids: Sequence[tuple[int, int]], s_min: float = 0.2,
     for i, grid in enumerate(grids):
         scale = s_min if k == 1 else s_min + (s_max - s_min) * i / (k - 1)
         maps.append(PriorMap(grid=tuple(grid), scale=scale, aspect_ratios=aspect_ratios))
-    return PriorLayout(maps=maps, s_min=s_min, s_max=s_max, extra_prior=extra_prior)
+    return PriorLayout(maps=maps, extra_prior=extra_prior)
 
 
 def generate_priors(layout: PriorLayout) -> np.ndarray:
@@ -335,12 +332,8 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.45
         if suppressed[i]:
             continue
         kept.append(i)
-        rest = [j for j in order if not suppressed[j] and j != i]
-        if rest:
-            ious = iou_matrix(boxes[i][None], boxes[rest])[0]
-            for j, v in zip(rest, ious):
-                if v > iou_threshold:
-                    suppressed[j] = True
+        # one row of IoUs per kept box, never the n x n matrix
+        suppressed |= iou_matrix(boxes[i], boxes)[0] > iou_threshold
     return kept
 
 
@@ -406,9 +399,6 @@ class EvalReport:
             "mAR": self.mean_ar,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def to_text(self) -> str:
         head = f"{'class':<16}{'AP%':>8}{'AR%':>8}{'TP':>6}{'FP':>6}{'#gt':>6}"
         lines = [f"difficulty: {self.difficulty}  IoU >= {self.iou_threshold}",
@@ -446,11 +436,11 @@ def interpolated_ap(recalls: np.ndarray, precisions: np.ndarray,
 def evaluate_detections(detections: Sequence[Detection],
                         groundtruths: Sequence[GroundTruth],
                         iou_threshold: float = 0.5,
-                        difficulty: str = "all",
-                        num_points: Optional[int] = 11) -> EvalReport:
-    """Greedy best-IoU matching per ranked detection, each groundtruth used
-    once. Detections whose only overlap is an ignored groundtruth or a
-    DontCare region count as neither TP nor FP."""
+                        difficulty: str = "all") -> EvalReport:
+    """11-point interpolated AP and AR per class. Greedy best-IoU matching per
+    ranked detection, each groundtruth used once. Detections whose only
+    overlap is an ignored groundtruth or a DontCare region count as neither
+    TP nor FP."""
     if difficulty not in _ELIGIBLE:
         raise ValueError(f"unknown difficulty filter {difficulty!r}")
     image_ids = {gt.image_id for gt in groundtruths}
@@ -508,7 +498,7 @@ def evaluate_detections(detections: Sequence[Detection],
         if n_eligible > 0 and flags.size > 0:
             recalls = tp_cum / n_eligible
             precisions = tp_cum / np.maximum(tp_cum + fp_cum, 1)
-            ap = interpolated_ap(recalls, precisions, num_points)
+            ap = interpolated_ap(recalls, precisions)
             ar = float(recalls[-1])
         else:
             ap, ar = 0.0, 0.0

@@ -67,9 +67,10 @@ Shape = tuple[int, int, int]
 class Op:
     """What one node kind means.
 
-    ``forward(node, inputs, mode, update_stats, keep_caches)`` returns
-    ``(y, cache)``; ``backward(node, dy, cache)`` returns one gradient per
-    input, then one per ``params`` entry (the kernels' dx, dw, db order).
+    ``forward(node, inputs, mode, update_stats)`` returns ``(y, cache)``,
+    the cache holding all that backward needs; ``backward(node, dy, cache)``
+    returns one gradient per input, then one per ``params`` entry (the
+    kernels' dx, dw, db order).
     ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
     ShapeError naming the node; ``window(node, input shape)`` gives the
     (kernel, stride) step of the receptive-field recurrence. ``params`` and
@@ -141,15 +142,14 @@ def _fc_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
 
 OPS: dict[str, Op] = {
     "conv": Op(
-        forward=lambda n, xs, mode, update_stats, keep_caches:
-            layers.conv2d_forward(xs[0], n.conv, keep_cols=keep_caches),
+        forward=lambda n, xs, *_: layers.conv2d_forward(xs[0], n.conv),
         backward=lambda n, dy, cache: layers.conv2d_backward(dy, cache),
         shape=_conv_shape,
         window=lambda n, shape: (n.conv.kernel[0], n.conv.stride),
         params=lambda n: {k: v for k, v in (("weight", n.conv.weights),
                                             ("bias", n.conv.bias)) if v is not None}),
     "bn": Op(
-        forward=lambda n, xs, mode, update_stats, keep_caches:
+        forward=lambda n, xs, mode, update_stats:
             layers.batch_norm_forward(xs[0], n.bn, mode=mode, update_stats=update_stats),
         backward=lambda n, dy, cache: layers.batch_norm_backward(dy, cache),
         params=lambda n: {"gamma": n.bn.gamma, "beta": n.bn.beta},
@@ -287,6 +287,8 @@ class NetworkGraph:
                 keep_caches: bool = False, check_finite: bool = False) -> ForwardResult:
         """Evaluate all nodes in topological order. ``mode`` is ``"train"``
         (batch statistics) or ``"infer"`` (running statistics).
+        ``keep_caches`` keeps every node's cache for :meth:`backward`;
+        without it each cache is released before the next node runs.
         ``check_finite`` validates every node output and raises
         :class:`NodeNonFiniteError` at the first offender (the diagnostic mode
         the trainer uses after a bad loss)."""
@@ -303,7 +305,7 @@ class NetworkGraph:
             node = self.nodes[name]
             ins = [outputs[i] for i in node.inputs]
             try:
-                y, cache = OPS[node.op].forward(node, ins, mode, update_stats, keep_caches)
+                y, cache = OPS[node.op].forward(node, ins, mode, update_stats)
             except tensor.NonFiniteError as exc:
                 raise NodeNonFiniteError(name) from exc
             if check_finite and not np.all(np.isfinite(y)):
@@ -311,6 +313,7 @@ class NetworkGraph:
             outputs[name] = y
             if keep_caches:
                 caches[name] = cache
+            del cache  # without keep_caches, a conv's patch matrix dies here
         return ForwardResult(outputs=outputs, caches=caches)
 
     def backward(self, result: ForwardResult, out_grads: dict[str, np.ndarray]
@@ -378,7 +381,9 @@ class NetworkGraph:
         each path, with (k, stride) the node's window: the kernel for a conv,
         the whole incoming map for global average pooling and flatten, (1, 1)
         otherwise. At add/concat joins the per-branch extents are recorded and
-        the maximum becomes the node's extent.
+        the maximum becomes the node's extent. Joined paths must share one
+        stride product, except into a 1x1 map (after flatten or gap), whose
+        single position takes the largest.
 
         Returns name -> (rf, stride_product, per-branch rf tuple).
         """
@@ -391,9 +396,9 @@ class NetworkGraph:
             ins = node.inputs
             per = tuple(rf[i] for i in ins)
             strides = {sp[i] for i in ins}
-            if len(strides) != 1:
+            if len(strides) != 1 and shapes[name][1:] != (1, 1):
                 raise ShapeError(f"join {name!r} merges paths of unequal stride")
-            stride_in = strides.pop()
+            stride_in = max(strides)
             k, s = OPS[node.op].window(node, shapes[ins[0]])
             rf[name] = max(per) + (k - 1) * stride_in
             sp[name] = stride_in * s

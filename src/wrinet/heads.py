@@ -39,11 +39,12 @@ class DetectionHead:
 
 def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
                          input_hw: tuple[int, int], num_classes: int,
-                         aspect_ratios: tuple[float, ...] = (1.0, 2.0, 0.5),
-                         s_min: float = 0.2, s_max: float = 0.9,
                          seed: int = 0, dtype=DEFAULT_DTYPE) -> DetectionHead:
     """Add the head's nodes to ``backbone``, sized for ``input_hw``; a head
-    built earlier on it is replaced. ``backbone.output_name`` is unchanged."""
+    built earlier on it is replaced. ``backbone.output_name`` is unchanged.
+    Priors follow :func:`~wrinet.detection.evenly_spaced_layout`'s defaults:
+    scales 0.2 to 0.9 across the taps, ratios 1, 2 and 1/2 plus the extra
+    ratio-1 prior per cell."""
     if LOGITS in backbone.nodes:  # the earlier head's nodes are the graph's tail
         cut = backbone.order.index("head/map0/cls")
         for name in backbone.order[cut:]:
@@ -51,8 +52,7 @@ def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
         del backbone.order[cut:]
     shapes = backbone.infer_shapes(input_hw)
     grids = [shapes[t][1:] for t in taps]
-    layout = evenly_spaced_layout(grids, s_min=s_min, s_max=s_max,
-                                  aspect_ratios=aspect_ratios)
+    layout = evenly_spaced_layout(grids)
     rng = np.random.default_rng(seed)
     output = backbone.output_name
     convs: dict[str, list[ConvParams]] = {"cls": [], "loc": []}

@@ -2,9 +2,9 @@
 
 Every layer is a pair of pure functions, ``*_forward(x, params) -> (y, cache)``
 and ``*_backward(dy, cache) -> grads``, operating on (N, C, H, W) numpy arrays.
-Convolution lowers to a patch-matrix (im2col) matmul; its gradients are exact,
-which the test suite verifies against a naive 7-loop kernel and central finite
-differences.
+Convolution lowers to a patch-matrix (im2col) matmul, and its cache carries
+that patch matrix for backward; its gradients are exact, which the test suite
+verifies against a naive 7-loop kernel and central finite differences.
 """
 
 from __future__ import annotations
@@ -132,10 +132,9 @@ def _check_conv(x: np.ndarray, p: ConvParams) -> tuple[int, int]:
     return h_out, w_out
 
 
-def conv2d_forward(x: np.ndarray, p: ConvParams,
-                   keep_cols: bool = False) -> tuple[np.ndarray, tuple]:
-    """``keep_cols`` caches the patch matrix for backward at the price of
-    kh*kw copies of the activation; otherwise backward re-extracts it."""
+def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, tuple]:
+    """The cache carries the patch matrix (kh*kw copies of the activation)
+    for backward; a caller that needs no backward drops the cache."""
     x = require_nchw(x, "conv input")
     h_out, w_out = _check_conv(x, p)
     kh, kw = p.kernel
@@ -145,8 +144,7 @@ def conv2d_forward(x: np.ndarray, p: ConvParams,
     if p.bias is not None:
         y += p.bias[:, None]
     y = y.reshape(n, p.out_channels, h_out, w_out)
-    cache = (x, p, h_out, w_out, cols if keep_cols else None)
-    return y, cache
+    return y, (x, p, h_out, w_out, cols)
 
 
 def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -154,8 +152,6 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
     x, p, h_out, w_out, cols = cache
     kh, kw = p.kernel
     n, c_in = x.shape[0], x.shape[1]
-    if cols is None:
-        cols, _, _ = _im2col(_pad_input(x, p.padding), kh, kw, p.stride)
     dy_mat = dy.reshape(n, p.out_channels, h_out * w_out)
     w_mat = p.weights.reshape(p.out_channels, -1)
 

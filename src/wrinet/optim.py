@@ -165,7 +165,7 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
                  hooks: Optional[list[Callable[[EpochRecord], Optional[bool]]]] = None,
                  out_dir: Optional[str] = None) -> TrainingLog:
     """Seeded epoch loop: shuffle, optional augmentation, Nesterov SGD steps,
-    per-epoch mean loss / train accuracy / lr records. A hook returning True
+    per-epoch mean loss / train accuracy / last-step lr records. A hook returning True
     stops training early. Checkpoints use the binary graph format.
     """
     images, labels = dataset.images, dataset.labels
@@ -194,13 +194,10 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
             if config.augment:
                 batch = data_io.augment_batch(batch, rng)
             batch_labels = labels[idx]
-            if config.schedule.kind == "epoch":
-                lr = lr_at(config.schedule, epoch, config.lr_initial)
-            else:
-                lr = lr_at(config.schedule, step, config.lr_initial)
+            lr = lr_at(config.schedule, epoch if config.schedule.kind == "epoch" else step,
+                       config.lr_initial)
             try:
-                result = execute(graph, batch, mode="train", labels=batch_labels,
-                                 freeze=config.freeze)
+                result = execute(graph, batch, mode="train", labels=batch_labels)
             except NonFiniteError:
                 raise NonFiniteLossError(first_nonfinite_node(graph, batch), step)
             if not np.isfinite(result.loss):
@@ -210,9 +207,7 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
             losses.append(result.loss)
             correct += int((result.logits.argmax(axis=1) == batch_labels).sum())
             step += 1
-        record = EpochRecord(epoch=epoch, step=step,
-                             lr=lr_at(config.schedule, epoch, config.lr_initial)
-                             if config.schedule.kind == "epoch" else lr,
+        record = EpochRecord(epoch=epoch, step=step, lr=lr,
                              loss=float(np.mean(losses)), acc=correct / n)
         log.epochs.append(record)
         if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:

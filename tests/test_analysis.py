@@ -212,6 +212,20 @@ def test_join_reports_per_branch_extents():
     assert rf_map["join"][2] == (13, 9)
 
 
+def test_spatial_join_of_unequal_strides_rejected():
+    """13x13 reaches 7x7 through three 3x3 pad-0 convs (stride 1) and through
+    one 1x1 stride-2 conv (stride 2): the shapes agree, the strides do not."""
+    g = NetworkGraph(1)
+    x = "input"
+    for i in range(3):
+        x = g.add_conv(f"c{i}", x, make_conv(1, 1, 3, padding=0))
+    g.add_conv("down", "input", make_conv(1, 1, 1, stride=2, padding=0))
+    g.add_add("join", x, "down")
+    assert g.infer_shapes((13, 13))["join"] == (1, 7, 7)
+    with pytest.raises(ShapeError, match="'join' merges paths of unequal stride"):
+        g.receptive_field_map((13, 13))
+
+
 # ---------------------------------------------------------------------------
 # Report plumbing
 # ---------------------------------------------------------------------------

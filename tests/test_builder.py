@@ -86,17 +86,6 @@ def test_execute_rejects_wrong_input_channels():
         execute(g, np.zeros((1, 4, 8, 8), dtype=np.float32), mode="infer")
 
 
-def test_execute_freeze_filters_gradients():
-    g = build_network(miniature_config(), seed=0)
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
-    labels = np.array([0, 1])
-    full = execute(g, x, mode="train", labels=labels)
-    frozen = execute(g, x, mode="train", labels=labels, freeze=("conv1", "stage1/"))
-    assert all(not k.startswith(("conv1", "stage1/")) for k in frozen.grads)
-    assert len(frozen.grads) < len(full.grads)
-
-
 def test_forward_rejects_unknown_mode():
     g = build_network(miniature_config(), seed=0)
     with pytest.raises(ValueError, match="'trian'"):

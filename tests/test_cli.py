@@ -234,6 +234,26 @@ def test_train_then_eval_with_run_config(tmp_path, cifar_dir, capsys):
     assert "top1_error" in json.loads(out)
 
 
+@pytest.mark.parametrize("text", ['{"network": {"name": "x"}}', '{"network": '])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_run_config_exits_2(tmp_path, cifar_dir, capsys, command, text):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    code, _, err = run(capsys, command, "--net", "wrn-16-4", "--config", str(path),
+                       "--data-dir", cifar_dir)
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err
+
+
+def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):
+    path = os.path.join(cifar_dir, "data_batch_1.bin")
+    with open(path, "r+b") as fh:
+        fh.truncate(100)
+    code, _, err = run(capsys, "eval", "--net", "wrn-16-4", "--data-dir", cifar_dir)
+    assert code == 2
+    assert err.startswith("error:") and path in err
+
+
 def test_nonfinite_training_exits_3(tmp_path, cifar_dir, capsys, monkeypatch):
     net = mini_config_file(tmp_path)
     import wrinet.cli as cli

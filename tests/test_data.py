@@ -75,7 +75,7 @@ def test_all_zero_pixels_normalize_to_minus_mean_over_std(tmp_path):
     write_cifar(str(path), [(0, np.zeros((3, 32, 32), dtype=np.uint8))])
     mean = np.array([0.4, 0.5, 0.6], dtype=np.float32)
     std = np.array([0.2, 0.25, 0.3], dtype=np.float32)
-    (item,) = read_cifar(str(path), normalization=(mean, std))
+    (item,) = normalize_items(read_cifar(str(path)), (mean, std))
     for c in range(3):
         assert np.allclose(item.image[c], (0.0 - mean[c]) / std[c], atol=1e-6)
 

@@ -192,6 +192,18 @@ def test_nonfinite_head_weight_is_localized():
     assert info.value.node == "head/map1/loc"
 
 
+@pytest.mark.parametrize("hw", [(15, 15), (17, 17)])
+def test_analyze_runs_on_head_whatever_the_input_size(hw):
+    """At 15x15 the flattened taps have stride products 1*15 and 2*8; the
+    concat of these 1x1 maps takes the larger."""
+    g = tiny_backbone(seed=0)
+    build_detection_head(g, TAPS, hw, num_classes=2, seed=1)
+    nodes = {n.name: n for n in analyze(g, input_hw=hw).per_node}
+    flats = [nodes[f"head/map{i}/cls/flat"].stride_product for i in range(len(TAPS))]
+    assert len(set(flats)) == 2
+    assert nodes["head/logits"].stride_product == max(flats)
+
+
 def test_head_macs_are_counted_with_the_backbone():
     g = tiny_backbone(seed=0)
     backbone_macs, _, _ = count_macs(g, (16, 16))

@@ -4,7 +4,7 @@ import pytest
 from oracles import naive_conv2d
 from wrinet import gradcheck, layers
 from wrinet.layers import (BatchNormParams, ConvParams, FCParams,
-                           batch_norm_forward, conv2d_backward, conv2d_forward,
+                           batch_norm_forward, conv2d_forward,
                            fully_connected_forward, global_avg_pool_backward,
                            global_avg_pool_forward, make_batch_norm, make_conv,
                            make_fc, msr_initialize, relu_forward, softmax,
@@ -76,18 +76,6 @@ def test_conv_rejects_bad_inputs():
 
 def test_conv_gradients_match_finite_differences():
     assert gradcheck.check_layer("conv2d", seed=0) < TOL
-
-
-def test_conv_cached_patches_give_same_gradients():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 3, 6, 6))
-    p = make_conv(3, 4, 3, stride=2, bias=True, dtype=np.float64)
-    msr_initialize(p, rng)
-    y, cache_keep = conv2d_forward(x, p, keep_cols=True)
-    _, cache_skip = conv2d_forward(x, p, keep_cols=False)
-    dy = rng.normal(size=y.shape)
-    for a, b in zip(conv2d_backward(dy, cache_keep), conv2d_backward(dy, cache_skip)):
-        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,14 @@ def test_checkpoint_cadence_and_log(tmp_path):
     assert len(lines) == 1 + len(log.epochs)
 
 
+def test_iteration_schedule_records_each_epochs_last_step_lr():
+    g = build_network(miniature_config(), seed=0)
+    cfg = tiny_train_config(epochs=3, schedule=LRSchedule("iteration", (2, 4), 0.5))
+    log = train_epochs(g, tiny_dataset(), cfg)  # 24 images, batch 8: 3 steps an epoch
+    assert [r.step for r in log.epochs] == [3, 6, 9]
+    assert [r.lr for r in log.epochs] == [0.01 * 0.5, 0.01 * 0.5 ** 2, 0.01 * 0.5 ** 2]
+
+
 def test_early_stop_hook():
     g = build_network(miniature_config(), seed=6)
     log = train_epochs(g, tiny_dataset(), tiny_train_config(epochs=50),
