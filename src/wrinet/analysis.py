@@ -80,7 +80,7 @@ class CostReport:
         lines.append("-" * len(head))
         lines.append(
             f"{'totals':<50}{self.total_params:>12,}{self.total_macs:>16,}")
-        lines.append(f"elementwise ops (bn/relu/pool/join): {self.total_elementwise:,}")
+        lines.append(f"elementwise ops (bn_relu/pool/join): {self.total_elementwise:,}")
         for c in self.comparisons:
             lines.append(
                 f"unit cost: {c['a']} = {c['macs_a']:,} MACs/position vs "

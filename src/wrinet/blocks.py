@@ -1,9 +1,10 @@
 """Pre-activation residual units: basic, bottleneck, and residual-inception.
 
-Every convolution is preceded by BN -> ReLU. A unit's shortcut is the raw
-input when neither channels nor resolution change; otherwise it is a strided
-1x1 projection applied to the shared pre-activated input, which is the wide
-residual network convention this family follows.
+Every convolution is preceded by BN -> ReLU, one ``bn_relu`` graph node named
+``<scope>/bn<tag>``. A unit's shortcut is the raw input when neither channels
+nor resolution change; otherwise it is a strided 1x1 projection applied to the
+shared pre-activated input, which is the wide residual network convention
+this family follows.
 
 The residual-inception unit shares one 1x1 convolution across three branches
 (the shared output itself, one 3x3, and a stacked 3x3 pair whose composite
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .graph import NetworkGraph
-from .layers import make_batch_norm, make_conv
+from .layers import make_conv
 from .tensor import DEFAULT_DTYPE
 
 _WIDTH_COUNT = {"basic": 2, "bottleneck": 3, "inception": 4}
@@ -64,12 +65,6 @@ class UnitSpec:
         return self.stride != 1 or self.in_channels != self.out_channels
 
 
-def _pre_activation(g: NetworkGraph, inp: str, channels: int, scope: str,
-                    tag: str, dtype) -> str:
-    bn = g.add_bn(f"{scope}/bn{tag}", inp, make_batch_norm(channels, dtype=dtype))
-    return g.add_relu(f"{scope}/relu{tag}", bn)
-
-
 def _shortcut(g: NetworkGraph, raw: str, preact: str, spec: UnitSpec, scope: str,
               dtype) -> str:
     if not spec.needs_projection():
@@ -85,10 +80,10 @@ def make_basic_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
     if spec.variant != "basic":
         raise ValueError(f"expected basic unit spec, got {spec.variant!r}")
     w = spec.widths[0]
-    pre = _pre_activation(g, inp, spec.in_channels, scope, "1", dtype)
+    pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
     x = g.add_conv(f"{scope}/conv1", pre,
                    make_conv(spec.in_channels, w, 3, stride=spec.stride, dtype=dtype))
-    x = _pre_activation(g, x, w, scope, "2", dtype)
+    x = g.add_bn_relu(f"{scope}/bn2", x, dtype)
     x = g.add_conv(f"{scope}/conv2", x, make_conv(w, spec.out_channels, 3, dtype=dtype))
     sc = _shortcut(g, inp, pre, spec, scope, dtype)
     return g.add_add(f"{scope}/add", x, sc)
@@ -100,13 +95,13 @@ def make_bottleneck_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
     if spec.variant != "bottleneck":
         raise ValueError(f"expected bottleneck unit spec, got {spec.variant!r}")
     w_reduce, w_mid, w_out = spec.widths
-    pre = _pre_activation(g, inp, spec.in_channels, scope, "1", dtype)
+    pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
     x = g.add_conv(f"{scope}/conv1", pre,
                    make_conv(spec.in_channels, w_reduce, 1, padding=0, dtype=dtype))
-    x = _pre_activation(g, x, w_reduce, scope, "2", dtype)
+    x = g.add_bn_relu(f"{scope}/bn2", x, dtype)
     x = g.add_conv(f"{scope}/conv2", x,
                    make_conv(w_reduce, w_mid, 3, stride=spec.stride, dtype=dtype))
-    x = _pre_activation(g, x, w_mid, scope, "3", dtype)
+    x = g.add_bn_relu(f"{scope}/bn3", x, dtype)
     x = g.add_conv(f"{scope}/conv3", x, make_conv(w_mid, w_out, 1, padding=0, dtype=dtype))
     sc = _shortcut(g, inp, pre, spec, scope, dtype)
     return g.add_add(f"{scope}/add", x, sc)
@@ -119,21 +114,21 @@ def make_residual_inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec,
     if spec.variant != "inception":
         raise ValueError(f"expected inception unit spec, got {spec.variant!r}")
     w_shared, w_b, w_c1, w_c2 = spec.widths
-    pre = _pre_activation(g, inp, spec.in_channels, scope, "1", dtype)
+    pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
     shared = g.add_conv(f"{scope}/shared", pre,
                         make_conv(spec.in_channels, w_shared, 1, stride=spec.stride,
                                   padding=0, dtype=dtype))
 
-    b = _pre_activation(g, shared, w_shared, f"{scope}/b", "", dtype)
+    b = g.add_bn_relu(f"{scope}/b/bn", shared, dtype)
     b = g.add_conv(f"{scope}/b/conv", b, make_conv(w_shared, w_b, 3, dtype=dtype))
 
-    c = _pre_activation(g, shared, w_shared, f"{scope}/c", "1", dtype)
+    c = g.add_bn_relu(f"{scope}/c/bn1", shared, dtype)
     c = g.add_conv(f"{scope}/c/conv1", c, make_conv(w_shared, w_c1, 3, dtype=dtype))
-    c = _pre_activation(g, c, w_c1, f"{scope}/c", "2", dtype)
+    c = g.add_bn_relu(f"{scope}/c/bn2", c, dtype)
     c = g.add_conv(f"{scope}/c/conv2", c, make_conv(w_c1, w_c2, 3, dtype=dtype))
 
     cat = g.add_concat(f"{scope}/concat", [shared, b, c])
-    x = _pre_activation(g, cat, spec.concat_width, f"{scope}/proj", "", dtype)
+    x = g.add_bn_relu(f"{scope}/proj/bn", cat, dtype)
     x = g.add_conv(f"{scope}/proj/conv", x,
                    make_conv(spec.concat_width, spec.out_channels, 1, padding=0,
                              dtype=dtype))

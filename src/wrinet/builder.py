@@ -18,7 +18,7 @@ import numpy as np
 from . import layers
 from .blocks import UnitSpec, make_unit
 from .graph import NetworkGraph
-from .layers import make_batch_norm, make_conv, make_fc, msr_initialize
+from .layers import make_conv, make_fc, msr_initialize
 from .tensor import DEFAULT_DTYPE, ShapeError
 
 BUILTIN_NAMES = ("wrn-16-4", "wr-inception", "wr-inception-l2", "preact-resnet-164")
@@ -178,8 +178,7 @@ def build_network(config: NetworkConfig, seed: int = 0, dtype=DEFAULT_DTYPE) -> 
         for u_idx, unit in enumerate(stage.units):
             x = make_unit(g, x, unit, f"stage{s_idx}/unit{u_idx}", dtype=dtype)
     final_c = config.stages[-1].units[-1].out_channels
-    x = g.add_bn("head/bn", x, make_batch_norm(final_c, dtype=dtype))
-    x = g.add_relu("head/relu", x)
+    x = g.add_bn_relu("head/bn", x, dtype)
     x = g.add_global_avg_pool("head/gap", x)
     g.add_fc("head/fc", x, make_fc(final_c, config.num_classes, dtype=dtype))
 

@@ -54,22 +54,31 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
 
 
 @contextmanager
-def _config_file(path: str, what: str):
-    """Open the config file ``path``; what parsing it raises as KeyError,
-    TypeError or ValueError (malformed JSON included) becomes a CliError
-    naming the file."""
+def _input_file(path: str, what: str):
+    """What reading the file ``path`` raises becomes a CliError naming it:
+    OSError when the file cannot be read, KeyError, TypeError or ValueError
+    (malformed JSON included) when it is not a ``what``."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"{path}: cannot read {what}: {exc.strerror or exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from exc
+
+
+def _json_object(path: str) -> dict:
     with open(path) as fh:
-        try:
-            yield fh
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from exc
+        record = json.load(fh)
+    if not isinstance(record, dict):
+        raise TypeError(f"top level is a JSON {type(record).__name__}, not an object")
+    return record
 
 
 def _resolve_config(net: str, num_classes: int,
                     input_shape: tuple[int, int, int]) -> NetworkConfig:
     if os.path.exists(net):
-        with _config_file(net, "network config") as fh:
-            return NetworkConfig.from_json(fh.read())
+        with _input_file(net, "network config"):
+            return NetworkConfig.from_dict(_json_object(net))
     try:
         return builtin_config(net, num_classes=num_classes, input_shape=input_shape)
     except KeyError as exc:
@@ -181,8 +190,8 @@ def cmd_train(args) -> int:
         freeze=tuple(args.freeze or ()),
         checkpoint_every=args.checkpoint_every)
     if args.config:
-        with _config_file(args.config, "run config") as fh:
-            overrides = json.load(fh)
+        with _input_file(args.config, "run config"):
+            overrides = _json_object(args.config)
             if "network" in overrides:
                 config = NetworkConfig.from_dict(overrides["network"])
             train_fields = {k: v for k, v in overrides.get("train", {}).items()
@@ -198,7 +207,8 @@ def cmd_train(args) -> int:
 
     graph = build_network(config, seed=train_cfg.seed)
     if args.resume:
-        load_checkpoint(graph, args.resume)
+        with _input_file(args.resume, "checkpoint"):
+            load_checkpoint(graph, args.resume)
 
     hooks = []
     if args.stop_acc is not None:
@@ -256,8 +266,8 @@ def cmd_eval(args) -> int:
     normalization = None
     config = None
     if args.config:
-        with _config_file(args.config, "run config") as fh:
-            record = json.load(fh)
+        with _input_file(args.config, "run config"):
+            record = _json_object(args.config)
             if "network" in record:
                 config = NetworkConfig.from_dict(record["network"])
             if "normalization" in record:
@@ -273,7 +283,8 @@ def cmd_eval(args) -> int:
         _read_split(directory, args.dataset, "test", args.subset), normalization))
     graph = build_network(config, seed=args.seed)
     if args.checkpoint:
-        load_checkpoint(graph, args.checkpoint)
+        with _input_file(args.checkpoint, "checkpoint"):
+            load_checkpoint(graph, args.checkpoint)
     accuracy = evaluate_classifier(graph, dataset)
     out = {"top1_accuracy": accuracy, "top1_error": 1.0 - accuracy,
            "samples": int(dataset.labels.shape[0])}
@@ -295,11 +306,8 @@ def _read_kitti_dir(directory: str) -> dict[str, list[data_io.KittiObject]]:
     out = {}
     for path in sorted(glob.glob(os.path.join(directory, "*.txt"))):
         image_id = os.path.splitext(os.path.basename(path))[0]
-        with open(path) as fh:
-            try:
-                out[image_id] = data_io.parse_kitti_labels(fh.read())
-            except data_io.DatasetFormatError as exc:
-                raise CliError(f"{path}: {exc}") from exc
+        with _input_file(path, "KITTI label file"), open(path) as fh:
+            out[image_id] = data_io.parse_kitti_labels(fh.read())
     return out
 
 

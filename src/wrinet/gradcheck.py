@@ -188,12 +188,13 @@ def _init_graph_params(g: NetworkGraph, rng: np.random.Generator) -> None:
 
 
 def _min_relu_input(g: NetworkGraph, x: np.ndarray) -> float:
-    result = g.forward(x, mode="train", update_stats=False)
+    """Smallest |ReLU input| over the graph: each bn_relu's batch-norm output."""
+    outputs = g.forward(x, mode="train", update_stats=False).outputs
     margin = np.inf
-    for name in g.order:
-        node = g.nodes[name]
-        if node.op == "relu":
-            z = result.outputs[node.inputs[0]]
+    for node in g.nodes.values():
+        if node.op == "bn_relu":
+            z = layers.batch_norm_forward(outputs[node.inputs[0]], node.bn,
+                                          mode="train", update_stats=False)[0]
             margin = min(margin, float(np.abs(z).min()))
     return margin
 

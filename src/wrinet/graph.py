@@ -21,7 +21,7 @@ import numpy as np
 
 from . import layers, tensor
 from .layers import BatchNormParams, ConvParams, FCParams
-from .tensor import ShapeError
+from .tensor import DEFAULT_DTYPE, ShapeError
 
 CHECKPOINT_MAGIC = b"WRIN"
 CHECKPOINT_VERSION = 1
@@ -75,7 +75,8 @@ class Op:
     ShapeError naming the node; ``window(node, input shape)`` gives the
     (kernel, stride) step of the receptive-field recurrence. ``params`` and
     ``buffers(node)`` map entry names to arrays, registered as
-    ``<node>/<entry>``. The defaults describe a pointwise op without state.
+    ``<node>/<entry>``. The defaults describe an op that keeps its input's
+    shape, sees one position at a time and holds no state.
 
     Entries look kernels up on their module at call time (``lambda ...:
     layers.conv2d_forward(...)``), never through a reference stored here:
@@ -128,6 +129,19 @@ def _flatten_shape(node: Node, shapes: list[Shape]) -> Shape:
     return (node.channels, 1, 1)
 
 
+def _bn_relu_forward(node: Node, xs: list[np.ndarray], mode: str,
+                     update_stats: bool) -> tuple[np.ndarray, tuple]:
+    z, bn_cache = layers.batch_norm_forward(xs[0], node.bn, mode=mode,
+                                            update_stats=update_stats)
+    y, mask = layers.relu_forward(z)
+    return y, (bn_cache, mask)
+
+
+def _bn_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
+    bn_cache, mask = cache
+    return layers.batch_norm_backward(layers.relu_backward(dy, mask), bn_cache)
+
+
 def _fc_forward(node: Node, xs: list[np.ndarray], *_) -> tuple[np.ndarray, tuple]:
     x = xs[0]
     y, cache = layers.fully_connected_forward(x.reshape(x.shape[0], -1), node.fc)
@@ -148,16 +162,12 @@ OPS: dict[str, Op] = {
         window=lambda n, shape: (n.conv.kernel[0], n.conv.stride),
         params=lambda n: {k: v for k, v in (("weight", n.conv.weights),
                                             ("bias", n.conv.bias)) if v is not None}),
-    "bn": Op(
-        forward=lambda n, xs, mode, update_stats:
-            layers.batch_norm_forward(xs[0], n.bn, mode=mode, update_stats=update_stats),
-        backward=lambda n, dy, cache: layers.batch_norm_backward(dy, cache),
+    "bn_relu": Op(
+        forward=_bn_relu_forward,
+        backward=_bn_relu_backward,
         params=lambda n: {"gamma": n.bn.gamma, "beta": n.bn.beta},
         buffers=lambda n: {"running_mean": n.bn.running_mean,
                            "running_var": n.bn.running_var}),
-    "relu": Op(
-        forward=lambda n, xs, *_: layers.relu_forward(xs[0]),
-        backward=lambda n, dy, mask: (layers.relu_backward(dy, mask),)),
     "add": Op(
         forward=lambda n, xs, *_: (tensor.add_elementwise(xs[0], xs[1]), None),
         backward=lambda n, dy, cache: (dy, dy),
@@ -223,16 +233,11 @@ class NetworkGraph:
         return self._add(Node(name, "conv", [inp], conv=params,
                               channels=params.out_channels))
 
-    def add_bn(self, name: str, inp: str, params: BatchNormParams) -> str:
-        have = self.nodes[inp].channels
-        if params.gamma.shape[0] != have:
-            raise ShapeError(
-                f"batch norm {name!r} sized for {params.gamma.shape[0]} channels, "
-                f"node {inp!r} provides {have}")
-        return self._add(Node(name, "bn", [inp], bn=params, channels=have))
-
-    def add_relu(self, name: str, inp: str) -> str:
-        return self._add(Node(name, "relu", [inp], channels=self.nodes[inp].channels))
+    def add_bn_relu(self, name: str, inp: str, dtype=DEFAULT_DTYPE) -> str:
+        """Batch norm over ``inp``'s channels (parameters made here), then ReLU."""
+        channels = self.nodes[inp].channels
+        return self._add(Node(name, "bn_relu", [inp], channels=channels,
+                              bn=layers.make_batch_norm(channels, dtype=dtype)))
 
     def add_add(self, name: str, a: str, b: str) -> str:
         ca, cb = self.nodes[a].channels, self.nodes[b].channels
@@ -289,9 +294,9 @@ class NetworkGraph:
         (batch statistics) or ``"infer"`` (running statistics).
         ``keep_caches`` keeps every node's cache for :meth:`backward`;
         without it each cache is released before the next node runs.
-        ``check_finite`` validates every node output and raises
-        :class:`NodeNonFiniteError` at the first offender (the diagnostic mode
-        the trainer uses after a bad loss)."""
+        ``check_finite`` validates every node's output, parameters and buffers
+        (a ReLU maps NaN to 0) and raises :class:`NodeNonFiniteError` at the
+        first offender (the diagnostic mode the trainer uses after a bad loss)."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         x = tensor.require_nchw(x, "network input")
@@ -303,12 +308,14 @@ class NetworkGraph:
         caches: dict[str, tuple] = {}
         for name in self.order[1:]:
             node = self.nodes[name]
+            op = OPS[node.op]
             ins = [outputs[i] for i in node.inputs]
             try:
-                y, cache = OPS[node.op].forward(node, ins, mode, update_stats)
+                y, cache = op.forward(node, ins, mode, update_stats)
             except tensor.NonFiniteError as exc:
                 raise NodeNonFiniteError(name) from exc
-            if check_finite and not np.all(np.isfinite(y)):
+            if check_finite and not all(np.all(np.isfinite(a)) for a in (
+                    y, *op.params(node).values(), *op.buffers(node).values())):
                 raise NodeNonFiniteError(name)
             outputs[name] = y
             if keep_caches:

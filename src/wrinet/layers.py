@@ -45,8 +45,6 @@ class BatchNormParams:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.9  # EMA decay kept on the running statistics
 
 
 @dataclass
@@ -67,15 +65,12 @@ def make_conv(c_in: int, c_out: int, kernel: int, stride: int = 1,
     return ConvParams(weights=w, bias=b, stride=stride, padding=padding)
 
 
-def make_batch_norm(channels: int, epsilon: float = 1e-5, momentum: float = 0.9,
-                    dtype=DEFAULT_DTYPE) -> BatchNormParams:
+def make_batch_norm(channels: int, dtype=DEFAULT_DTYPE) -> BatchNormParams:
     return BatchNormParams(
         gamma=np.ones(channels, dtype=dtype),
         beta=np.zeros(channels, dtype=dtype),
         running_mean=np.zeros(channels, dtype=dtype),
         running_var=np.ones(channels, dtype=dtype),
-        epsilon=epsilon,
-        momentum=momentum,
     )
 
 
@@ -180,6 +175,10 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
 # Batch normalization (biased 1/M variance, per channel over N, H, W)
 # ---------------------------------------------------------------------------
 
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.9  # EMA decay kept on the running statistics
+
+
 def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train",
                        update_stats: bool = True) -> tuple[np.ndarray, tuple]:
     x = require_nchw(x, "batch_norm input")
@@ -193,15 +192,14 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train",
         mean = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))  # biased (1/M)
         if update_stats:
-            mom = p.momentum
-            p.running_mean[...] = mom * p.running_mean + (1.0 - mom) * mean
-            p.running_var[...] = mom * p.running_var + (1.0 - mom) * var
+            p.running_mean[...] = BN_MOMENTUM * p.running_mean + (1 - BN_MOMENTUM) * mean
+            p.running_var[...] = BN_MOMENTUM * p.running_var + (1 - BN_MOMENTUM) * var
     elif mode == "infer":
         mean = p.running_mean
         var = p.running_var
     else:
         raise ValueError(f"unknown batch norm mode {mode!r}")
-    inv_std = 1.0 / np.sqrt(var + p.epsilon)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
     cache = (xhat, inv_std, p, mode)

@@ -56,15 +56,6 @@ def concat_channels(inputs: Sequence[np.ndarray]) -> np.ndarray:
     return assert_finite(out, "concat_channels output")
 
 
-def split_channels(x: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
-    """Inverse of :func:`concat_channels` for known per-input channel counts."""
-    x = require_nchw(x)
-    if sum(sizes) != x.shape[1]:
-        raise ShapeError(f"channel sizes {list(sizes)} do not sum to {x.shape[1]}")
-    splits = np.cumsum(sizes)[:-1]
-    return [a.copy() for a in np.split(x, splits, axis=1)]
-
-
 def add_elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise sum of two identically shaped tensors."""
     a = require_nchw(a, "a")

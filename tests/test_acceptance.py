@@ -99,7 +99,7 @@ def test_receptive_fields():
     m = NetworkGraph(1, name="rf-acceptance")
     m.add_conv("c1", "input", make_conv(1, 2, 3))
     m.add_conv("down", "c1", make_conv(2, 2, 3, stride=2))
-    m.add_relu("relu", "down")
+    m.add_bn_relu("relu", "down")
     m.add_conv("b1", "relu", make_conv(2, 2, 1, padding=0))
     m.add_conv("b2", "relu", make_conv(2, 2, 3))
     m.add_concat("cat", ["b1", "b2"])

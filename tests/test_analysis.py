@@ -175,7 +175,7 @@ def rf_test_graph() -> NetworkGraph:
     g = NetworkGraph(1, name="rf-mini")
     g.add_conv("c1", "input", make_conv(1, 2, 3))
     g.add_conv("down", "c1", make_conv(2, 2, 3, stride=2))
-    g.add_relu("relu", "down")
+    g.add_bn_relu("relu", "down")
     g.add_conv("b1", "relu", make_conv(2, 2, 1, padding=0))
     g.add_conv("b2", "relu", make_conv(2, 2, 3))
     g.add_concat("cat", ["b1", "b2"])

@@ -17,7 +17,7 @@ def zero_residual(graph, shortcut_names=("unit/shortcut",)) -> None:
     for name, node in graph.nodes.items():
         if node.op == "conv" and name not in shortcut_names:
             node.conv.weights[...] = 0.0
-        elif node.op == "bn":
+        elif node.op == "bn_relu":
             msr_initialize(node.bn, 0)
 
 

@@ -53,7 +53,7 @@ def test_wrn_16_4_has_three_projection_shortcuts():
 def test_pre_head_feature_shape():
     g = build_network(builtin_config("wr-inception"), seed=0)
     shapes = g.infer_shapes((32, 32))
-    assert shapes["head/relu"] == (256, 8, 8)
+    assert shapes["head/bn"] == (256, 8, 8)
 
 
 def test_execute_shapes_and_logits():
@@ -140,6 +140,17 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     monkeypatch.setattr(layers, "conv2d_forward", counting_conv_fwd)
     monkeypatch.setattr(layers, "conv2d_backward", counting_conv_bwd)
     monkeypatch.setattr(tensor, "add_elementwise", counting_add)
+    # bn_relu composes four kernels; a tracer times each on its own
+    pre_activation = ("batch_norm_forward", "relu_forward",
+                      "relu_backward", "batch_norm_backward")
+    for kernel in pre_activation:
+        seen[kernel] = 0
+
+        def counting(*args, kernel=kernel, real=getattr(layers, kernel), **kwargs):
+            seen[kernel] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(layers, kernel, counting)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
     result = g.forward(x, mode="train", keep_caches=True)
     g.backward(result, {g.output_name: np.ones_like(result[g.output_name])})
@@ -147,6 +158,9 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     assert sorted(seen["conv_fwd"]) == sorted(convs)
     assert seen["conv_bwd"] == len(convs)
     assert seen["add"] == sum(n.op == "add" for n in g.nodes.values()) > 0
+    pre_activations = sum(n.op == "bn_relu" for n in g.nodes.values())
+    assert pre_activations > 0
+    assert all(seen[kernel] == pre_activations for kernel in pre_activation)
 
 
 def test_chaining_violation_reports_stage_index():

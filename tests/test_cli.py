@@ -234,7 +234,7 @@ def test_train_then_eval_with_run_config(tmp_path, cifar_dir, capsys):
     assert "top1_error" in json.loads(out)
 
 
-@pytest.mark.parametrize("text", ['{"network": {"name": "x"}}', '{"network": '])
+@pytest.mark.parametrize("text", ['{"network": {"name": "x"}}', '{"network": ', '[]'])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_run_config_exits_2(tmp_path, cifar_dir, capsys, command, text):
     path = tmp_path / "run.json"
@@ -243,6 +243,19 @@ def test_malformed_run_config_exits_2(tmp_path, cifar_dir, capsys, command, text
                        "--data-dir", cifar_dir)
     assert code == 2
     assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--config", "nosuch.json"),
+    ("train", "--net", "wrn-16-4", "--config", "nosuch.json"),
+    ("eval", "--net", "wrn-16-4", "--checkpoint", "nosuch.wrin"),
+    ("train", "--net", "wrn-16-4", "--resume", "nosuch.wrin"),
+])
+def test_missing_named_file_exits_2(tmp_path, cifar_dir, capsys, argv):
+    argv = [str(tmp_path / a) if a.startswith("nosuch") else a for a in argv]
+    code, _, err = run(capsys, *argv, "--data-dir", cifar_dir)
+    assert code == 2
+    assert err.startswith("error:") and argv[-1] in err
 
 
 def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):
@@ -346,6 +359,20 @@ def test_detect_eval_orphan_detections_exit_2(kitti_dirs, capsys):
                        "--det-dir", str(det))
     assert code == 2
     assert "zzz" in err
+
+
+@pytest.mark.parametrize("bad", ["malformed", "directory"])
+def test_detect_eval_unreadable_label_file_exits_2(kitti_dirs, capsys, bad):
+    gt, det = kitti_dirs
+    path = det / "a.txt"
+    path.unlink()
+    if bad == "malformed":
+        path.write_text("Car 0.00 0 0.0 100 100\n")
+    else:
+        path.mkdir()
+    code, _, err = run(capsys, "detect-eval", "--gt-dir", str(gt), "--det-dir", str(det))
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_detect_eval_text_and_json_agree(kitti_dirs, capsys):

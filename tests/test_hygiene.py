@@ -1,11 +1,12 @@
-"""Source hygiene checks that need nothing beyond the standard library."""
+"""Source hygiene checks: standard-library AST scans of the source files."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wrinet"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wrinet"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +36,37 @@ def test_scan_finds_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_reads_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def op_names_compared(source: str) -> set[str]:
+    """String constants compared with ``==`` or ``!=`` against a ``.op``
+    attribute, on either side."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        for i, cmp in enumerate(node.ops):
+            if not isinstance(cmp, (ast.Eq, ast.NotEq)):
+                continue
+            pair = operands[i:i + 2]
+            if any(isinstance(o, ast.Attribute) and o.attr == "op" for o in pair):
+                names.update(o.value for o in pair
+                             if isinstance(o, ast.Constant) and isinstance(o.value, str))
+    return names
+
+
+def test_op_scan_finds_compared_names():
+    source = 'if node.op == "bn" or "relu" != n.op or x.op in ("gap",) or y == "z":\n  pass\n'
+    assert op_names_compared(source) == {"bn", "relu"}
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for p in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                                       *(ROOT / "perfbench").glob("*.py")]))
+def test_compared_op_names_exist(path):
+    """A node-kind name that no op has (one left behind by a rename) makes a
+    comparison silently false."""
+    from wrinet.graph import OPS
+
+    assert op_names_compared((ROOT / path).read_text()) <= {*OPS, "input"}

@@ -121,7 +121,7 @@ def test_batch_norm_running_stats_ema_and_infer():
     assert np.allclose(p.running_var, expected_var)
     y_infer, _ = batch_norm_forward(x, p, mode="infer")
     manual = (x - p.running_mean[None, :, None, None]) / np.sqrt(
-        p.running_var[None, :, None, None] + p.epsilon)
+        p.running_var[None, :, None, None] + layers.BN_EPSILON)
     assert np.allclose(y_infer, manual)
 
 

@@ -183,6 +183,17 @@ def test_first_nonfinite_node_reports_topologically_first():
     assert node == "stage2/unit0/shared"
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("entry, mode", [("gamma", "train"), ("running_var", "infer")])
+def test_nonfinite_bn_parameter_is_localized(entry, mode):
+    """The ReLU of a pre-activation maps the NaN its batch norm makes to 0;
+    the node that holds the NaN is still the one reported."""
+    g = build_network(miniature_config(), seed=0)
+    getattr(g.nodes["stage1/unit0/bn2"].bn, entry)[0] = np.nan
+    node = first_nonfinite_node(g, tiny_dataset().images[:4], mode=mode)
+    assert node == "stage1/unit0/bn2"
+
+
 def test_checkpoint_cadence_and_log(tmp_path):
     g = build_network(miniature_config(), seed=4)
     out = tmp_path / "run"
