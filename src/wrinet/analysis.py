@@ -113,16 +113,6 @@ def count_macs(graph: NetworkGraph, input_hw: tuple[int, int]
     return sum(macs.values()), macs, elementwise
 
 
-def receptive_field(graph: NetworkGraph, node: str, input_hw: tuple[int, int]
-                    ) -> tuple[int, int]:
-    """Receptive-field extent and effective stride of a named node."""
-    rf_map = graph.receptive_field_map(input_hw)
-    if node not in rf_map:
-        raise KeyError(f"unknown node {node!r}")
-    rf, stride_product, _ = rf_map[node]
-    return rf, stride_product
-
-
 def unit_macs_per_position(spec: UnitSpec) -> int:
     """Convolution MACs per output position at stride 1 (the sum of every
     conv's weight-element count across the unit, projections included)."""

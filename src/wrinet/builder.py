@@ -9,7 +9,6 @@ inception variants, and the 164-layer bottleneck baseline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,13 +102,6 @@ class NetworkConfig:
         )
         cfg.validate_chaining()
         return cfg
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkConfig":
-        return cls.from_dict(json.loads(text))
 
 
 def _basic(cin: int, w: int, stride: int = 1) -> UnitSpec:

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .blocks import UnitSpec
 from .builder import BUILTIN_NAMES, NetworkConfig, build_network, builtin_config
 from .gradcheck import run_suite
 from .graph import load_checkpoint
-from .optim import (NonFiniteLossError, classification_defaults,
+from .optim import (LRSchedule, NonFiniteLossError, classification_defaults,
                     evaluate_classifier, train_epochs)
 
 EXIT_OK = 0
@@ -179,6 +179,27 @@ def _num_classes(dataset: str) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+def _json_tuple(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {value!r}")
+    return tuple(value)
+
+
+def _train_fields(block: dict) -> dict:
+    """A run config's ``train`` block as TrainConfig fields: JSON lists become
+    tuples and ``schedule`` an LRSchedule. Every key is kept, so ``replace``
+    rejects one that TrainConfig lacks."""
+    fields = dict(block)
+    if "freeze" in fields:
+        fields["freeze"] = _json_tuple(fields["freeze"])
+    if "schedule" in fields:
+        schedule = dict(fields["schedule"])
+        if "boundaries" in schedule:
+            schedule["boundaries"] = _json_tuple(schedule["boundaries"])
+        fields["schedule"] = LRSchedule(**schedule)
+    return fields
+
+
 def cmd_train(args) -> int:
     directory = _data_dir(args)
     num_classes = _num_classes(args.dataset)
@@ -194,11 +215,7 @@ def cmd_train(args) -> int:
             overrides = _json_object(args.config)
             if "network" in overrides:
                 config = NetworkConfig.from_dict(overrides["network"])
-            train_fields = {k: v for k, v in overrides.get("train", {}).items()
-                            if hasattr(train_cfg, k)}
-            if "freeze" in train_fields:
-                train_fields["freeze"] = tuple(train_fields["freeze"])
-            train_cfg = replace(train_cfg, **train_fields)
+            train_cfg = replace(train_cfg, **_train_fields(overrides.get("train", {})))
 
     raw_items = _read_split(directory, args.dataset, "train", args.subset)
     stats = data_io.channel_stats(raw_items)
@@ -225,16 +242,7 @@ def cmd_train(args) -> int:
             "network": config.to_dict(),
             "dataset": args.dataset,
             "normalization": {"mean": stats[0].tolist(), "std": stats[1].tolist()},
-            "train": {
-                "lr_initial": train_cfg.lr_initial,
-                "momentum": train_cfg.momentum,
-                "weight_decay": train_cfg.weight_decay,
-                "batch_size": train_cfg.batch_size,
-                "epochs": train_cfg.epochs,
-                "seed": train_cfg.seed,
-                "augment": train_cfg.augment,
-                "freeze": list(train_cfg.freeze),
-            },
+            "train": asdict(train_cfg),
         }
         with open(os.path.join(args.out, "run.json"), "w") as fh:
             json.dump(run_record, fh, indent=2)

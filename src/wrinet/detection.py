@@ -3,20 +3,22 @@ multibox loss with hard-negative mining, NMS, and AP/AR evaluation.
 
 Boxes are corner-coded (xmin, ymin, xmax, ymax). The prediction pipeline works
 in coordinates normalized to [0, 1]; pixel-space inputs (KITTI label files)
-are converted at the boundary. Heavy operations take (N, 4) arrays; the
-:class:`Box` dataclass covers single-box call sites.
+are converted at the boundary. Priors follow one fixed rule over the tapped
+maps' grids (:func:`generate_priors`), and offsets are coded with fixed
+:data:`VARIANCES`. Box operations take (N, 4) arrays; the :class:`Box`
+dataclass holds the single boxes of evaluation records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 BACKGROUND = -1  # assignment value for unmatched priors
-DEFAULT_VARIANCES = (0.1, 0.2)  # (center, size)
+VARIANCES = (0.1, 0.2)  # offset-coding scale of (center, size)
 
 
 @dataclass
@@ -32,14 +34,6 @@ class Box:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.xmin, self.ymin, self.xmax, self.ymax], dtype=np.float64)
-
-    @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
 
 
 def _boxes_array(boxes) -> np.ndarray:
@@ -79,68 +73,29 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Prior (default) boxes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PriorMap:
-    grid: tuple[int, int]  # (H, W)
-    scale: float
-    aspect_ratios: tuple[float, ...] = (1.0, 2.0, 0.5)
+ASPECT_RATIOS = (1.0, 2.0, 0.5)
+PRIORS_PER_CELL = len(ASPECT_RATIOS) + 1  # the ratios, then the extra ratio-1 prior
 
 
-@dataclass
-class PriorLayout:
-    """Per-map grids and scales. When ``extra_prior`` is set, each cell gains
-    a ratio-1 prior at sqrt(s_k * s_{k+1}), using the next map's scale (1.0
-    after the last map)."""
+def generate_priors(grids: Sequence[tuple[int, int]]) -> np.ndarray:
+    """(P, 4) normalized corner boxes for feature maps of the given (H, W)
+    grids, clipped to [0, 1] and ordered by (map, row, col, prior).
 
-    maps: list[PriorMap]
-    extra_prior: bool = True
-
-    def __post_init__(self):
-        scales = [m.scale for m in self.maps]
-        if scales != sorted(scales):
-            raise ValueError("prior map scales must increase across maps")
-
-    def priors_per_cell(self, map_index: int) -> int:
-        return len(self.maps[map_index].aspect_ratios) + (1 if self.extra_prior else 0)
-
-    def total_priors(self) -> int:
-        return sum(m.grid[0] * m.grid[1] * self.priors_per_cell(i)
-                   for i, m in enumerate(self.maps))
-
-
-def evenly_spaced_layout(grids: Sequence[tuple[int, int]], s_min: float = 0.2,
-                         s_max: float = 0.9,
-                         aspect_ratios: tuple[float, ...] = (1.0, 2.0, 0.5),
-                         extra_prior: bool = True) -> PriorLayout:
-    """Scales interpolated linearly from s_min to s_max across the maps."""
+    SSD's rule: the scales s_k run evenly from 0.2 to 0.9 across the maps
+    (0.2 for a single map). Each cell of map k holds one prior per aspect
+    ratio a, of size (s_k sqrt(a), s_k / sqrt(a)), then a square one of side
+    sqrt(s_k s_{k+1}), with s_{k+1} = 1 after the last map."""
     k = len(grids)
-    maps = []
-    for i, grid in enumerate(grids):
-        scale = s_min if k == 1 else s_min + (s_max - s_min) * i / (k - 1)
-        maps.append(PriorMap(grid=tuple(grid), scale=scale, aspect_ratios=aspect_ratios))
-    return PriorLayout(maps=maps, extra_prior=extra_prior)
-
-
-def generate_priors(layout: PriorLayout) -> np.ndarray:
-    """(P, 4) normalized corner boxes, clipped to [0, 1], ordered by
-    (map, row, col, ratio) with the extra ratio-1 prior last per cell."""
+    scales = [0.2 if k == 1 else 0.2 + (0.9 - 0.2) * i / (k - 1) for i in range(k)]
     boxes = []
-    for k, pm in enumerate(layout.maps):
-        h, w = pm.grid
-        sizes = [(pm.scale * math.sqrt(a), pm.scale / math.sqrt(a))
-                 for a in pm.aspect_ratios]
-        if layout.extra_prior:
-            nxt = layout.maps[k + 1].scale if k + 1 < len(layout.maps) else 1.0
-            s = math.sqrt(pm.scale * nxt)
-            sizes.append((s, s))
-        for i in range(h):
-            cy = (i + 0.5) / h
-            for j in range(w):
-                cx = (j + 0.5) / w
-                for bw, bh in sizes:
-                    boxes.append((cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2))
-    priors = np.array(boxes, dtype=np.float64).reshape(-1, 4)
-    return np.clip(priors, 0.0, 1.0)
+    for (h, w), s, nxt in zip(grids, scales, scales[1:] + [1.0]):
+        sizes = [(s * math.sqrt(a), s / math.sqrt(a)) for a in ASPECT_RATIOS]
+        half = np.array(sizes + [(math.sqrt(s * nxt),) * 2]) / 2  # per prior: (w/2, h/2)
+        cy, cx = np.meshgrid((np.arange(h) + 0.5) / h, (np.arange(w) + 0.5) / w,
+                             indexing="ij")
+        centers = np.stack([cx, cy], axis=-1)[:, :, None, :]  # (H, W, 1, 2)
+        boxes.append(np.concatenate([centers - half, centers + half], axis=-1).reshape(-1, 4))
+    return np.clip(np.concatenate(boxes), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +110,9 @@ def _to_center(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return cx, cy, w, h
 
 
-def encode_boxes(gts: np.ndarray, priors: np.ndarray,
-                 variances: tuple[float, float] = DEFAULT_VARIANCES) -> np.ndarray:
+def encode_boxes(gts: np.ndarray, priors: np.ndarray) -> np.ndarray:
     """Offsets (t_x, t_y, t_w, t_h): centers scaled by prior size and the
-    center variance, log-sizes by the size variance."""
+    center variance, log-sizes by the size variance (:data:`VARIANCES`)."""
     gts = _boxes_array(gts)
     priors = _boxes_array(priors)
     gx, gy, gw, gh = _to_center(gts)
@@ -169,7 +123,7 @@ def encode_boxes(gts: np.ndarray, priors: np.ndarray,
     if np.any(pw <= 0) or np.any(ph <= 0):
         bad = int(np.argmax((pw <= 0) | (ph <= 0)))
         raise ValueError(f"prior box {bad} has nonpositive size")
-    v_c, v_s = variances
+    v_c, v_s = VARIANCES
     t = np.stack([
         (gx - px) / (pw * v_c),
         (gy - py) / (ph * v_c),
@@ -179,31 +133,19 @@ def encode_boxes(gts: np.ndarray, priors: np.ndarray,
     return t
 
 
-def decode_boxes(offsets: np.ndarray, priors: np.ndarray,
-                 variances: tuple[float, float] = DEFAULT_VARIANCES) -> np.ndarray:
+def decode_boxes(offsets: np.ndarray, priors: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`encode_boxes`."""
     offsets = np.asarray(offsets, dtype=np.float64)
     if offsets.ndim == 1:
         offsets = offsets[None, :]
     priors = _boxes_array(priors)
     px, py, pw, ph = _to_center(priors)
-    v_c, v_s = variances
+    v_c, v_s = VARIANCES
     cx = offsets[:, 0] * v_c * pw + px
     cy = offsets[:, 1] * v_c * ph + py
     w = pw * np.exp(offsets[:, 2] * v_s)
     h = ph * np.exp(offsets[:, 3] * v_s)
     return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
-
-
-def encode_box(gt: Box, prior: Box,
-               variances: tuple[float, float] = DEFAULT_VARIANCES) -> np.ndarray:
-    return encode_boxes(gt.as_array()[None], prior.as_array()[None], variances)[0]
-
-
-def decode_box(offsets: np.ndarray, prior: Box,
-               variances: tuple[float, float] = DEFAULT_VARIANCES) -> Box:
-    out = decode_boxes(np.asarray(offsets)[None], prior.as_array()[None], variances)[0]
-    return Box(*out)
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +354,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def interpolated_ap(recalls: np.ndarray, precisions: np.ndarray,
-                    num_points: Optional[int] = 11) -> float:
-    """11-point interpolated AP by default; ``num_points=None`` integrates the
-    full precision envelope (all-point AP)."""
+def interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
+    """11-point interpolated AP: the mean, over recall levels 0, 0.1, ..., 1,
+    of the best precision at a recall of at least that level."""
     if recalls.size == 0:
         return 0.0
-    if num_points is not None:
-        levels = np.linspace(0.0, 1.0, num_points)
-        total = 0.0
-        for r in levels:
-            mask = recalls >= r - 1e-12
-            total += precisions[mask].max() if mask.any() else 0.0
-        return total / num_points
-    order = np.argsort(recalls, kind="stable")
-    r = np.concatenate([[0.0], recalls[order], [recalls.max()]])
-    p = np.concatenate([[0.0], precisions[order], [0.0]])
-    for i in range(p.size - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
-    return float(np.sum((r[1:] - r[:-1]) * p[1:]))
+    total = 0.0
+    for r in np.linspace(0.0, 1.0, 11):
+        mask = recalls >= r - 1e-12
+        total += precisions[mask].max() if mask.any() else 0.0
+    return total / 11
 
 
 def evaluate_detections(detections: Sequence[Detection],

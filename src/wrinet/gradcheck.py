@@ -156,15 +156,14 @@ LAYER_CASES: dict[str, Callable[[np.random.Generator], tuple]] = {
 }
 
 
-def _worst_error(loss: Callable[[], float], analytic, arrays: list[np.ndarray],
-                 step: float) -> float:
-    numeric = fd_gradients(loss, arrays, step)
+def _worst_error(loss: Callable[[], float], analytic, arrays: list[np.ndarray]) -> float:
+    numeric = fd_gradients(loss, arrays)
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
-def check_layer(name: str, seed: int = 0, step: float = DEFAULT_STEP) -> float:
+def check_layer(name: str, seed: int = 0) -> float:
     """Worst relative error of one layer's backward pass, over every array."""
-    return _worst_error(*LAYER_CASES[name](np.random.default_rng(seed)), step)
+    return _worst_error(*LAYER_CASES[name](np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +211,7 @@ def _kink_free(draw: Callable[[np.random.Generator, int], tuple[NetworkGraph, np
 
 
 def _graph_error(g: NetworkGraph, x: np.ndarray,
-                 objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
-                 step: float) -> float:
+                 objective: Callable[[np.ndarray], tuple[float, np.ndarray]]) -> float:
     """Worst relative error over every parameter and the input, for the scalar
     ``objective(graph output) -> (value, gradient)``."""
     def loss() -> float:
@@ -225,10 +223,10 @@ def _graph_error(g: NetworkGraph, x: np.ndarray,
     analytic, input_grad = g.backward(result, {g.output_name: dout})
     params = g.parameters()
     return _worst_error(loss, [analytic[name] for name in params] + [input_grad],
-                        list(params.values()) + [x], step)
+                        list(params.values()) + [x])
 
 
-def check_unit(spec: UnitSpec, seed: int = 0, step: float = DEFAULT_STEP) -> float:
+def check_unit(spec: UnitSpec, seed: int = 0) -> float:
     def draw(rng, attempt):
         g, _ = build_standalone_unit(spec, dtype=np.float64)
         _init_graph_params(g, rng)
@@ -237,7 +235,7 @@ def check_unit(spec: UnitSpec, seed: int = 0, step: float = DEFAULT_STEP) -> flo
     g, x, rng = _kink_free(draw, seed)
     first = g.forward(x, mode="train", update_stats=False)
     proj = _projection(first.outputs[g.output_name], rng)
-    return _graph_error(g, x, lambda y: (float(np.sum(y * proj)), proj), step)
+    return _graph_error(g, x, lambda y: (float(np.sum(y * proj)), proj))
 
 
 def miniature_config(num_classes: int = 4) -> NetworkConfig:
@@ -250,7 +248,7 @@ def miniature_config(num_classes: int = 4) -> NetworkConfig:
                          stages=stages, num_classes=num_classes)
 
 
-def check_miniature_network(seed: int = 0, step: float = DEFAULT_STEP) -> float:
+def check_miniature_network(seed: int = 0) -> float:
     def draw(rng, attempt):
         g = build_network(miniature_config(), seed=seed + 7919 * attempt,
                           dtype=np.float64)
@@ -258,25 +256,21 @@ def check_miniature_network(seed: int = 0, step: float = DEFAULT_STEP) -> float:
 
     g, x, rng = _kink_free(draw, seed)
     labels = rng.integers(0, 4, size=2)
-    return _graph_error(g, x, lambda y: layers.softmax_cross_entropy(y, labels), step)
+    return _graph_error(g, x, lambda y: layers.softmax_cross_entropy(y, labels))
 
 
 # ---------------------------------------------------------------------------
 # Suite
 # ---------------------------------------------------------------------------
 
-def run_suite(seed: int = 0, tolerance: float = DEFAULT_TOLERANCE,
-              step: float = DEFAULT_STEP, corrupt: bool = False) -> list[CheckResult]:
-    """All layer, unit, and miniature-network checks for one seed. ``corrupt``
-    injects a known error into one result, as a harness negative control."""
-    results = []
-    for name in LAYER_CASES:
-        results.append(CheckResult(name, check_layer(name, seed, step), tolerance))
-    for name, spec in UNIT_SPECS.items():
-        results.append(CheckResult(name, check_unit(spec, seed, step), tolerance))
-    results.append(CheckResult("miniature-network",
-                               check_miniature_network(seed, step), tolerance))
+def run_suite(seed: int = 0, corrupt: bool = False) -> list[CheckResult]:
+    """All layer, unit, and miniature-network checks for one seed, at step
+    DEFAULT_STEP and tolerance DEFAULT_TOLERANCE. ``corrupt`` injects a known
+    error into one result, as a harness negative control."""
+    results = [CheckResult(name, check_layer(name, seed)) for name in LAYER_CASES]
+    results += [CheckResult(name, check_unit(spec, seed)) for name, spec in UNIT_SPECS.items()]
+    results.append(CheckResult("miniature-network", check_miniature_network(seed)))
     if corrupt:
         bad = results[0]
-        results[0] = CheckResult(bad.name, bad.max_rel_err + 1.0, tolerance)
+        results[0] = CheckResult(bad.name, bad.max_rel_err + 1.0)
     return results

@@ -13,6 +13,7 @@ analysis all read that table.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -438,40 +439,57 @@ def save_checkpoint(graph: NetworkGraph, path: str) -> None:
 
 
 def load_checkpoint(graph: NetworkGraph, path: str) -> None:
+    """Load ``path`` into ``graph``'s parameters and buffers. The whole file is
+    parsed and checked against the graph before any entry is written, so a
+    file that does not fit leaves the graph as it was; every fault of the
+    file is a ValueError naming the path and, where it has one, the offset."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic {blob[:4]!r})")
+        raise ValueError(f"{path}: not a checkpoint file (bad magic {bytes(blob[:4])!r})")
+    if len(blob) < 13:
+        raise ValueError(f"{path}: truncated: {len(blob)} bytes cannot hold the header "
+                         "and the entry count")
     if blob[4] != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {blob[4]}")
     declared = struct.unpack("<Q", blob[-8:])[0]
-    entries = graph.state_entries()
-    pos = 5
-    loaded: set[str] = set()
     end = len(blob) - 8
+    pos = 5
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal pos
+        if size > end - pos:
+            raise ValueError(f"{path}: truncated at byte {pos}: {what} needs {size} bytes, "
+                             f"{end - pos} remain before the entry count")
+        pos += size
+        return blob[pos - size:pos]
+
+    entries = graph.state_entries()
+    parsed: dict[str, np.ndarray] = {}
     while pos < end:
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        rank = blob[pos]
-        pos += 1
-        dims = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(dims)
-        pos += 4 * count
+        start = pos
+        (name_len,) = struct.unpack("<I", take(4, "a name length"))
+        try:
+            name = bytes(take(name_len, "an entry name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: entry name at byte {start + 4} is not UTF-8") from None
         if name not in entries:
-            raise ValueError(f"{path}: unknown entry {name!r} for graph {graph.name!r}")
-        target = entries[name]
-        if tuple(dims) != target.shape:
-            raise ValueError(
-                f"{path}: entry {name!r} has shape {tuple(dims)}, expected {target.shape}")
-        target[...] = values.astype(target.dtype)
-        loaded.add(name)
-    if len(loaded) != declared:
+            raise ValueError(f"{path}: unknown entry {name!r} at byte {start} "
+                             f"for graph {graph.name!r}")
+        if name in parsed:
+            raise ValueError(f"{path}: entry {name!r} at byte {start} appears twice")
+        rank = take(1, f"the rank of {name!r}")[0]
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"the dims of {name!r}"))
+        if dims != entries[name].shape:
+            raise ValueError(f"{path}: entry {name!r} has shape {dims}, "
+                             f"expected {entries[name].shape}")
+        values = take(4 * math.prod(dims), f"the values of {name!r}")
+        parsed[name] = np.frombuffer(values, dtype="<f4").reshape(dims)
+    if len(parsed) != declared:
         raise ValueError(
-            f"{path}: trailing count says {declared} entries, found {len(loaded)}")
-    if len(loaded) != len(entries):
-        missing = sorted(set(entries) - loaded)
+            f"{path}: trailing count says {declared} entries, found {len(parsed)}")
+    if len(parsed) != len(entries):
+        missing = sorted(set(entries) - set(parsed))
         raise ValueError(f"{path}: checkpoint is missing entries {missing[:5]}")
+    for name, values in parsed.items():
+        entries[name][...] = values.astype(entries[name].dtype)

@@ -4,7 +4,8 @@ The head is ordinary nodes of the backbone graph. :func:`build_detection_head`
 extends the backbone in place: per tap ``i`` a class conv ``head/map{i}/cls``
 and an offset conv ``head/map{i}/loc``, each flattened to (row, col, prior)
 order, and two concats, ``head/logits`` and ``head/offsets``, whose prediction
-order aligns with :func:`wrinet.detection.generate_priors`. Checkpoints,
+order aligns with :func:`wrinet.detection.generate_priors` over the taps'
+grids, which the head keeps as its ``layout``. Checkpoints,
 MAC counts, non-finite localization and parameter gradients therefore cover
 the head like any other node, and gradients flow through the predictors back
 into the backbone (transfer learning with frozen early stages at toy scale).
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (PriorLayout, encode_boxes, evenly_spaced_layout, generate_priors,
-                        match_priors, multibox_loss)
+from .detection import (PRIORS_PER_CELL, encode_boxes, generate_priors, match_priors,
+                        multibox_loss)
 from .graph import ForwardResult, NetworkGraph
 from .layers import ConvParams, make_conv, msr_initialize
 from .tensor import DEFAULT_DTYPE
@@ -32,8 +33,8 @@ class DetectionHead:
     taps: tuple[str, ...]
     cls_convs: list[ConvParams]  # the parameters of nodes head/map{i}/cls
     loc_convs: list[ConvParams]  # and head/map{i}/loc
-    layout: PriorLayout
-    priors: np.ndarray  # (P, 4) normalized
+    layout: tuple[tuple[int, int], ...]  # the taps' (H, W) grids
+    priors: np.ndarray  # (P, 4) normalized, generate_priors(layout)
     num_classes: int  # foreground classes; logits carry background at index 0
 
 
@@ -42,26 +43,25 @@ def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
                          seed: int = 0, dtype=DEFAULT_DTYPE) -> DetectionHead:
     """Add the head's nodes to ``backbone``, sized for ``input_hw``; a head
     built earlier on it is replaced. ``backbone.output_name`` is unchanged.
-    Priors follow :func:`~wrinet.detection.evenly_spaced_layout`'s defaults:
-    scales 0.2 to 0.9 across the taps, ratios 1, 2 and 1/2 plus the extra
-    ratio-1 prior per cell."""
+    The priors are :func:`~wrinet.detection.generate_priors` over the taps'
+    grids: scales 0.2 to 0.9 across the taps, and per cell
+    :data:`~wrinet.detection.PRIORS_PER_CELL` priors (ratios 1, 2 and 1/2,
+    then the extra ratio-1 prior)."""
     if LOGITS in backbone.nodes:  # the earlier head's nodes are the graph's tail
         cut = backbone.order.index("head/map0/cls")
         for name in backbone.order[cut:]:
             del backbone.nodes[name]
         del backbone.order[cut:]
     shapes = backbone.infer_shapes(input_hw)
-    grids = [shapes[t][1:] for t in taps]
-    layout = evenly_spaced_layout(grids)
+    grids = tuple(shapes[t][1:] for t in taps)
     rng = np.random.default_rng(seed)
     output = backbone.output_name
     convs: dict[str, list[ConvParams]] = {"cls": [], "loc": []}
     flats: dict[str, list[str]] = {"cls": [], "loc": []}
     for i, tap in enumerate(taps):
         channels, h, w = shapes[tap]
-        per_cell = layout.priors_per_cell(i)
         for kind, fields in (("cls", num_classes + 1), ("loc", 4)):
-            conv = make_conv(channels, per_cell * fields, 3, bias=True, dtype=dtype)
+            conv = make_conv(channels, PRIORS_PER_CELL * fields, 3, bias=True, dtype=dtype)
             msr_initialize(conv, rng)
             convs[kind].append(conv)
             node = backbone.add_conv(f"head/map{i}/{kind}", tap, conv)
@@ -70,7 +70,7 @@ def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
     backbone.add_concat(OFFSETS, flats["loc"])
     backbone.output_name = output
     return DetectionHead(taps=tuple(taps), cls_convs=convs["cls"], loc_convs=convs["loc"],
-                         layout=layout, priors=generate_priors(layout),
+                         layout=grids, priors=generate_priors(grids),
                          num_classes=num_classes)
 
 

@@ -6,6 +6,8 @@ vectorized paths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -123,3 +125,25 @@ def influence_receptive_field(run_forward, input_hw: tuple[int, int],
     extent_r = rows[-1] - rows[0] + 1 if rows.size else 0
     extent_c = cols[-1] - cols[0] + 1 if cols.size else 0
     return int(max(extent_r, extent_c))
+
+
+def priors_reference(grids: list[tuple[int, int]]) -> np.ndarray:
+    """Per-cell loop formulation of SSD's prior rule: scales evenly spaced
+    from 0.2 to 0.9 over the maps, ratios 1, 2 and 1/2 at the map's scale s,
+    then a square prior of side sqrt(s * s_next) (s_next = 1 after the last
+    map); boxes in (map, row, col, prior) order, clipped to [0, 1]."""
+    k = len(grids)
+    scales = [0.2 if k == 1 else 0.2 + (0.9 - 0.2) * i / (k - 1) for i in range(k)]
+    boxes = []
+    for m, (h, w) in enumerate(grids):
+        s = scales[m]
+        sizes = [(s * math.sqrt(a), s / math.sqrt(a)) for a in (1.0, 2.0, 0.5)]
+        extra = math.sqrt(s * (scales[m + 1] if m + 1 < k else 1.0))
+        sizes.append((extra, extra))
+        for i in range(h):
+            cy = (i + 0.5) / h
+            for j in range(w):
+                cx = (j + 0.5) / w
+                for bw, bh in sizes:
+                    boxes.append((cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2))
+    return np.clip(np.array(boxes, dtype=np.float64).reshape(-1, 4), 0.0, 1.0)

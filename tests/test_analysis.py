@@ -5,8 +5,7 @@ import pytest
 
 from oracles import influence_receptive_field
 from wrinet.analysis import (analyze, compare_unit_cost, count_macs,
-                             count_parameters, receptive_field,
-                             unit_macs_per_position)
+                             count_parameters, unit_macs_per_position)
 from wrinet.blocks import UnitSpec
 from wrinet.builder import NetworkConfig, build_network, builtin_config
 from wrinet.graph import NetworkGraph
@@ -147,26 +146,26 @@ def test_two_stacked_3x3_cover_5():
     g = NetworkGraph(1)
     g.add_conv("c1", "input", make_conv(1, 1, 3))
     g.add_conv("c2", "c1", make_conv(1, 1, 3))
-    assert receptive_field(g, "c2", (9, 9)) == (5, 1)
+    assert g.receptive_field_map((9, 9))["c2"][:2] == (5, 1)
 
 
 def test_single_1x1_is_pointwise():
     g = NetworkGraph(1)
     g.add_conv("c", "input", make_conv(1, 1, 1, padding=0))
-    assert receptive_field(g, "c", (5, 5)) == (1, 1)
+    assert g.receptive_field_map((5, 5))["c"][:2] == (1, 1)
 
 
 def test_strided_then_unit_stride():
     g = NetworkGraph(1)
     g.add_conv("c1", "input", make_conv(1, 1, 3, stride=2))
     g.add_conv("c2", "c1", make_conv(1, 1, 3))
-    assert receptive_field(g, "c2", (17, 17)) == (7, 2)
+    assert g.receptive_field_map((17, 17))["c2"][:2] == (7, 2)
 
 
 def test_unknown_node_rejected():
     g = NetworkGraph(1)
     with pytest.raises(KeyError):
-        receptive_field(g, "nope", (5, 5))
+        g.receptive_field_map((5, 5))["nope"]
 
 
 def rf_test_graph() -> NetworkGraph:

@@ -174,9 +174,10 @@ def test_chaining_violation_reports_stage_index():
 
 def test_config_json_round_trip():
     cfg = builtin_config("wr-inception-l2")
-    restored = NetworkConfig.from_json(cfg.to_json())
+    text = json.dumps(cfg.to_dict())
+    restored = NetworkConfig.from_dict(json.loads(text))
     assert restored == cfg
-    parsed = json.loads(cfg.to_json())
+    parsed = json.loads(text)
     assert parsed["conv1"]["out_channels"] == 64
 
 
@@ -229,3 +230,45 @@ def test_checkpoint_rejects_wrong_graph(tmp_path):
     other = build_network(builtin_config("wrn-16-4"), seed=0)
     with pytest.raises(ValueError):
         load_checkpoint(other, str(path))
+
+
+def test_truncated_checkpoint_is_a_value_error_and_writes_nothing(tmp_path):
+    """Every proper prefix of a checkpoint fails with a ValueError naming the
+    file, before any entry of the graph is written; so does each byte's
+    one-bit flip (bit i % 8 of byte i) that does not load."""
+    def conv_bn_relu() -> NetworkGraph:
+        g = NetworkGraph(3)
+        g.add_bn_relu("bn", g.add_conv("c", g.input_name, layers.make_conv(3, 2, 3)))
+        return g
+
+    source = conv_bn_relu()
+    layers.msr_initialize(source.nodes["c"].conv, np.random.default_rng(0))
+    full = tmp_path / "full.wrin"
+    save_checkpoint(source, str(full))
+    blob = full.read_bytes()
+    target = conv_bn_relu()
+    for array in target.state_entries().values():
+        array[...] = -7.0  # differs from every saved value
+    before = {k: v.tobytes() for k, v in target.state_entries().items()}
+    cut = tmp_path / "cut.wrin"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(target, str(cut))
+        assert err.type is ValueError and str(cut) in str(err.value), size
+        assert {k: v.tobytes() for k, v in target.state_entries().items()} == before, size
+    for i in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[i] ^= 1 << i % 8
+        cut.write_bytes(flipped)
+        try:
+            load_checkpoint(target, str(cut))
+        except ValueError as err:
+            assert type(err) is ValueError and str(cut) in str(err), i
+            assert {k: v.tobytes() for k, v in target.state_entries().items()} == before, i
+        else:  # a flip inside a value loads; put the marker back
+            for array in target.state_entries().values():
+                array[...] = -7.0
+    load_checkpoint(target, str(full))
+    assert all(a.tobytes() == b.tobytes() for a, b in
+               zip(source.state_entries().values(), target.state_entries().values()))

@@ -8,6 +8,7 @@ from wrinet import data as data_io
 from wrinet.cli import main
 from wrinet.builder import build_network, builtin_config
 from wrinet.graph import load_checkpoint
+from wrinet.optim import TrainConfig
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ def test_analyze_bad_input_shape_exits_2(capsys, shape):
 def test_analyze_accepts_config_file(tmp_path, capsys):
     cfg = builtin_config("wrn-16-4")
     path = tmp_path / "net.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict()))
     code, out, _ = run(capsys, "analyze", "--net", str(path))
     assert code == 0 and "2,748,890" in out
 
@@ -121,7 +122,7 @@ def mini_config_file(tmp_path):
     cfg = type(cfg)(name="mini10", input_shape=(3, 32, 32), conv1=cfg.conv1,
                     stages=cfg.stages, num_classes=10)
     path = tmp_path / "mini.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict()))
     return str(path)
 
 
@@ -153,7 +154,7 @@ def test_train_epochs_zero_checkpoint_equals_initialization(tmp_path, cifar_dir,
     assert code == 0
     from wrinet.builder import NetworkConfig
 
-    cfg = NetworkConfig.from_json(open(net).read())
+    cfg = NetworkConfig.from_dict(json.loads(open(net).read()))
     reference = build_network(cfg, seed=0)
     loaded = build_network(cfg, seed=0)
     load_checkpoint(loaded, str(out_dir / "checkpoint-final.wrin"))
@@ -256,6 +257,73 @@ def test_missing_named_file_exits_2(tmp_path, cifar_dir, capsys, argv):
     code, _, err = run(capsys, *argv, "--data-dir", cifar_dir)
     assert code == 2
     assert err.startswith("error:") and argv[-1] in err
+
+
+def test_eval_truncated_checkpoint_exits_2(tmp_path, cifar_dir, capsys):
+    net = mini_config_file(tmp_path)
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, "train", "--net", net, "--data-dir", cifar_dir,
+                     "--subset", "16", "--epochs", "0", "--out", str(out_dir))
+    assert code == 0
+    path = tmp_path / "cut.wrin"
+    path.write_bytes((out_dir / "checkpoint-final.wrin").read_bytes()[:5])
+    code, _, err = run(capsys, "eval", "--net", net, "--checkpoint", str(path),
+                       "--data-dir", cifar_dir)
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err
+
+
+def train_with_config(capsys, tmp_path, cifar_dir, record: dict, *flags):
+    net = mini_config_file(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(record))
+    return run(capsys, "train", "--net", net, "--data-dir", cifar_dir, "--subset", "16",
+               "--config", str(path), *flags)
+
+
+@pytest.mark.parametrize("block, named", [
+    ({"epoch": 1, "lr": 0.5}, "epoch"),  # misspelt key
+    ({"freeze": "conv1/"}, "conv1/"),  # a string, not a list of prefixes
+    ({"schedule": {"boundaries": "60"}}, "60"),
+    ({"schedule": {"kind": "step"}}, "step"),
+])
+def test_bad_train_block_in_run_config_exits_2(tmp_path, cifar_dir, capsys, block, named):
+    code, _, err = train_with_config(capsys, tmp_path, cifar_dir, {"train": block})
+    assert code == 2
+    assert err.startswith("error:") and str(tmp_path / "config.json") in err
+    assert named in err
+
+
+def test_run_config_schedule_is_read_and_recorded(tmp_path, cifar_dir, capsys):
+    schedule = {"kind": "iteration", "boundaries": [1], "factor": 0.5}
+    out_dir = tmp_path / "run"
+    code, _, _ = train_with_config(
+        capsys, tmp_path, cifar_dir,
+        {"train": {"epochs": 1, "batch_size": 8, "schedule": schedule}}, "--out", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "run.json").read_text())["train"]["schedule"] == schedule
+    lrs = [float(line.split(",")[2]) for line in
+           (out_dir / "log.csv").read_text().strip().splitlines()[1:]]
+    assert lrs == [0.1 * 0.5]  # the epoch's last step is past the boundary
+
+
+def test_run_json_alone_reproduces_the_train_config(tmp_path, cifar_dir, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code, _, _ = train_with_config(
+        capsys, tmp_path, cifar_dir,
+        {"train": {"epochs": 1, "batch_size": 8, "momentum": 0.5, "freeze": ["conv1/"],
+                   "schedule": {"kind": "epoch", "boundaries": [3, 5], "factor": 0.1}}},
+        "--out", str(first))
+    assert code == 0
+    recorded = json.loads((first / "run.json").read_text())["train"]
+    assert set(recorded) == set(TrainConfig.__dataclass_fields__)
+    # flags that disagree with the recorded config lose to it
+    code, _, _ = run(capsys, "train", "--net", "wrn-16-4", "--data-dir", cifar_dir,
+                     "--subset", "16", "--epochs", "3", "--lr", "0.5", "--seed", "7",
+                     "--no-augment", "--config", str(first / "run.json"),
+                     "--out", str(second))
+    assert code == 0
+    assert json.loads((second / "run.json").read_text())["train"] == recorded
 
 
 def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import iou_by_pixel_count, match_reference, nms_reference
-from wrinet.detection import (Box, Detection, GroundTruth, PriorLayout,
-                              PriorMap, decode_box, decode_boxes, encode_box,
-                              encode_boxes, evaluate_detections,
-                              evenly_spaced_layout, generate_priors,
-                              interpolated_ap, iou, iou_matrix, match_priors,
+from oracles import iou_by_pixel_count, match_reference, nms_reference, priors_reference
+from wrinet.detection import (PRIORS_PER_CELL, VARIANCES, Box, Detection, GroundTruth,
+                              decode_boxes, encode_boxes, evaluate_detections,
+                              generate_priors, iou, iou_matrix, match_priors,
                               multibox_loss, nms, smooth_l1)
 
 
@@ -46,28 +44,29 @@ def test_iou_matches_pixel_counting(vals):
 # prior boxes
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("grids", [[(1, 1)], [(2, 2), (1, 1)], [(3, 5), (2, 3), (1, 1)],
+                                   [(64, 208), (32, 104)]])
+def test_priors_equal_per_cell_loop_bit_for_bit(grids):
+    priors = generate_priors(grids)
+    assert priors.dtype == np.float64
+    assert np.array_equal(priors, priors_reference(grids))
+
+
 def test_single_centered_prior():
-    layout = PriorLayout(maps=[PriorMap(grid=(1, 1), scale=0.5, aspect_ratios=(1.0,))],
-                         extra_prior=False)
-    priors = generate_priors(layout)
-    assert priors.shape == (1, 4)
-    assert np.allclose(priors[0], [0.25, 0.25, 0.75, 0.75])
+    priors = generate_priors([(1, 1)])
+    assert priors.shape == (PRIORS_PER_CELL, 4)
+    assert np.allclose(priors[0], [0.4, 0.4, 0.6, 0.6])  # ratio 1 at scale 0.2
 
 
 def test_prior_count_with_extra():
-    ratios = (1.0, 2.0, 0.5)
-    layout = PriorLayout(maps=[PriorMap(grid=(2, 2), scale=0.3, aspect_ratios=ratios)],
-                         extra_prior=True)
-    priors = generate_priors(layout)
-    assert priors.shape == (4 * (len(ratios) + 1), 4)
-    assert layout.total_priors() == priors.shape[0]
+    priors = generate_priors([(2, 2), (1, 1)])
+    assert PRIORS_PER_CELL == 4  # ratios 1, 2 and 1/2, plus the extra ratio-1 prior
+    assert priors.shape == ((2 * 2 + 1) * PRIORS_PER_CELL, 4)
 
 
 def test_prior_aspect_ratio_dimensions():
-    layout = PriorLayout(maps=[PriorMap(grid=(3, 3), scale=0.2, aspect_ratios=(2.0,))],
-                         extra_prior=False)
-    priors = generate_priors(layout)
-    center = priors[4]  # cell (1,1) stays unclipped
+    priors = generate_priors([(3, 3)])
+    center = priors[4 * PRIORS_PER_CELL + 1]  # cell (1,1)'s ratio-2 prior stays unclipped
     w = center[2] - center[0]
     h = center[3] - center[1]
     assert w == pytest.approx(0.2 * math.sqrt(2), abs=1e-12)
@@ -75,10 +74,9 @@ def test_prior_aspect_ratio_dimensions():
 
 
 def test_priors_clipped_and_ordered():
-    layout = evenly_spaced_layout([(2, 2), (1, 1)], s_min=0.4, s_max=0.9)
-    priors = generate_priors(layout)
+    priors = generate_priors([(2, 2), (1, 1)])
     assert np.all(priors >= 0.0) and np.all(priors <= 1.0)
-    per_cell = layout.priors_per_cell(0)
+    per_cell = PRIORS_PER_CELL
     # first map occupies the first 2*2*per_cell rows, row-major by cell
     first_map = priors[:4 * per_cell].reshape(2, 2, per_cell, 4)
     cx = (first_map[..., 0] + first_map[..., 2]) / 2
@@ -89,18 +87,11 @@ def test_priors_clipped_and_ordered():
 
 
 def test_extra_prior_uses_next_scale_then_unity():
-    layout = evenly_spaced_layout([(1, 1), (1, 1)], s_min=0.2, s_max=0.5,
-                                  aspect_ratios=(1.0,))
-    priors = generate_priors(layout)
-    w0_extra = priors[1, 2] - priors[1, 0]
-    assert w0_extra == pytest.approx(math.sqrt(0.2 * 0.5), abs=1e-12)
-    w1_extra = priors[3, 2] - priors[3, 0]
-    assert w1_extra == pytest.approx(min(1.0, math.sqrt(0.5 * 1.0)), abs=1e-12)
-
-
-def test_layout_rejects_decreasing_scales():
-    with pytest.raises(ValueError):
-        PriorLayout(maps=[PriorMap((2, 2), 0.5), PriorMap((1, 1), 0.3)])
+    priors = generate_priors([(1, 1), (1, 1)])  # scales 0.2 and 0.9
+    w0_extra = priors[3, 2] - priors[3, 0]
+    assert w0_extra == pytest.approx(math.sqrt(0.2 * 0.9), abs=1e-12)
+    w1_extra = priors[7, 2] - priors[7, 0]
+    assert w1_extra == pytest.approx(min(1.0, math.sqrt(0.9 * 1.0)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +99,15 @@ def test_layout_rejects_decreasing_scales():
 # ---------------------------------------------------------------------------
 
 def test_encode_identity_is_zero():
-    p = Box(0.25, 0.25, 0.75, 0.75)
-    assert np.allclose(encode_box(p, p), 0.0)
+    p = np.array([[0.25, 0.25, 0.75, 0.75]])
+    assert np.allclose(encode_boxes(p, p), 0.0)
 
 
 def test_encode_hand_computed_values():
-    prior = Box(0.25, 0.25, 0.75, 0.75)
-    gt = Box(0.30, 0.30, 0.80, 0.80)
-    t = encode_box(gt, prior, variances=(0.1, 0.2))
+    prior = np.array([[0.25, 0.25, 0.75, 0.75]])
+    gt = np.array([[0.30, 0.30, 0.80, 0.80]])
+    assert VARIANCES == (0.1, 0.2)
+    (t,) = encode_boxes(gt, prior)
     assert t[0] == pytest.approx(0.05 / (0.5 * 0.1))
     assert t[1] == pytest.approx(1.0)
     assert t[2] == pytest.approx(0.0, abs=1e-12)
@@ -123,11 +115,10 @@ def test_encode_hand_computed_values():
 
 
 def test_decode_inverts_encode():
-    prior = Box(0.2, 0.3, 0.6, 0.9)
-    gt = Box(0.15, 0.35, 0.58, 0.88)
-    back = decode_box(encode_box(gt, prior), prior)
-    assert np.allclose([back.xmin, back.ymin, back.xmax, back.ymax],
-                       [gt.xmin, gt.ymin, gt.xmax, gt.ymax], atol=1e-9)
+    prior = np.array([[0.2, 0.3, 0.6, 0.9]])
+    gt = np.array([[0.15, 0.35, 0.58, 0.88]])
+    back = decode_boxes(encode_boxes(gt, prior), prior)
+    assert np.allclose(back, gt, atol=1e-9)
 
 
 def test_encode_rejects_degenerate_groundtruth():
@@ -449,15 +440,6 @@ def test_difficulty_filter_is_cumulative():
     # matches to filtered-out groundtruths count as neither TP nor FP
     assert easy.per_class[0].fp == 0
     assert easy.mean_ap == 1.0 and hard.mean_ar == 1.0
-
-
-def test_interpolated_ap_all_point_variant():
-    recalls = np.array([0.5, 0.5, 1.0])
-    precisions = np.array([1.0, 0.5, 2 / 3])
-    eleven = interpolated_ap(recalls, precisions, 11)
-    assert eleven == pytest.approx(28 / 33)
-    allpoint = interpolated_ap(recalls, precisions, None)
-    assert allpoint == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
 
 
 def test_report_serialization():

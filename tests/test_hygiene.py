@@ -1,6 +1,7 @@
 """Source hygiene checks: standard-library AST scans of the source files."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,55 @@ def test_compared_op_names_exist(path):
     from wrinet.graph import OPS
 
     assert op_names_compared((ROOT / path).read_text()) <= {*OPS, "input"}
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is loaded in ``tree``, as a bare name or as an
+    attribute (``detection.nms`` reads ``nms``)."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each public module-level function or class of
+    ``modules`` (module name -> source) that no source of ``modules`` or
+    ``readers`` reads outside its own definition. Reads match by name alone,
+    so a same-named attribute elsewhere hides a definition; the scan can miss
+    dead code but never flags live code."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    total = sum((names_read(t) for t in [*trees.values(), *map(ast.parse, readers)]),
+                Counter())
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and total[node.name] == names_read(node)[node.name])
+
+
+def test_definition_scan_finds_unread_names():
+    modules = {
+        "a": "def used(): pass\ndef recursive(n): return recursive(n - 1)\n"
+             "class Lone:\n    def make(self): return Lone()\ndef _private(): pass\n",
+        "b": "from a import used\nused = 1\n",
+    }
+    assert unread_definitions(modules, []) == ["a.Lone", "a.recursive", "a.used"]
+    assert unread_definitions(modules, ["import a\na.used()\nLone"]) == ["a.recursive"]
+
+
+# Public definitions that nothing in src/ or perfbench/ calls yet, each kept
+# on purpose.
+UNREAD_ALLOWED = {
+    "heads.detection_backward": "detection training (ROADMAP item 3) will call it",
+    "heads.detection_loss_batch": "detection training (ROADMAP item 3) will call it",
+    "optim.detection_defaults": "detection training (ROADMAP item 3) will call it",
+    "blocks.effective_receptive_paths": "the paper's {1, 3, 5} receptive-path claim, "
+                                        "checked by the acceptance tests",
+}
+
+
+def test_every_public_definition_is_read():
+    """A public function or class that no program reads is code only tests
+    keep alive; delete it or name it, with its reason, in UNREAD_ALLOWED."""
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    readers = [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    assert unread_definitions(modules, readers) == sorted(UNREAD_ALLOWED)
