@@ -119,8 +119,9 @@ def _batch_norm_case(rng):
 def _relu_case(rng):
     x = rng.normal(size=(2, 3, 6, 6))
     x = np.where(np.abs(x) < 1e-3, 1e-3, x)  # keep clear of the kink
-    return _projected(rng, lambda: layers.relu_forward(x),
-                      lambda dy, mask: (layers.relu_backward(dy, mask),), [x])
+    # relu_forward clamps its argument in place; the probes perturb x itself
+    return _projected(rng, lambda: layers.relu_forward(x.copy()),
+                      lambda dy, y: (layers.relu_backward(dy, y),), [x])
 
 
 def _global_avg_pool_case(rng):

@@ -13,8 +13,11 @@ analysis all read that table.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -134,13 +137,15 @@ def _bn_relu_forward(node: Node, xs: list[np.ndarray], mode: str,
                      update_stats: bool) -> tuple[np.ndarray, tuple]:
     z, bn_cache = layers.batch_norm_forward(xs[0], node.bn, mode=mode,
                                             update_stats=update_stats)
-    y, mask = layers.relu_forward(z)
-    return y, (bn_cache, mask)
+    # z is the batch norm's fresh output, so the ReLU may clamp it in place;
+    # the output doubles as the ReLU's cache
+    y, relu_cache = layers.relu_forward(z)
+    return y, (bn_cache, relu_cache)
 
 
 def _bn_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
-    bn_cache, mask = cache
-    return layers.batch_norm_backward(layers.relu_backward(dy, mask), bn_cache)
+    bn_cache, relu_cache = cache
+    return layers.batch_norm_backward(layers.relu_backward(dy, relu_cache), bn_cache)
 
 
 def _fc_forward(node: Node, xs: list[np.ndarray], *_) -> tuple[np.ndarray, tuple]:
@@ -297,7 +302,11 @@ class NetworkGraph:
         without it each cache is released before the next node runs.
         ``check_finite`` validates every node's output, parameters and buffers
         (a ReLU maps NaN to 0) and raises :class:`NodeNonFiniteError` at the
-        first offender (the diagnostic mode the trainer uses after a bad loss)."""
+        first offender (the diagnostic mode the trainer uses after a bad loss).
+
+        No node changes its inputs. A ``bn_relu`` output is also that node's
+        backward cache, so callers must not write into returned outputs
+        before :meth:`backward` has run."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         x = tensor.require_nchw(x, "network input")
@@ -423,6 +432,9 @@ class NetworkGraph:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(graph: NetworkGraph, path: str) -> None:
+    """Write ``graph``'s parameters and buffers to ``path`` atomically: the
+    bytes go to a temporary file in the same directory, which then replaces
+    ``path``, so a failed save leaves any previous checkpoint intact."""
     chunks = [CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION])]
     entries = graph.state_entries()
     for name, array in entries.items():
@@ -434,8 +446,15 @@ def save_checkpoint(graph: NetworkGraph, path: str) -> None:
             chunks.append(struct.pack("<I", dim))
         chunks.append(np.ascontiguousarray(array, dtype="<f4").tobytes())
     chunks.append(struct.pack("<Q", len(entries)))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:  # created with the umask's mode, as path was
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(graph: NetworkGraph, path: str) -> None:

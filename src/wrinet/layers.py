@@ -1,7 +1,11 @@
 """Differentiable layer primitives with exact forward and backward passes.
 
-Every layer is a pair of pure functions, ``*_forward(x, params) -> (y, cache)``
+Every layer is a pair of functions, ``*_forward(x, params) -> (y, cache)``
 and ``*_backward(dy, cache) -> grads``, operating on (N, C, H, W) numpy arrays.
+They read their array arguments without changing them, with one exception:
+``relu_forward`` clamps its input in place, so it must be given an array its
+caller owns (``bn_relu`` gives it the batch norm's fresh output). Train-mode
+batch norm also updates its running statistics.
 Convolution lowers to a patch-matrix (im2col) matmul, and its cache carries
 that patch matrix for backward; its gradients are exact, which the test suite
 verifies against a naive 7-loop kernel and central finite differences.
@@ -181,6 +185,12 @@ BN_MOMENTUM = 0.9  # EMA decay kept on the running statistics
 
 def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train",
                        update_stats: bool = True) -> tuple[np.ndarray, tuple]:
+    """Normalise ``x`` per channel and apply ``gamma`` and ``beta``. ``x`` is
+    only read; ``y`` is always a fresh array, so a caller may overwrite it
+    in place. Train mode centres ``x`` once into a fresh ``xhat``, which the
+    cache keeps; infer mode applies the folded scale ``s = gamma * inv_std``
+    and shift ``t = beta - running_mean * s`` (Ioffe & Szegedy 2015) and
+    caches ``x`` itself, building ``xhat`` only if backward asks for it."""
     x = require_nchw(x, "batch_norm input")
     c = x.shape[1]
     if c != p.gamma.shape[0]:
@@ -189,36 +199,45 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train",
         m = x.shape[0] * x.shape[2] * x.shape[3]
         if m < 2:
             raise ShapeError("train-mode batch norm needs N*H*W >= 2 per channel")
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))  # biased (1/M)
+        mean = np.einsum("nchw->c", x) / m
+        xhat = x - mean[:, None, None]
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / m  # biased (1/M)
         if update_stats:
             p.running_mean[...] = BN_MOMENTUM * p.running_mean + (1 - BN_MOMENTUM) * mean
             p.running_var[...] = BN_MOMENTUM * p.running_var + (1 - BN_MOMENTUM) * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+        xhat *= inv_std[:, None, None]
+        y = xhat * p.gamma[:, None, None]
+        y += p.beta[:, None, None]
+        cache = (xhat, inv_std, p, mode)
     elif mode == "infer":
-        mean = p.running_mean
-        var = p.running_var
+        inv_std = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
+        scale = p.gamma * inv_std
+        y = x * scale[:, None, None]
+        y += (p.beta - p.running_mean * scale)[:, None, None]
+        cache = (x, inv_std, p, mode)
     else:
         raise ValueError(f"unknown batch norm mode {mode!r}")
-    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
-    cache = (xhat, inv_std, p, mode)
     return y.astype(x.dtype, copy=False), cache
 
 
 def batch_norm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dgamma, dbeta); train mode includes the batch-statistic terms."""
-    xhat, inv_std, p, mode = cache
-    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
-    dbeta = dy.sum(axis=(0, 2, 3))
-    g = (p.gamma * inv_std)[None, :, None, None]
+    """Gradients (dx, dgamma, dbeta); train mode includes the batch-statistic
+    terms. ``dy`` is only read. An infer-mode cache holds the forward's
+    input, which is centred here on the running mean."""
+    saved, inv_std, p, mode = cache
+    xhat = saved if mode == "train" else (
+        (saved - p.running_mean[:, None, None]) * inv_std[:, None, None])
+    dbeta = np.einsum("nchw->c", dy)
+    dgamma = np.einsum("nchw,nchw->c", dy, xhat)
+    g = (p.gamma * inv_std)[:, None, None]
     if mode == "infer":
-        dx = dy * g
-        return dx, dgamma, dbeta
+        return dy * g, dgamma, dbeta
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    mean_dy = dy.mean(axis=(0, 2, 3))[None, :, None, None]
-    mean_dy_xhat = (dy * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / m
-    dx = g * (dy - mean_dy - xhat * mean_dy_xhat)
+    dx = xhat * (-dgamma / m)[:, None, None]
+    dx += dy
+    dx -= (dbeta / m)[:, None, None]
+    dx *= g
     return dx.astype(dy.dtype, copy=False), dgamma, dbeta
 
 
@@ -227,12 +246,20 @@ def batch_norm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.nd
 # ---------------------------------------------------------------------------
 
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mask = x > 0  # subgradient at exactly 0 is 0
-    return np.where(mask, x, 0), mask
+    """Clamp ``x`` at 0 in place and return ``(y, y)``: the output is its own
+    backward cache. NaN maps to 0. Because ``x`` is overwritten, the caller
+    must own it, as ``bn_relu`` owns its batch norm's fresh output; never
+    pass an array that anything else still reads."""
+    np.fmax(x, 0, out=x)
+    return x, x
 
 
-def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.where(mask, dy, 0)
+def relu_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``dy`` where the forward output is positive, else 0 (the subgradient
+    at exactly 0 is 0). The zeroing multiplies, so a non-finite ``dy`` at
+    ``y <= 0`` gives NaN rather than being masked: a bad gradient
+    propagates to where it can be localised."""
+    return dy * (y > 0)
 
 
 def global_avg_pool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:

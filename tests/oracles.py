@@ -147,3 +147,51 @@ def priors_reference(grids: list[tuple[int, int]]) -> np.ndarray:
                 for bw, bh in sizes:
                     boxes.append((cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2))
     return np.clip(np.array(boxes, dtype=np.float64).reshape(-1, 4), 0.0, 1.0)
+
+
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.9
+
+
+def bn_relu_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                      running_mean: np.ndarray, running_var: np.ndarray,
+                      mode: str = "train"):
+    """Batch norm then ReLU as four textbook passes: axis reductions, a
+    centred copy per use, a boolean mask and ``np.where`` (the kernels the
+    ``bn_relu`` op ran before its lean rewrite). Nothing passed in is
+    changed. Returns ``(y, running_mean, running_var, backward)``, the
+    statistics as new arrays, where ``backward(dy)`` gives
+    ``(dx, dgamma, dbeta)``."""
+    # batch norm forward
+    if mode == "train":
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))  # biased (1/M)
+        running_mean = BN_MOMENTUM * running_mean + (1 - BN_MOMENTUM) * mean
+        running_var = BN_MOMENTUM * running_var + (1 - BN_MOMENTUM) * var
+    else:
+        mean = running_mean
+        var = running_var
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    z = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    z = z.astype(x.dtype, copy=False)
+    # relu forward
+    mask = z > 0
+    y = np.where(mask, z, 0)
+
+    def backward(dy: np.ndarray):
+        # relu backward
+        dz = np.where(mask, dy, 0)
+        # batch norm backward
+        dgamma = (dz * xhat).sum(axis=(0, 2, 3))
+        dbeta = dz.sum(axis=(0, 2, 3))
+        g = (gamma * inv_std)[None, :, None, None]
+        if mode == "infer":
+            return dz * g, dgamma, dbeta
+        m = dz.shape[0] * dz.shape[2] * dz.shape[3]
+        mean_dy = dz.mean(axis=(0, 2, 3))[None, :, None, None]
+        mean_dy_xhat = (dz * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / m
+        dx = g * (dz - mean_dy - xhat * mean_dy_xhat)
+        return dx.astype(dy.dtype, copy=False), dgamma, dbeta
+
+    return y, running_mean, running_var, backward

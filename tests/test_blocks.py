@@ -114,6 +114,29 @@ def test_concat_branch_order_is_shared_b_c():
     assert np.array_equal(out[:, 7:], result.outputs["unit/c/conv2"])
 
 
+def test_bn_relu_never_clamps_its_input():
+    """bn_relu clamps its batch norm's fresh output in place. In an
+    inception unit the input feeds bn1 and the shortcut, and ``shared``
+    feeds two bn_relu nodes and the concat: all must keep their values."""
+    spec = UnitSpec("inception", 4, (4, 3, 3, 4), 1, 4)
+    g, _ = build_standalone_unit(spec, dtype=np.float64)
+    rng = np.random.default_rng(3)
+    for node in g.nodes.values():
+        if node.op == "conv":
+            msr_initialize(node.conv, rng)
+    x = rng.normal(size=(2, 4, 6, 6))
+    x_before = x.copy()
+    result = g.forward(x, mode="train", keep_caches=True)
+    shared = result.outputs["unit/shared"]
+    assert (shared < 0).any()
+    assert np.array_equal(result.outputs["unit/concat"][:, :4], shared)
+    assert np.array_equal(x, x_before)
+    for name, node in g.nodes.items():
+        if node.op == "bn_relu":
+            assert not np.shares_memory(result.outputs[name],
+                                        result.outputs[node.inputs[0]]), name
+
+
 def test_receptive_paths_per_variant():
     inception = UnitSpec("inception", 128, (128, 64, 64, 128), 1, 128)
     assert effective_receptive_paths(inception) == {1, 3, 5}

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ from wrinet.builder import (BUILTIN_NAMES, NetworkConfig, StageConfig,
                             build_network, builtin_config, execute)
 from wrinet.blocks import UnitSpec
 from wrinet.gradcheck import miniature_config
+from wrinet import graph as graph_module
 from wrinet import layers, tensor
 from wrinet.graph import NetworkGraph, load_checkpoint, save_checkpoint
 from wrinet.heads import build_detection_head
@@ -140,7 +143,8 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     monkeypatch.setattr(layers, "conv2d_forward", counting_conv_fwd)
     monkeypatch.setattr(layers, "conv2d_backward", counting_conv_bwd)
     monkeypatch.setattr(tensor, "add_elementwise", counting_add)
-    # bn_relu composes four kernels; a tracer times each on its own
+    # bn_relu composes four kernels, the ReLU clamping the batch norm's
+    # output in place; a tracer times each on its own
     pre_activation = ("batch_norm_forward", "relu_forward",
                       "relu_backward", "batch_norm_backward")
     for kernel in pre_activation:
@@ -213,6 +217,36 @@ def test_checkpoint_format_layout(tmp_path):
     assert blob[9:9 + name_len].decode() == "conv1/weight"
     rank = blob[9 + name_len]
     assert rank == 4
+
+
+def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A save that fails mid-write (here: the disk fills after half the
+    bytes) leaves the previous checkpoint byte for byte and no stray file."""
+    path = tmp_path / "net.wrin"
+    save_checkpoint(build_network(miniature_config(), seed=0), str(path))
+    before = path.read_bytes()
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(graph_module, "open",
+                        lambda *args, **kwargs: FullDisk(builtins.open(*args, **kwargs)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(build_network(miniature_config(), seed=1), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.wrin"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

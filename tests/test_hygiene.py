@@ -1,6 +1,7 @@
 """Source hygiene checks: standard-library AST scans of the source files."""
 
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -123,3 +124,66 @@ def test_every_public_definition_is_read():
     modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     readers = [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
     assert unread_definitions(modules, readers) == sorted(UNREAD_ALLOWED)
+
+
+def bench_record_problems(record: dict, benchmark: dict) -> list[str]:
+    """Why a ``BENCH_*.json`` record cannot back a claim: missing ``env``; a
+    workload or metric that ``benchmark`` (BENCHMARK.json) does not define,
+    in ``runs`` (end-to-end metrics), ``traced`` (per-layer metrics),
+    ``claims`` or ``summary`` (one end-to-end metric each); or a claimed
+    workload with fewer than ten seeds run on both the ``parent`` and the
+    ``change`` side."""
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    end_to_end = {m["name"] for m in benchmark["end_to_end"]}
+    per_layer = {m["name"] for m in benchmark["per_layer"]}
+    problems = [] if record.get("env") else ["no env recorded"]
+    for section, metrics in (("runs", end_to_end), ("traced", per_layer),
+                             ("claims", end_to_end), ("summary", end_to_end)):
+        for entry in record.get(section, []):
+            if entry["workload"] not in workloads:
+                problems.append(f"{section}: unknown workload {entry['workload']!r}")
+            names = entry["metrics"] if "metrics" in entry else [entry["metric"]]
+            problems += [f"{section}: unknown metric {m!r}" for m in names
+                         if m not in metrics]
+    for claim in record.get("claims", []):
+        sides = {}
+        for run in record.get("runs", []):
+            if run["workload"] == claim["workload"]:
+                sides.setdefault(run["seed"], set()).add(run["side"])
+        pairs = sum(s == {"parent", "change"} for s in sides.values())
+        if pairs < 10:
+            problems.append(f"claim on {claim['workload']}: {pairs} pairs, need 10")
+    return problems
+
+
+def test_bench_record_check_finds_problems():
+    benchmark = {"workloads": [{"name": "w"}], "end_to_end": [{"name": "t"}],
+                 "per_layer": [{"name": "k.share"}]}
+    runs = [{"workload": "w", "seed": s, "side": side, "metrics": {"t": 1.0}}
+            for s in range(10) for side in ("parent", "change")]
+    good = {"env": {"numpy": "2"}, "claims": [{"workload": "w", "metric": "t"}],
+            "runs": runs, "traced": [{"workload": "w", "metrics": {"k.share": 0.1}}],
+            "summary": [{"workload": "w", "metric": "t"}]}
+    assert bench_record_problems(good, benchmark) == []
+    bad = {"claims": [{"workload": "w", "metric": "t"}, {"workload": "v", "metric": "u"}],
+           "runs": runs[1:] + [{"workload": "w", "seed": 99, "side": "parent",
+                                "metrics": {"u": 1.0}}],
+           "traced": [{"workload": "v", "metrics": {"k.gb_per_s": 1.0}}],
+           "summary": [{"workload": "w", "metric": "k.share"}]}
+    assert bench_record_problems(bad, benchmark) == [
+        "no env recorded",
+        "runs: unknown metric 'u'",
+        "traced: unknown workload 'v'",
+        "traced: unknown metric 'k.gb_per_s'",
+        "claims: unknown workload 'v'",
+        "claims: unknown metric 'u'",
+        "summary: unknown metric 'k.share'",
+        "claim on w: 9 pairs, need 10",
+        "claim on v: 0 pairs, need 10",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in ROOT.glob("BENCH_*.json")))
+def test_bench_record_is_usable(path):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench_record_problems(json.loads((ROOT / path).read_text()), benchmark) == []

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import naive_conv2d
+from oracles import bn_relu_reference, naive_conv2d
 from wrinet import gradcheck, layers
+from wrinet.graph import OPS, Node
 from wrinet.layers import (BatchNormParams, ConvParams, FCParams,
                            batch_norm_forward, conv2d_forward,
                            fully_connected_forward, global_avg_pool_backward,
                            global_avg_pool_forward, make_batch_norm, make_conv,
-                           make_fc, msr_initialize, relu_forward, softmax,
-                           softmax_cross_entropy)
+                           make_fc, msr_initialize, relu_backward, relu_forward,
+                           softmax, softmax_cross_entropy)
 from wrinet.tensor import ShapeError
 
 TOL = gradcheck.DEFAULT_TOLERANCE
@@ -136,16 +137,99 @@ def test_batch_norm_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# bn_relu pre-activation against the textbook kernels
+# ---------------------------------------------------------------------------
+
+PRE_ACTIVATION_SHAPES = [(4, 64, 32, 32), (4, 128, 16, 16), (4, 320, 16, 16),
+                         (4, 256, 8, 8), (3, 5, 7, 3)]
+
+
+def _scaled_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest absolute difference over max(1, largest |want|): relative for
+    arrays of magnitude above 1, absolute for unit-scale ones."""
+    return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
+
+
+def _bn_relu_op(x, p, mode):
+    """Forward and backward of the graph's ``bn_relu`` op; returns (y, the
+    backward as a function of dy)."""
+    node = Node("bn", "bn_relu", ["input"], bn=p, channels=p.gamma.shape[0])
+    y, cache = OPS["bn_relu"].forward(node, [x], mode, True)
+    return y, lambda dy: OPS["bn_relu"].backward(node, dy, cache)
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+@pytest.mark.parametrize("shape", PRE_ACTIVATION_SHAPES, ids=str)
+def test_bn_relu_matches_textbook_kernels(shape, dtype, tol, mode):
+    rng = np.random.default_rng(list(shape))
+    c = shape[1]
+    x = (rng.normal(size=shape) * 1.5 + 0.3).astype(dtype)
+    dy = rng.normal(size=shape).astype(dtype)
+    p = make_batch_norm(c, dtype=dtype)
+    p.gamma[...] = rng.normal(1.0, 0.2, size=c)
+    p.beta[...] = rng.normal(0.0, 0.2, size=c)
+    p.running_mean[...] = rng.normal(0.3, 0.1, size=c)
+    p.running_var[...] = rng.uniform(1.5, 3.0, size=c)
+    y_ref, mean_ref, var_ref, backward_ref = bn_relu_reference(
+        x, p.gamma, p.beta, p.running_mean, p.running_var, mode)
+    x_before, dy_before = x.copy(), dy.copy()
+    y, backward = _bn_relu_op(x, p, mode)
+    got = (y, p.running_mean, p.running_var, *backward(dy))
+    want = (y_ref, mean_ref, var_ref, *backward_ref(dy))
+    for name, a, b in zip(("y", "running_mean", "running_var", "dx", "dgamma", "dbeta"),
+                          got, want):
+        assert a.dtype == dtype, name
+        assert _scaled_error(a, b) <= tol, name
+    assert np.array_equal(x, x_before) and np.array_equal(dy, dy_before)
+
+
+@pytest.mark.parametrize("mean,bound", [(0.0, 2e-6), (100.0, 6e-5), (1000.0, 6e-4)])
+def test_bn_relu_float32_error_against_float64(mean, bound):
+    """Centring once in float32 keeps the output's error at a large input
+    mean (65,536 values per channel) near that of the textbook kernels:
+    8e-7, 2.8e-5 and 2.3e-4 at means 0, 100 and 1000."""
+    rng = np.random.default_rng(0)
+    x = (rng.normal(size=(64, 64, 32, 32)) + mean).astype(np.float32)
+    p = make_batch_norm(64)
+    exact, *_ = bn_relu_reference(x.astype(np.float64), np.ones(64), np.zeros(64),
+                                  np.zeros(64), np.ones(64))
+    y, _ = _bn_relu_op(x, p, "train")
+    assert float(np.abs(y - exact).max()) <= bound
+
+
+# ---------------------------------------------------------------------------
 # relu / pooling / dense
 # ---------------------------------------------------------------------------
 
 def test_relu_basics():
+    """The forward clamps its argument in place and returns it twice: as
+    the output and as the backward cache."""
     x = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
-    y, mask = relu_forward(x)
-    assert np.array_equal(y.ravel(), [0.0, 0.0, 2.0])
-    assert np.array_equal(mask.ravel(), [False, False, True])
+    y, cache = relu_forward(x)
+    assert y is x and cache is x
+    assert np.array_equal(x.ravel(), [0.0, 0.0, 2.0])
+    dy = np.array([5.0, 6.0, 7.0]).reshape(x.shape)
+    assert np.array_equal(relu_backward(dy, cache).ravel(), [0.0, 0.0, 7.0])
     positive = np.abs(np.random.default_rng(0).normal(size=(1, 2, 3, 3))) + 0.1
-    assert np.array_equal(relu_forward(positive)[0], positive)
+    assert np.array_equal(relu_forward(positive.copy())[0], positive)
+
+
+def test_relu_forward_maps_nan_to_zero():
+    x = np.array([np.nan, -np.inf, np.inf, -2.0, 3.0]).reshape(1, 1, 1, 5)
+    y, _ = relu_forward(x)
+    assert np.array_equal(y.ravel(), [0.0, 0.0, np.inf, 0.0, 3.0])
+
+
+def test_relu_backward_propagates_non_finite_gradients():
+    """A NaN or Inf gradient is not masked where the output is 0: it turns
+    into NaN, so a non-finite gradient stays visible downstream."""
+    y = np.array([0.0, 0.0, 1.0, 2.0]).reshape(1, 1, 1, 4)
+    dy = np.array([np.nan, np.inf, 3.0, np.nan]).reshape(y.shape)
+    with np.errstate(invalid="ignore"):
+        dx = relu_backward(dy, y).ravel()
+    assert np.isnan(dx[0]) and np.isnan(dx[1]) and np.isnan(dx[3])
+    assert dx[2] == 3.0
 
 
 def test_relu_gradients_match_finite_differences():
