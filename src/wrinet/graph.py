@@ -298,8 +298,9 @@ class NetworkGraph:
                 keep_caches: bool = False, check_finite: bool = False) -> ForwardResult:
         """Evaluate all nodes in topological order. ``mode`` is ``"train"``
         (batch statistics) or ``"infer"`` (running statistics).
-        ``keep_caches`` keeps every node's cache for :meth:`backward`;
-        without it each cache is released before the next node runs.
+        ``keep_caches`` keeps every node's cache for one :meth:`backward`,
+        which releases each cache once used; without it each cache is
+        released before the next node runs.
         ``check_finite`` validates every node's output, parameters and buffers
         (a ReLU maps NaN to 0) and raises :class:`NodeNonFiniteError` at the
         first offender (the diagnostic mode the trainer uses after a bad loss).
@@ -339,8 +340,11 @@ class NetworkGraph:
 
         ``out_grads`` maps node names to gradients of the scalar objective with
         respect to those nodes' outputs. ``result`` must come from a forward
-        pass with ``keep_caches=True``. Returns (parameter gradients, input
-        gradient). Gradients are accumulated without mutating shared arrays.
+        pass with ``keep_caches=True``. Each node's cache is released from
+        ``result`` once its backward has run, so peak memory falls as the pass
+        proceeds and one forward result supports one backward. Returns
+        (parameter gradients, input gradient). Gradients are accumulated
+        without mutating shared arrays.
         """
         acc: dict[str, np.ndarray] = {}
 
@@ -360,11 +364,11 @@ class NetworkGraph:
             if name not in acc:
                 continue
             if name not in result.caches:
-                raise ValueError(f"no cache for node {name!r}: backward needs "
-                                 "a forward pass made with keep_caches=True")
+                raise ValueError(f"no cache for node {name!r}: backward needs a forward "
+                                 "pass made with keep_caches=True and runs once per pass")
             node = self.nodes[name]
             op = OPS[node.op]
-            grads = op.backward(node, acc.pop(name), result.caches[name])
+            grads = op.backward(node, acc.pop(name), result.caches.pop(name))
             k = len(node.inputs)
             # zip stops at the node's entries: a conv without bias has no
             # "bias" entry and its kernel returns db=None.

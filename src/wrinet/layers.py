@@ -6,9 +6,14 @@ They read their array arguments without changing them, with one exception:
 ``relu_forward`` clamps its input in place, so it must be given an array its
 caller owns (``bn_relu`` gives it the batch norm's fresh output). Train-mode
 batch norm also updates its running statistics.
-Convolution lowers to a patch-matrix (im2col) matmul, and its cache carries
-that patch matrix for backward; its gradients are exact, which the test suite
-verifies against a naive 7-loop kernel and central finite differences.
+Convolution lowers to a channel-major patch matrix (im2col) of shape
+(C_in*kh*kw, N*H_out*W_out), so that backward's weight and patch gradients
+are one GEMM each; activations stay NCHW at the kernel boundary, and only
+``dy`` and ``dx`` are transposed inside the conv. Its cache carries that
+patch matrix for backward; a pointwise conv (1x1 without padding, at any
+stride) multiplies its input, sampled at the stride, and keeps no patch
+matrix. The gradients are exact, which the test suite verifies against
+naive 7-loop kernels and central finite differences.
 """
 
 from __future__ import annotations
@@ -91,26 +96,28 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # Convolution (cross-correlation, zero padding)
 # ---------------------------------------------------------------------------
 
-def _im2col(x_padded: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """Patch matrix (N, C*kh*kw, H_out*W_out); column order matches the
-    (C_in, kh, kw) weight layout. Built from kh*kw aligned block copies."""
-    n, c, hp, wp = x_padded.shape
-    h_out = (hp - kh) // stride + 1
-    w_out = (wp - kw) // stride + 1
-    if kh == 1 and kw == 1 and stride == 1:
-        return x_padded.reshape(n, c, h_out * w_out), h_out, w_out
-    cols = np.empty((n, c, kh, kw, h_out, w_out), dtype=x_padded.dtype)
+def _is_pointwise(p: ConvParams) -> bool:
+    """A 1x1 kernel without padding reads one input pixel per output: the
+    input sampled at the stride is its own patch matrix."""
+    return p.kernel == (1, 1) and p.padding == 0
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Channel-major patch matrix (C*kh*kw, N*H_out*W_out): rows in the
+    (C_in, kh, kw) order of the weights, columns in (N, H_out, W_out) order.
+    The input is padded into a zeroed (C, N, H+2p, W+2p) buffer and the
+    matrix filled with kh*kw strided block copies."""
+    n, c, h, w = x.shape
+    h_out = conv_output_size(h, kh, stride, padding)
+    w_out = conv_output_size(w, kw, stride, padding)
+    xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, h_out, w_out), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = x_padded[:, :, i:i + stride * h_out:stride,
-                                        j:j + stride * w_out:stride]
-    return cols.reshape(n, c * kh * kw, h_out * w_out), h_out, w_out
-
-
-def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            cols[:, i, j] = xp[:, :, i:i + stride * h_out:stride,
+                               j:j + stride * w_out:stride]
+    return cols.reshape(c * kh * kw, n * h_out * w_out)
 
 
 def _check_conv(x: np.ndarray, p: ConvParams) -> tuple[int, int]:
@@ -132,46 +139,64 @@ def _check_conv(x: np.ndarray, p: ConvParams) -> tuple[int, int]:
 
 
 def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, tuple]:
-    """The cache carries the patch matrix (kh*kw copies of the activation)
-    for backward; a caller that needs no backward drops the cache."""
+    """Cross-correlate ``x`` with the filters; ``y`` is a fresh C-contiguous
+    (N, C_out, H_out, W_out) array. The cache carries the channel-major patch
+    matrix (C_in*kh*kw, N*H_out*W_out), kh*kw copies of the activation, for
+    backward; a pointwise conv (1x1 without padding) multiplies ``x``,
+    sampled at the stride, and keeps no patch matrix. A caller that needs no
+    backward drops the cache."""
     x = require_nchw(x, "conv input")
     h_out, w_out = _check_conv(x, p)
-    kh, kw = p.kernel
-    n = x.shape[0]
-    cols, h_out, w_out = _im2col(_pad_input(x, p.padding), kh, kw, p.stride)
-    y = np.matmul(p.weights.reshape(p.out_channels, -1), cols)
+    n, c_in = x.shape[0], x.shape[1]
+    w_mat = p.weights.reshape(p.out_channels, -1)
+    if _is_pointwise(p):
+        cols = None
+        s = p.stride
+        y = np.matmul(w_mat, x[:, :, ::s, ::s].reshape(n, c_in, h_out * w_out))
+    else:
+        kh, kw = p.kernel
+        cols = _im2col(x, kh, kw, p.stride, p.padding)
+        # one GEMM per sample, written straight into the NCHW output
+        y = np.matmul(w_mat, cols.reshape(-1, n, h_out * w_out).transpose(1, 0, 2))
     if p.bias is not None:
         y += p.bias[:, None]
-    y = y.reshape(n, p.out_channels, h_out, w_out)
-    return y, (x, p, h_out, w_out, cols)
+    return y.reshape(n, p.out_channels, h_out, w_out), (x, p, h_out, w_out, cols)
 
 
 def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Exact gradients (dx, dw, db) of the forward map."""
+    """Exact gradients (dx, dw, db) of the forward map; ``dx`` is a fresh
+    C-contiguous NCHW array. With the patch matrix, ``dw`` and the patch
+    gradient are one GEMM each against ``dy`` laid out (C_out, N*H_out*W_out),
+    and the patch gradient is scattered back (col2im) into a channel-major
+    padded buffer."""
     x, p, h_out, w_out, cols = cache
-    kh, kw = p.kernel
-    n, c_in = x.shape[0], x.shape[1]
-    dy_mat = dy.reshape(n, p.out_channels, h_out * w_out)
+    n, c_in, h, w = x.shape
+    s, pad = p.stride, p.padding
     w_mat = p.weights.reshape(p.out_channels, -1)
-
-    dw = np.matmul(dy_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape)
     db = dy.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    dcols = np.matmul(w_mat.T, dy_mat)  # (n, c*kh*kw, h_out*w_out)
+    if cols is None:
+        dy_mat = dy.reshape(n, p.out_channels, h_out * w_out)
+        x_mat = x[:, :, ::s, ::s].reshape(n, c_in, h_out * w_out)
+        dw = np.matmul(dy_mat, x_mat.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape)
+        dx_sampled = np.matmul(w_mat.T, dy_mat).reshape(n, c_in, h_out, w_out)
+        if s == 1:
+            return dx_sampled, dw, db
+        dx = np.zeros((n, c_in, h, w), dtype=dx_sampled.dtype)
+        dx[:, :, ::s, ::s] = dx_sampled
+        return dx, dw, db
 
-    s = p.stride
-    if kh == 1 and kw == 1 and s == 1 and p.padding == 0:
-        return dcols.reshape(x.shape), dw, db
-    dcols = dcols.reshape(n, c_in, kh, kw, h_out, w_out)
-    hp = x.shape[2] + 2 * p.padding
-    wp = x.shape[3] + 2 * p.padding
-    dxp = np.zeros((n, c_in, hp, wp), dtype=dy.dtype)
+    kh, kw = p.kernel
+    dy_mat = dy.transpose(1, 0, 2, 3).reshape(p.out_channels, -1)
+    dw = (dy_mat @ cols.T).reshape(p.weights.shape)
+    dcols = (w_mat.T @ dy_mat).reshape(c_in, kh, kw, n, h_out, w_out)
+    del dy_mat  # each temporary dies before the next large one is allocated
+
+    dxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dtype=dy.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i:i + s * h_out:s, j:j + s * w_out:s] += dcols[:, :, i, j]
-    if p.padding:
-        dx = dxp[:, :, p.padding:-p.padding, p.padding:-p.padding]
-    else:
-        dx = dxp
+            dxp[:, :, i:i + s * h_out:s, j:j + s * w_out:s] += dcols[:, i, j]
+    del dcols
+    dx = dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
     return np.ascontiguousarray(dx), dw, db
 
 

@@ -36,6 +36,33 @@ def naive_conv2d(x: np.ndarray, weights: np.ndarray, bias, stride: int,
     return y
 
 
+def naive_conv2d_backward(x: np.ndarray, weights: np.ndarray, dy: np.ndarray,
+                          stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seven-loop gradients (dx, dw) of the cross-correlation: every product
+    weights[o, c, u, v] * xp[b, c, i*stride + u, j*stride + v] of the forward
+    sends dy[b, o, i, j] times the other factor to each factor's gradient."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = weights.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    xp = np.zeros((n, c_in, hp, wp), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(weights)
+    h_out, w_out = dy.shape[2], dy.shape[3]
+    for b in range(n):
+        for o in range(c_out):
+            for i in range(h_out):
+                for j in range(w_out):
+                    g = dy[b, o, i, j]
+                    for c in range(c_in):
+                        for u in range(kh):
+                            for v in range(kw):
+                                dw[o, c, u, v] += g * xp[b, c, i * stride + u,
+                                                         j * stride + v]
+                                dxp[b, c, i * stride + u, j * stride + v] += g * weights[o, c, u, v]
+    return dxp[:, :, padding:padding + h, padding:padding + w], dw
+
+
 def iou_by_pixel_count(a, b, resolution: int = 1) -> float:
     """IoU via integer rasterization; boxes must have integer corners when
     resolution is 1."""

@@ -102,6 +102,23 @@ def test_backward_without_caches_says_so():
         g.backward(result, {g.output_name: np.ones((2, 4), dtype=np.float32)})
 
 
+def test_second_backward_on_one_result_says_so():
+    """backward releases each node's cache once used: the first backward's
+    gradients equal those of a fresh pass, and a second one is refused."""
+    g = build_network(miniature_config(), seed=0, dtype=np.float64)
+    x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
+    dy = {g.output_name: np.ones((2, 4))}
+    want, want_dx = g.backward(g.forward(x, mode="train", update_stats=False,
+                                         keep_caches=True), dy)
+    result = g.forward(x, mode="train", update_stats=False, keep_caches=True)
+    got, got_dx = g.backward(result, dy)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    assert np.array_equal(got_dx, want_dx)
+    with pytest.raises(ValueError, match="keep_caches=True and runs once per pass"):
+        g.backward(result, dy)
+
+
 def test_empty_concat_rejected_when_added():
     g = NetworkGraph(3)
     with pytest.raises(ValueError, match="'cat' needs at least one input"):

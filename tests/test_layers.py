@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import bn_relu_reference, naive_conv2d
+from oracles import bn_relu_reference, naive_conv2d, naive_conv2d_backward
 from wrinet import gradcheck, layers
 from wrinet.graph import OPS, Node
 from wrinet.layers import (BatchNormParams, ConvParams, FCParams,
-                           batch_norm_forward, conv2d_forward,
-                           fully_connected_forward, global_avg_pool_backward,
-                           global_avg_pool_forward, make_batch_norm, make_conv,
-                           make_fc, msr_initialize, relu_backward, relu_forward,
-                           softmax, softmax_cross_entropy)
+                           batch_norm_backward, batch_norm_forward,
+                           conv2d_backward, conv2d_forward,
+                           fully_connected_backward, fully_connected_forward,
+                           global_avg_pool_backward, global_avg_pool_forward,
+                           make_batch_norm, make_conv, make_fc, msr_initialize,
+                           relu_backward, relu_forward, softmax,
+                           softmax_cross_entropy)
 from wrinet.tensor import ShapeError
 
 TOL = gradcheck.DEFAULT_TOLERANCE
@@ -49,6 +51,8 @@ def test_conv_identity_1x1_kernel_is_identity_map():
     ((2, 4, 5, 5), 2, 1, 1, 0, True),
     ((1, 3, 6, 6), 5, 3, 2, 0, False),
     ((2, 2, 9, 9), 3, 1, 2, 0, True),
+    ((2, 3, 7, 10), 4, 3, 1, 1, False),  # non-square, as detect's 128x416 maps
+    ((2, 4, 9, 6), 5, 1, 2, 0, False),  # 1x1 stride-2 shortcut
 ])
 def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias):
     rng = np.random.default_rng(hash((shape, cout, k, stride, pad)) % 2**32)
@@ -58,9 +62,19 @@ def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias)
     msr_initialize(p, rng)
     if bias:
         p.bias[...] = rng.normal(size=cout)
-    y, _ = conv2d_forward(x, p)
+    y, cache = conv2d_forward(x, p)
     expected = naive_conv2d(x, p.weights, p.bias, stride, pad)
     assert np.allclose(y, expected, rtol=1e-12, atol=1e-12)
+
+    dy = rng.normal(size=y.shape)
+    dx, dw, db = conv2d_backward(dy, cache)
+    dx_ref, dw_ref = naive_conv2d_backward(x, p.weights, dy, stride, pad)
+    assert _scaled_error(dx, dx_ref) <= 1e-10
+    assert _scaled_error(dw, dw_ref) <= 1e-10
+    if bias:
+        assert _scaled_error(db, dy.sum(axis=(0, 2, 3))) <= 1e-10
+    else:
+        assert db is None
 
 
 def test_conv_rejects_bad_inputs():
@@ -270,6 +284,62 @@ def test_fully_connected_rejects_dim_mismatch():
 
 def test_fully_connected_gradients_match_finite_differences():
     assert gradcheck.check_layer("fully_connected", seed=0) < TOL
+
+
+# ---------------------------------------------------------------------------
+# kernels only read their array arguments
+# ---------------------------------------------------------------------------
+
+def _cached_arrays(cache):
+    for item in cache:
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, tuple):
+            yield from _cached_arrays(item)
+
+
+def _read_only_kernel(name, rng):
+    """(input, forward as a function of the input, backward) for one kernel
+    pair; ``relu_forward`` is not among them, as it clamps in place."""
+    x = rng.normal(size=(2, 4, 7, 9))
+    if name.startswith("conv"):
+        k, stride, pad = {"conv 3x3 s2 p1": (3, 2, 1), "conv pointwise": (1, 1, 0)}[name]
+        p = make_conv(4, 6, k, stride=stride, padding=pad, bias=True, dtype=np.float64)
+        msr_initialize(p, rng)
+        return x, lambda x: conv2d_forward(x, p), conv2d_backward
+    if name.startswith("batch_norm"):
+        p = make_batch_norm(4, dtype=np.float64)
+        mode = name.split()[1]
+        return x, lambda x: batch_norm_forward(x, p, mode=mode), batch_norm_backward
+    if name == "global_avg_pool":
+        return x, global_avg_pool_forward, global_avg_pool_backward
+    p = make_fc(4 * 7 * 9, 5, dtype=np.float64)
+    msr_initialize(p, rng)
+    return x.reshape(2, -1), lambda x: fully_connected_forward(x, p), fully_connected_backward
+
+
+@pytest.mark.parametrize("name", ["conv 3x3 s2 p1", "conv pointwise", "batch_norm train",
+                                  "batch_norm infer", "global_avg_pool", "fully_connected"])
+def test_kernels_only_read_their_arrays(name):
+    """``x``, ``dy`` and every array a cache holds are bitwise unchanged by
+    the forward and the backward, and conv's ``y`` and ``dx`` are
+    C-contiguous NCHW."""
+    rng = np.random.default_rng(0)
+    x, forward, backward = _read_only_kernel(name, rng)
+    x_bytes = x.tobytes()
+    y, cache = forward(x)
+    assert x.tobytes() == x_bytes
+    cached = list(_cached_arrays(cache))
+    cached_bytes = [a.tobytes() for a in cached]
+    dy = rng.normal(size=y.shape)
+    dy_bytes = dy.tobytes()
+    dx = backward(dy, cache)
+    assert x.tobytes() == x_bytes and dy.tobytes() == dy_bytes
+    assert [a.tobytes() for a in cached] == cached_bytes
+    if name.startswith("conv"):
+        dx = dx[0]
+        assert y.ndim == 4 and y.shape[:2] == (2, 6) and y.flags.c_contiguous
+        assert dx.shape == x.shape and dx.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
