@@ -68,6 +68,11 @@ def read_cifar(paths: Iterable[str] | str, variant: str = "cifar10"
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
     record = _record_length(variant)
+    # (name, bound) of each label byte at the head of a record
+    fields = ([("label", CIFAR10_CLASSES)] if variant == "cifar10" else
+              [("coarse label", CIFAR100_COARSE), ("fine label", CIFAR100_FINE)])
+    n_labels = len(fields)
+    bounds = np.array([b for _, b in fields], dtype=np.uint8)
     items: list[LabeledImage] = []
     for path in paths:
         blob = np.fromfile(path, dtype=np.uint8)
@@ -76,29 +81,20 @@ def read_cifar(paths: Iterable[str] | str, variant: str = "cifar10"
                 f"{path}: size {blob.size} is not a multiple of the "
                 f"{record}-byte record")
         rows = blob.reshape(-1, record)
-        for i, row in enumerate(rows):
-            if variant == "cifar10":
-                label, coarse = int(row[0]), None
-                offset = i * record
-                if label >= CIFAR10_CLASSES:
-                    raise DatasetFormatError(
-                        f"{path}: label byte {label} >= {CIFAR10_CLASSES} at "
-                        f"offset {offset}")
-                pixels = row[1:]
-            else:
-                coarse, label = int(row[0]), int(row[1])
-                offset = i * record
-                if coarse >= CIFAR100_COARSE:
-                    raise DatasetFormatError(
-                        f"{path}: coarse label byte {coarse} >= {CIFAR100_COARSE} "
-                        f"at offset {offset}")
-                if label >= CIFAR100_FINE:
-                    raise DatasetFormatError(
-                        f"{path}: fine label byte {label} >= {CIFAR100_FINE} at "
-                        f"offset {offset + 1}")
-                pixels = row[2:]
-            image = pixels.reshape(IMAGE_SHAPE).astype(np.float32) / 255.0
-            items.append(LabeledImage(image=image, label=label, coarse_label=coarse))
+        labels = rows[:, :n_labels]
+        bad = np.flatnonzero(labels >= bounds)
+        if bad.size:
+            i, byte = divmod(int(bad[0]), n_labels)  # the first in file order
+            kind, bound = fields[byte]
+            raise DatasetFormatError(
+                f"{path}: {kind} byte {int(labels[i, byte])} >= {bound} at offset "
+                f"{i * record + byte}")
+        images = rows[:, n_labels:].reshape(-1, *IMAGE_SHAPE).astype(np.float32)
+        images /= 255.0
+        fine = labels[:, -1].tolist()
+        coarse = labels[:, 0].tolist() if n_labels == 2 else [None] * len(fine)
+        items.extend(LabeledImage(image=image, label=label, coarse_label=c)
+                     for image, label, c in zip(images, fine, coarse))
     return items
 
 

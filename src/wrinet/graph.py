@@ -331,7 +331,7 @@ class NetworkGraph:
             outputs[name] = y
             if keep_caches:
                 caches[name] = cache
-            del cache  # without keep_caches, a conv's patch matrix dies here
+            del cache  # without keep_caches, a train-mode batch norm's xhat dies here
         return ForwardResult(outputs=outputs, caches=caches)
 
     def backward(self, result: ForwardResult, out_grads: dict[str, np.ndarray]

@@ -7,13 +7,16 @@ They read their array arguments without changing them, with one exception:
 caller owns (``bn_relu`` gives it the batch norm's fresh output). Train-mode
 batch norm also updates its running statistics.
 Convolution lowers to a channel-major patch matrix (im2col) of shape
-(C_in*kh*kw, N*H_out*W_out), so that backward's weight and patch gradients
-are one GEMM each; activations stay NCHW at the kernel boundary, and only
-``dy`` and ``dx`` are transposed inside the conv. Its cache carries that
-patch matrix for backward; a pointwise conv (1x1 without padding, at any
-stride) multiplies its input, sampled at the stride, and keeps no patch
-matrix. The gradients are exact, which the test suite verifies against
-naive 7-loop kernels and central finite differences.
+(C_in*kh*kw, N*H_out*W_out), built one tile at a time into one buffer per
+call (Jia et al. 2014): a tile is whole samples while one sample's patch
+matrix fits ``CONV_TILE_BYTES``, else a band of output rows of one sample.
+Each tile runs the forward's GEMMs, or backward's weight and patch-gradient
+GEMMs, and the cache keeps only the input, from which backward rebuilds the
+tiles. Activations stay NCHW at the kernel boundary; only ``dy`` and ``dx``
+are transposed inside the conv, tile by tile. A pointwise conv (1x1 without
+padding, at any stride) multiplies its input, sampled at the stride, and
+builds no patch matrix. The gradients are exact, which the test suite
+verifies against naive 7-loop kernels and central finite differences.
 """
 
 from __future__ import annotations
@@ -102,22 +105,47 @@ def _is_pointwise(p: ConvParams) -> bool:
     return p.kernel == (1, 1) and p.padding == 0
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Channel-major patch matrix (C*kh*kw, N*H_out*W_out): rows in the
-    (C_in, kh, kw) order of the weights, columns in (N, H_out, W_out) order.
-    The input is padded into a zeroed (C, N, H+2p, W+2p) buffer and the
-    matrix filled with kh*kw strided block copies."""
+# Upper bound on the bytes of one tile of a conv's patch matrix. Every tile of
+# a call reuses one buffer, so no conv writes a batch-wide patch matrix to
+# fresh memory; 4 MiB ran infer and detect fastest of 2, 4, 8 and 16 MiB
+# (BENCH_pr9.json).
+CONV_TILE_BYTES = 4 << 20
+
+
+def _tile_shape(n: int, k: int, h_out: int, w_out: int, itemsize: int) -> tuple[int, int]:
+    """(samples, output rows) per tile of a patch matrix with ``k`` rows:
+    whole samples while one sample's patch matrix fits ``CONV_TILE_BYTES``,
+    else bands of at least one output row of one sample."""
+    row_bytes = k * w_out * itemsize
+    if row_bytes * h_out <= CONV_TILE_BYTES:
+        return min(n, CONV_TILE_BYTES // (row_bytes * h_out)), h_out
+    return 1, max(1, CONV_TILE_BYTES // row_bytes)
+
+
+def _patch_tiles(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+                 h_out: int, w_out: int, samples: int, rows: int):
+    """Yield ``(n0, m, r0, r, cols)`` for each tile of the channel-major patch
+    matrix: samples n0..n0+m and output rows r0..r0+r, with ``cols`` of shape
+    (C, kh, kw, m, r, W_out), rows in the (C_in, kh, kw) order of the weights.
+    Each block of samples is padded into one zero-bordered (C, m, H+2p, W+2p)
+    buffer and each tile filled with kh*kw strided block copies into one
+    buffer; both are reused, so ``cols`` is valid until the next tile."""
     n, c, h, w = x.shape
-    h_out = conv_output_size(h, kh, stride, padding)
-    w_out = conv_output_size(w, kw, stride, padding)
-    xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, h_out, w_out), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, :, i:i + stride * h_out:stride,
-                               j:j + stride * w_out:stride]
-    return cols.reshape(c * kh * kw, n * h_out * w_out)
+    xp_buf = np.zeros((c, samples, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    cols_buf = np.empty(c * kh * kw * samples * rows * w_out, dtype=x.dtype)
+    for n0 in range(0, n, samples):
+        m = min(samples, n - n0)
+        xp = xp_buf[:, :m]
+        xp[:, :, padding:padding + h, padding:padding + w] = x[n0:n0 + m].transpose(1, 0, 2, 3)
+        for r0 in range(0, h_out, rows):
+            r = min(rows, h_out - r0)
+            cols = cols_buf[:c * kh * kw * m * r * w_out].reshape(c, kh, kw, m, r, w_out)
+            for i in range(kh):
+                top = i + stride * r0
+                for j in range(kw):
+                    cols[:, i, j] = xp[:, :, top:top + stride * r:stride,
+                                       j:j + stride * w_out:stride]
+            yield n0, m, r0, r, cols
 
 
 def _check_conv(x: np.ndarray, p: ConvParams) -> tuple[int, int]:
@@ -140,41 +168,48 @@ def _check_conv(x: np.ndarray, p: ConvParams) -> tuple[int, int]:
 
 def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, tuple]:
     """Cross-correlate ``x`` with the filters; ``y`` is a fresh C-contiguous
-    (N, C_out, H_out, W_out) array. The cache carries the channel-major patch
-    matrix (C_in*kh*kw, N*H_out*W_out), kh*kw copies of the activation, for
-    backward; a pointwise conv (1x1 without padding) multiplies ``x``,
-    sampled at the stride, and keeps no patch matrix. A caller that needs no
-    backward drops the cache."""
+    (N, C_out, H_out, W_out) array and the cache ``(x, p, H_out, W_out)``
+    holds no patch matrix. The channel-major patch matrix is built one tile
+    at a time (see ``_patch_tiles``), and each tile's per-sample GEMMs write
+    straight into ``y``; a pointwise conv (1x1 without padding) multiplies
+    ``x``, sampled at the stride, and builds none."""
     x = require_nchw(x, "conv input")
     h_out, w_out = _check_conv(x, p)
     n, c_in = x.shape[0], x.shape[1]
     w_mat = p.weights.reshape(p.out_channels, -1)
     if _is_pointwise(p):
-        cols = None
         s = p.stride
         y = np.matmul(w_mat, x[:, :, ::s, ::s].reshape(n, c_in, h_out * w_out))
     else:
         kh, kw = p.kernel
-        cols = _im2col(x, kh, kw, p.stride, p.padding)
-        # one GEMM per sample, written straight into the NCHW output
-        y = np.matmul(w_mat, cols.reshape(-1, n, h_out * w_out).transpose(1, 0, 2))
+        k = w_mat.shape[1]
+        samples, rows = _tile_shape(n, k, h_out, w_out, x.dtype.itemsize)
+        # y is allocated contiguous, so each slice below is a view that
+        # matmul writes through
+        y = np.empty((n, p.out_channels, h_out * w_out), dtype=np.result_type(w_mat, x))
+        for n0, m, r0, r, cols in _patch_tiles(x, kh, kw, p.stride, p.padding,
+                                               h_out, w_out, samples, rows):
+            np.matmul(w_mat, cols.reshape(k, m, r * w_out).transpose(1, 0, 2),
+                      out=y[n0:n0 + m, :, r0 * w_out:(r0 + r) * w_out])
     if p.bias is not None:
         y += p.bias[:, None]
-    return y.reshape(n, p.out_channels, h_out, w_out), (x, p, h_out, w_out, cols)
+    return y.reshape(n, p.out_channels, h_out, w_out), (x, p, h_out, w_out)
 
 
 def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Exact gradients (dx, dw, db) of the forward map; ``dx`` is a fresh
-    C-contiguous NCHW array. With the patch matrix, ``dw`` and the patch
-    gradient are one GEMM each against ``dy`` laid out (C_out, N*H_out*W_out),
-    and the patch gradient is scattered back (col2im) into a channel-major
-    padded buffer."""
-    x, p, h_out, w_out, cols = cache
+    C-contiguous NCHW array. Each tile of the patch matrix is rebuilt from
+    ``x``; ``dw`` accumulates one GEMM per tile against the tile's ``dy``
+    laid out (C_out, m*r*W_out), the tile's patch gradient overwrites the
+    tile, and it is scattered back (col2im) into the sample block's
+    channel-major padded gradient, whose interior becomes that block of
+    ``dx``."""
+    x, p, h_out, w_out = cache
     n, c_in, h, w = x.shape
     s, pad = p.stride, p.padding
     w_mat = p.weights.reshape(p.out_channels, -1)
     db = dy.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    if cols is None:
+    if _is_pointwise(p):
         dy_mat = dy.reshape(n, p.out_channels, h_out * w_out)
         x_mat = x[:, :, ::s, ::s].reshape(n, c_in, h_out * w_out)
         dw = np.matmul(dy_mat, x_mat.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape)
@@ -186,18 +221,29 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
         return dx, dw, db
 
     kh, kw = p.kernel
-    dy_mat = dy.transpose(1, 0, 2, 3).reshape(p.out_channels, -1)
-    dw = (dy_mat @ cols.T).reshape(p.weights.shape)
-    dcols = (w_mat.T @ dy_mat).reshape(c_in, kh, kw, n, h_out, w_out)
-    del dy_mat  # each temporary dies before the next large one is allocated
-
-    dxp = np.zeros((c_in, n, h + 2 * pad, w + 2 * pad), dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + s * h_out:s, j:j + s * w_out:s] += dcols[:, i, j]
-    del dcols
-    dx = dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(dx), dw, db
+    c_out, k = w_mat.shape
+    samples, rows = _tile_shape(n, k, h_out, w_out, x.dtype.itemsize)
+    dw = np.zeros((c_out, k), dtype=np.result_type(dy, x))
+    dy_buf = np.empty(c_out * samples * rows * w_out, dtype=dy.dtype)
+    dxp_buf = np.empty((c_in, samples, h + 2 * pad, w + 2 * pad), dtype=dy.dtype)
+    dx = np.empty((n, c_in, h, w), dtype=dy.dtype)
+    for n0, m, r0, r, cols in _patch_tiles(x, kh, kw, s, pad, h_out, w_out, samples, rows):
+        if r0 == 0:
+            dxp = dxp_buf[:, :m]
+            dxp.fill(0)
+        dy_t = dy_buf[:c_out * m * r * w_out].reshape(c_out, m, r, w_out)
+        dy_t[...] = dy[n0:n0 + m, :, r0:r0 + r].transpose(1, 0, 2, 3)
+        dy_t = dy_t.reshape(c_out, -1)
+        cols_mat = cols.reshape(k, -1)
+        dw += dy_t @ cols_mat.T
+        np.matmul(w_mat.T, dy_t, out=cols_mat)  # the tile now holds its gradient
+        for i in range(kh):
+            top = i + s * r0
+            for j in range(kw):
+                dxp[:, :, top:top + s * r:s, j:j + s * w_out:s] += cols[:, i, j]
+        if r0 + r == h_out:
+            dx[n0:n0 + m] = dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
+    return dx, dw.reshape(p.weights.shape), db
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import pytest
 
 from oracles import bn_relu_reference, naive_conv2d, naive_conv2d_backward
 from wrinet import gradcheck, layers
+from wrinet.builder import build_network
+from wrinet.gradcheck import miniature_config
 from wrinet.graph import OPS, Node
 from wrinet.layers import (BatchNormParams, ConvParams, FCParams,
                            batch_norm_backward, batch_norm_forward,
@@ -45,7 +47,7 @@ def test_conv_identity_1x1_kernel_is_identity_map():
     assert np.allclose(y, x)
 
 
-@pytest.mark.parametrize("shape,cout,k,stride,pad,bias", [
+CONV_CASES = [  # (shape, cout, k, stride, pad, bias), one patch-matrix tile
     ((2, 3, 8, 8), 4, 3, 1, 1, True),
     ((1, 2, 7, 7), 3, 3, 2, 1, False),
     ((2, 4, 5, 5), 2, 1, 1, 0, True),
@@ -53,26 +55,76 @@ def test_conv_identity_1x1_kernel_is_identity_map():
     ((2, 2, 9, 9), 3, 1, 2, 0, True),
     ((2, 3, 7, 10), 4, 3, 1, 1, False),  # non-square, as detect's 128x416 maps
     ((2, 4, 9, 6), 5, 1, 2, 0, False),  # 1x1 stride-2 shortcut
+]
+
+# (case, tile, dtype): the tile budget is set to hold ``count`` samples or
+# output rows, so that the tiles below leave a remainder
+TILED_CONV_CASES = [
+    (((5, 3, 7, 10), 4, 3, 1, 1, True), ("samples", 2), np.float64),  # blocks 2, 2, 1
+    (((5, 3, 7, 10), 4, 3, 1, 1, False), ("rows", 3), np.float32),  # bands 3, 3, 1
+    (((3, 2, 9, 6), 3, 3, 2, 2, True), ("rows", 4), np.float64),  # bands 4, 2
+    (((4, 2, 8, 7), 3, 3, 2, 0, False), ("samples", 3), np.float32),  # blocks 3, 1
+    (((2, 3, 11, 5), 2, 3, 1, 0, False), ("rows", 4), np.float64),  # bands 4, 4, 1
+    (((2, 2, 6, 9), 3, 5, 1, 2, True), ("rows", 1), np.float32),  # one row per band
+]
+
+
+def _set_tile(monkeypatch, shape, k, stride, pad, tile, dtype):
+    """Set ``layers.CONV_TILE_BYTES`` to hold ``tile = (unit, count)``
+    samples or output rows of the case's patch matrix, and check that the
+    conv tiles it so."""
+    unit, count = tile
+    h_out = layers.conv_output_size(shape[2], k, stride, pad)
+    w_out = layers.conv_output_size(shape[3], k, stride, pad)
+    row_bytes = shape[1] * k * k * w_out * np.dtype(dtype).itemsize
+    monkeypatch.setattr(layers, "CONV_TILE_BYTES",
+                        count * row_bytes * (h_out if unit == "samples" else 1))
+    tiling = layers._tile_shape(shape[0], shape[1] * k * k, h_out, w_out,
+                                np.dtype(dtype).itemsize)
+    assert tiling == ((count, h_out) if unit == "samples" else (1, count))
+
+
+@pytest.mark.parametrize("shape,cout,k,stride,pad,bias,tile,dtype", [
+    pytest.param(*case, None, np.float64,
+                 id=f"shape{i}-" + "-".join(map(str, case[1:])))
+    for i, case in enumerate(CONV_CASES)
+] + [
+    pytest.param(*case, tile, dtype, id="x".join(map(str, case[0])) +
+                 f"-k{case[2]}-s{case[3]}-p{case[4]}-{tile[1]} {tile[0]} per tile-"
+                 + np.dtype(dtype).name)
+    for case, tile, dtype in TILED_CONV_CASES
 ])
-def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias):
+def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias, tile,
+                                              dtype, monkeypatch):
+    """Forward and backward against the 7-loop kernels, in float64 within
+    1e-12 (forward) and 1e-10 (backward), in float32 within 1e-5 of the
+    float64 oracle on the same inputs."""
+    if tile is not None:
+        _set_tile(monkeypatch, shape, k, stride, pad, tile, dtype)
+    tol = 1e-10 if dtype == np.float64 else 1e-5
+    fwd_tol = 1e-12 if dtype == np.float64 else 1e-5
     rng = np.random.default_rng(hash((shape, cout, k, stride, pad)) % 2**32)
-    x = rng.normal(size=shape)
-    p = make_conv(shape[1], cout, k, stride=stride, padding=pad, bias=bias,
-                  dtype=np.float64)
+    x = rng.normal(size=shape).astype(dtype)
+    p = make_conv(shape[1], cout, k, stride=stride, padding=pad, bias=bias, dtype=dtype)
     msr_initialize(p, rng)
     if bias:
         p.bias[...] = rng.normal(size=cout)
     y, cache = conv2d_forward(x, p)
-    expected = naive_conv2d(x, p.weights, p.bias, stride, pad)
-    assert np.allclose(y, expected, rtol=1e-12, atol=1e-12)
+    assert y.dtype == dtype
+    w64 = p.weights.astype(np.float64)
+    b64 = None if p.bias is None else p.bias.astype(np.float64)
+    expected = naive_conv2d(x.astype(np.float64), w64, b64, stride, pad)
+    assert np.allclose(y, expected, rtol=fwd_tol, atol=fwd_tol)
 
-    dy = rng.normal(size=y.shape)
+    dy = rng.normal(size=y.shape).astype(dtype)
     dx, dw, db = conv2d_backward(dy, cache)
-    dx_ref, dw_ref = naive_conv2d_backward(x, p.weights, dy, stride, pad)
-    assert _scaled_error(dx, dx_ref) <= 1e-10
-    assert _scaled_error(dw, dw_ref) <= 1e-10
+    dx_ref, dw_ref = naive_conv2d_backward(x.astype(np.float64), w64,
+                                           dy.astype(np.float64), stride, pad)
+    assert dx.dtype == dtype and dw.dtype == dtype
+    assert _scaled_error(dx, dx_ref) <= tol
+    assert _scaled_error(dw, dw_ref) <= tol
     if bias:
-        assert _scaled_error(db, dy.sum(axis=(0, 2, 3))) <= 1e-10
+        assert _scaled_error(db, dy.astype(np.float64).sum(axis=(0, 2, 3))) <= tol
     else:
         assert db is None
 
@@ -298,12 +350,23 @@ def _cached_arrays(cache):
             yield from _cached_arrays(item)
 
 
-def _read_only_kernel(name, rng):
+# (kernel, stride, padding, tile) of each conv case; tiles as in _set_tile
+READ_ONLY_CONVS = {
+    "conv 3x3 s2 p1": (3, 2, 1, None),
+    "conv pointwise": (1, 1, 0, None),
+    "conv 3x3 s1 p2 row bands": (3, 1, 2, ("rows", 4)),
+    "conv 3x3 s2 p0 sample blocks": (3, 2, 0, ("samples", 2)),
+}
+
+
+def _read_only_kernel(name, rng, monkeypatch):
     """(input, forward as a function of the input, backward) for one kernel
     pair; ``relu_forward`` is not among them, as it clamps in place."""
-    x = rng.normal(size=(2, 4, 7, 9))
+    x = rng.normal(size=(3, 4, 7, 9))
     if name.startswith("conv"):
-        k, stride, pad = {"conv 3x3 s2 p1": (3, 2, 1), "conv pointwise": (1, 1, 0)}[name]
+        k, stride, pad, tile = READ_ONLY_CONVS[name]
+        if tile is not None:
+            _set_tile(monkeypatch, x.shape, k, stride, pad, tile, x.dtype)
         p = make_conv(4, 6, k, stride=stride, padding=pad, bias=True, dtype=np.float64)
         msr_initialize(p, rng)
         return x, lambda x: conv2d_forward(x, p), conv2d_backward
@@ -315,17 +378,17 @@ def _read_only_kernel(name, rng):
         return x, global_avg_pool_forward, global_avg_pool_backward
     p = make_fc(4 * 7 * 9, 5, dtype=np.float64)
     msr_initialize(p, rng)
-    return x.reshape(2, -1), lambda x: fully_connected_forward(x, p), fully_connected_backward
+    return x.reshape(3, -1), lambda x: fully_connected_forward(x, p), fully_connected_backward
 
 
-@pytest.mark.parametrize("name", ["conv 3x3 s2 p1", "conv pointwise", "batch_norm train",
-                                  "batch_norm infer", "global_avg_pool", "fully_connected"])
-def test_kernels_only_read_their_arrays(name):
+@pytest.mark.parametrize("name", [*READ_ONLY_CONVS, "batch_norm train", "batch_norm infer",
+                                  "global_avg_pool", "fully_connected"])
+def test_kernels_only_read_their_arrays(name, monkeypatch):
     """``x``, ``dy`` and every array a cache holds are bitwise unchanged by
     the forward and the backward, and conv's ``y`` and ``dx`` are
     C-contiguous NCHW."""
     rng = np.random.default_rng(0)
-    x, forward, backward = _read_only_kernel(name, rng)
+    x, forward, backward = _read_only_kernel(name, rng, monkeypatch)
     x_bytes = x.tobytes()
     y, cache = forward(x)
     assert x.tobytes() == x_bytes
@@ -338,8 +401,21 @@ def test_kernels_only_read_their_arrays(name):
     assert [a.tobytes() for a in cached] == cached_bytes
     if name.startswith("conv"):
         dx = dx[0]
-        assert y.ndim == 4 and y.shape[:2] == (2, 6) and y.flags.c_contiguous
+        assert y.ndim == 4 and y.shape[:2] == (3, 6) and y.flags.c_contiguous
         assert dx.shape == x.shape and dx.flags.c_contiguous
+
+
+def test_train_mode_conv_caches_hold_only_their_input():
+    """No conv keeps a patch matrix for backward: the arrays in each conv
+    node's train-mode cache add up to its input's bytes."""
+    g = build_network(miniature_config(), seed=0)
+    x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
+    result = g.forward(x, mode="train", keep_caches=True)
+    convs = [node for node in g.nodes.values() if node.op == "conv"]
+    assert any(not layers._is_pointwise(node.conv) for node in convs)
+    for node in convs:
+        cached = sum(a.nbytes for a in _cached_arrays(result.caches[node.name]))
+        assert cached == result.outputs[node.inputs[0]].nbytes, node.name
 
 
 # ---------------------------------------------------------------------------
