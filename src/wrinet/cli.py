@@ -26,8 +26,8 @@ from .blocks import UnitSpec
 from .builder import BUILTIN_NAMES, NetworkConfig, build_network, builtin_config
 from .gradcheck import run_suite
 from .graph import load_checkpoint
-from .optim import (LRSchedule, NonFiniteLossError, classification_defaults,
-                    evaluate_classifier, train_epochs)
+from .optim import LRSchedule, classification_defaults, evaluate_classifier, train_epochs
+from .tensor import NonFiniteError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,7 +104,7 @@ def _inception_comparisons(config: NetworkConfig) -> list[tuple[UnitSpec, UnitSp
 def cmd_analyze(args) -> int:
     shape = _parse_shape(args.input_shape)
     config = _resolve_config(args.net, args.num_classes, shape)
-    graph = build_network(config, seed=args.seed)
+    graph = build_network(config)
     report = analyze(graph, input_hw=shape[1:],
                      comparisons=_inception_comparisons(config))
     if args.json:
@@ -119,9 +119,7 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
-    if args.precision != 64:
-        raise CliError("only --precision 64 is supported for gradient checks")
-    results = run_suite(seed=args.seed, corrupt=args.corrupt_fixture)
+    results = run_suite(seed=args.seed)
     if args.json:
         print(json.dumps([
             {"name": r.name, "max_rel_err": r.max_rel_err,
@@ -231,11 +229,7 @@ def cmd_train(args) -> int:
     if args.stop_acc is not None:
         hooks.append(lambda rec: rec.acc >= args.stop_acc)
 
-    try:
-        log = train_epochs(graph, dataset, train_cfg, hooks=hooks, out_dir=args.out)
-    except NonFiniteLossError as exc:
-        print(f"training aborted: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    log = train_epochs(graph, dataset, train_cfg, hooks=hooks, out_dir=args.out)
 
     if args.out:
         run_record = {
@@ -308,51 +302,41 @@ def cmd_eval(args) -> int:
 # detect-eval
 # ---------------------------------------------------------------------------
 
-def _read_kitti_dir(directory: str) -> dict[str, list[data_io.KittiObject]]:
+def _read_kitti_dir(directory: str, scored: bool) -> dict[str, list]:
+    """Evaluation records per image id, one label file per image: Detection
+    records when ``scored``, else GroundTruth records, boxes in the file's
+    pixels. A file that cannot be read or parsed is a CliError naming it."""
     if not os.path.isdir(directory):
         raise CliError(f"directory {directory!r} does not exist")
     out = {}
     for path in sorted(glob.glob(os.path.join(directory, "*.txt"))):
         image_id = os.path.splitext(os.path.basename(path))[0]
         with _input_file(path, "KITTI label file"), open(path) as fh:
-            out[image_id] = data_io.parse_kitti_labels(fh.read())
+            records = []
+            for obj in data_io.parse_kitti_labels(fh.read()):
+                box = det.Box(*obj.bbox)
+                if not scored:
+                    records.append(det.GroundTruth(
+                        image_id, obj.type, box, difficulty=data_io.kitti_difficulty(obj),
+                        dont_care=obj.is_dont_care))
+                elif obj.score is None:
+                    raise ValueError(f"a {obj.type} detection lacks the score field")
+                else:
+                    records.append(det.Detection(image_id, obj.type, obj.score, box))
+            out[image_id] = records
     return out
 
 
 def cmd_detect_eval(args) -> int:
-    try:
-        img_w, img_h = (float(v) for v in args.img_size.split(","))
-    except ValueError:
-        img_w = img_h = 0.0
-    if not (img_w > 0 and img_h > 0):
-        raise CliError(f"--img-size wants positive pixel sizes W,H, got {args.img_size!r}")
-    gt_files = _read_kitti_dir(args.gt_dir)
-    det_files = _read_kitti_dir(args.det_dir)
+    gt_files = _read_kitti_dir(args.gt_dir, scored=False)
+    det_files = _read_kitti_dir(args.det_dir, scored=True)
     orphans = sorted(set(det_files) - set(gt_files))
     if orphans:
         raise CliError(f"detection files without groundtruth: {orphans}")
     if not gt_files:
         raise CliError(f"no groundtruth files under {args.gt_dir!r}")
-
-    def norm_box(bbox) -> det.Box:
-        left, top, right, bottom = bbox
-        return det.Box(left / img_w, top / img_h, right / img_w, bottom / img_h)
-
-    groundtruths = []
-    for image_id, objs in gt_files.items():
-        for obj in objs:
-            groundtruths.append(det.GroundTruth(
-                image_id=image_id, class_id=obj.type, box=norm_box(obj.bbox),
-                difficulty=data_io.kitti_difficulty(obj),
-                dont_care=obj.is_dont_care))
-    detections = []
-    for image_id, objs in det_files.items():
-        for obj in objs:
-            if obj.score is None:
-                raise CliError(f"detection for image {image_id} lacks a score field")
-            detections.append(det.Detection(
-                image_id=image_id, class_id=obj.type, score=obj.score,
-                box=norm_box(obj.bbox)))
+    groundtruths = [g for records in gt_files.values() for g in records]
+    detections = [d for records in det_files.values() for d in records]
 
     difficulties = ([args.difficulty] if args.difficulty != "all"
                     else ["easy", "moderate", "hard", "all"])
@@ -387,15 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"builtin name ({', '.join(BUILTIN_NAMES)}) or config JSON path")
     p.add_argument("--input-shape", default="3,32,32")
     p.add_argument("--num-classes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision", type=int, default=64)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--corrupt-fixture", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train a classifier on CIFAR binaries")
@@ -430,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("detect-eval", help="AP/AR over KITTI-format label dirs")
+    p = sub.add_parser("detect-eval",
+                       help="AP/AR over KITTI-format label dirs, boxes in label-file pixels")
     p.add_argument("--gt-dir", required=True)
     p.add_argument("--det-dir", required=True)
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--difficulty", choices=("easy", "moderate", "hard", "all"),
                    default="all")
-    p.add_argument("--img-size", default="1382,512", help="pixel W,H for normalization")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detect_eval)
 
@@ -451,7 +432,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except NonFiniteLossError as exc:
+    except NonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

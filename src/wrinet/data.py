@@ -156,14 +156,6 @@ def crop_flip(image: np.ndarray, offset_y: int, offset_x: int, flip: bool) -> np
     return np.ascontiguousarray(out)
 
 
-def augment(item: LabeledImage, seed: int) -> LabeledImage:
-    """Seeded random crop-and-flip; never alters the label."""
-    rng = np.random.default_rng(seed)
-    oy, ox = (int(v) for v in rng.integers(0, 2 * PAD + 1, size=2))
-    flip = bool(rng.random() < 0.5)
-    return replace(item, image=crop_flip(item.image, oy, ox, flip))
-
-
 def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     out = np.empty_like(images)
     offsets = rng.integers(0, 2 * PAD + 1, size=(images.shape[0], 2))

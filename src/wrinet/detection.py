@@ -2,9 +2,11 @@
 multibox loss with hard-negative mining, NMS, and AP/AR evaluation.
 
 Boxes are corner-coded (xmin, ymin, xmax, ymax). The prediction pipeline works
-in coordinates normalized to [0, 1]; pixel-space inputs (KITTI label files)
-are converted at the boundary. Priors follow one fixed rule over the tapped
-maps' grids (:func:`generate_priors`), and offsets are coded with fixed
+in coordinates normalized to [0, 1]. Evaluation takes boxes in any one
+coordinate space, since IoU does not change when x and y are scaled
+separately; ``wrinet detect-eval`` scores KITTI label files in their own
+pixels. Priors follow one fixed rule over the tapped maps' grids
+(:func:`generate_priors`), and offsets are coded with fixed
 :data:`VARIANCES`. Box operations take (N, 4) arrays; the :class:`Box`
 dataclass holds the single boxes of evaluation records.
 """
@@ -32,13 +34,8 @@ class Box:
         if self.xmax < self.xmin or self.ymax < self.ymin:
             raise ValueError(f"degenerate box {self}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.xmin, self.ymin, self.xmax, self.ymax], dtype=np.float64)
-
 
 def _boxes_array(boxes) -> np.ndarray:
-    if isinstance(boxes, Box):
-        return boxes.as_array()[None, :]
     arr = np.asarray(boxes, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -47,13 +44,9 @@ def _boxes_array(boxes) -> np.ndarray:
     return arr
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two boxes; 0 when the union is empty."""
-    return float(iou_matrix(_boxes_array(a), _boxes_array(b))[0, 0])
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (N, 4) and (M, 4) corner boxes."""
+    """Pairwise IoU between (N, 4) and (M, 4) corner boxes; 0 where the union
+    is empty."""
     a = _boxes_array(a)
     b = _boxes_array(b)
     ix = np.maximum(0.0, np.minimum(a[:, None, 2], b[None, :, 2])
@@ -366,83 +359,79 @@ def interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     return total / 11
 
 
+def _corners(records) -> np.ndarray:
+    """(N, 4) array of the records' boxes."""
+    return np.array([(r.box.xmin, r.box.ymin, r.box.xmax, r.box.ymax) for r in records],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def _match_image(ranked: list[Detection], gts: list[GroundTruth], dontcare: list[GroundTruth],
+                 iou_threshold: float, eligible: set[str]) -> list[int]:
+    """Per detection of one image and class, in rank order: 1 TP, 0 FP, -1
+    neither. Each takes the unused groundtruth of highest IoU >= threshold,
+    the first in input order on an equal IoU."""
+    boxes = _corners(ranked)
+    overlaps = iou_matrix(boxes, _corners(gts)).tolist()
+    in_dontcare = (iou_matrix(boxes, _corners(dontcare)) >= iou_threshold).any(axis=1)
+    used = [False] * len(gts)
+    flags = []
+    for row, dc in zip(overlaps, in_dontcare):
+        free = [j for j, v in enumerate(row) if v >= iou_threshold and not used[j]]
+        if free:
+            best = max(free, key=row.__getitem__)  # max keeps the first of equal maxima
+            used[best] = True
+            flags.append(1 if gts[best].difficulty in eligible else -1)
+        else:
+            flags.append(-1 if dc else 0)
+    return flags
+
+
 def evaluate_detections(detections: Sequence[Detection],
                         groundtruths: Sequence[GroundTruth],
-                        iou_threshold: float = 0.5,
-                        difficulty: str = "all") -> EvalReport:
-    """11-point interpolated AP and AR per class. Greedy best-IoU matching per
-    ranked detection, each groundtruth used once. Detections whose only
-    overlap is an ignored groundtruth or a DontCare region count as neither
-    TP nor FP."""
+                        iou_threshold: float = 0.5, difficulty: str = "all") -> EvalReport:
+    """11-point interpolated AP and AR per groundtruth class.
+
+    Inputs are grouped once by class and image. Each class's detections are
+    ranked by descending score, input order among equal scores. In each
+    image, one IoU matrix against the class's groundtruths and one against
+    the DontCare regions decide the image's detections in rank order
+    (:func:`_match_image`); the first groundtruth in input order wins an equal
+    IoU. A match to a groundtruth that fails the difficulty filter, and an
+    unmatched detection that overlaps a DontCare region, count as neither TP
+    nor FP."""
     if difficulty not in _ELIGIBLE:
         raise ValueError(f"unknown difficulty filter {difficulty!r}")
-    image_ids = {gt.image_id for gt in groundtruths}
-    for det in detections:
-        if det.image_id not in image_ids:
-            raise ValueError(f"detection references unknown image id {det.image_id!r}")
-    eligible_names = _ELIGIBLE[difficulty]
-
-    gts_by_key: dict[tuple[str, str], list[GroundTruth]] = {}
-    dontcare_by_image: dict[str, list[GroundTruth]] = {}
-    class_ids: list[str] = []
+    eligible = _ELIGIBLE[difficulty]
+    gts, dontcare = {}, {}  # class -> image -> groundtruths; image -> DontCare regions
     for gt in groundtruths:
-        if gt.dont_care:
-            dontcare_by_image.setdefault(gt.image_id, []).append(gt)
-            continue
-        gts_by_key.setdefault((gt.class_id, gt.image_id), []).append(gt)
-        if gt.class_id not in class_ids:
-            class_ids.append(gt.class_id)
+        group = dontcare if gt.dont_care else gts.setdefault(gt.class_id, {})
+        group.setdefault(gt.image_id, []).append(gt)
+    image_ids = {gt.image_id for gt in groundtruths}
+    dets: dict[str, list[Detection]] = {}
+    for d in detections:
+        if d.image_id not in image_ids:
+            raise ValueError(f"detection references unknown image id {d.image_id!r}")
+        dets.setdefault(d.class_id, []).append(d)
 
     per_class: list[ClassMetrics] = []
-    for class_id in sorted(class_ids):
-        class_gts: dict[str, list[GroundTruth]] = {}
-        n_eligible = 0
-        for (cid, img), lst in gts_by_key.items():
-            if cid != class_id:
-                continue
-            class_gts[img] = lst
-            n_eligible += sum(1 for g in lst if g.difficulty in eligible_names)
-        dets = [d for d in detections if d.class_id == class_id]
-        dets.sort(key=lambda d: -d.score)
-        used: dict[int, bool] = {id(g): False for lst in class_gts.values() for g in lst}
-        tp_flags: list[int] = []  # 1 = TP, 0 = FP; ignored detections skipped
-        for det in dets:
-            candidates = class_gts.get(det.image_id, [])
-            best, best_v = None, -1.0
-            for g in candidates:
-                if used[id(g)]:
-                    continue
-                v = iou(det.box, g.box)
-                if v >= iou_threshold and v > best_v:
-                    best, best_v = g, v
-            if best is not None:
-                used[id(best)] = True
-                if best.difficulty in eligible_names:
-                    tp_flags.append(1)
-                # match to an ignored-difficulty gt: counted neither way
-                continue
-            dc = dontcare_by_image.get(det.image_id, [])
-            if any(iou(det.box, g.box) >= iou_threshold for g in dc):
-                continue
-            tp_flags.append(0)
-        flags = np.array(tp_flags, dtype=np.int64)
-        tp_cum = np.cumsum(flags)
-        fp_cum = np.cumsum(1 - flags)
-        if n_eligible > 0 and flags.size > 0:
-            recalls = tp_cum / n_eligible
-            precisions = tp_cum / np.maximum(tp_cum + fp_cum, 1)
-            ap = interpolated_ap(recalls, precisions)
-            ar = float(recalls[-1])
-        else:
-            ap, ar = 0.0, 0.0
-        per_class.append(ClassMetrics(
-            class_id=class_id, ap=ap, ar=ar,
-            tp=int(tp_cum[-1]) if flags.size else 0,
-            fp=int(fp_cum[-1]) if flags.size else 0,
-            num_gt=n_eligible))
+    for class_id, class_gts in sorted(gts.items()):
+        ranked = sorted(dets.get(class_id, []), key=lambda d: -d.score)
+        ranks: dict[str, list[int]] = {}  # image -> ranks of its detections
+        for r, d in enumerate(ranked):
+            ranks.setdefault(d.image_id, []).append(r)
+        flags = np.full(len(ranked), -1, dtype=np.int64)
+        for image_id, idx in ranks.items():
+            flags[idx] = _match_image([ranked[r] for r in idx], class_gts.get(image_id, []),
+                                      dontcare.get(image_id, []), iou_threshold, eligible)
+        flags = flags[flags >= 0]  # 1 TP, 0 FP, in rank order
+        num_gt = sum(g.difficulty in eligible for lst in class_gts.values() for g in lst)
+        tp = np.cumsum(flags)
+        ap = interpolated_ap(tp / num_gt, tp / np.arange(1, tp.size + 1)) if num_gt else 0.0
+        ar = float(tp[-1] / num_gt) if num_gt and tp.size else 0.0
+        per_class.append(ClassMetrics(class_id, ap, ar, int(flags.sum()),
+                                      int(flags.size - flags.sum()), num_gt))
 
     scored = [m for m in per_class if m.num_gt > 0]
     mean_ap = float(np.mean([m.ap for m in scored])) if scored else 0.0
     mean_ar = float(np.mean([m.ar for m in scored])) if scored else 0.0
-    return EvalReport(difficulty=difficulty, iou_threshold=iou_threshold,
-                      per_class=per_class, mean_ap=mean_ap, mean_ar=mean_ar)
+    return EvalReport(difficulty, iou_threshold, per_class, mean_ap, mean_ar)

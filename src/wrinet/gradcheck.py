@@ -264,14 +264,10 @@ def check_miniature_network(seed: int = 0) -> float:
 # Suite
 # ---------------------------------------------------------------------------
 
-def run_suite(seed: int = 0, corrupt: bool = False) -> list[CheckResult]:
+def run_suite(seed: int = 0) -> list[CheckResult]:
     """All layer, unit, and miniature-network checks for one seed, at step
-    DEFAULT_STEP and tolerance DEFAULT_TOLERANCE. ``corrupt`` injects a known
-    error into one result, as a harness negative control."""
+    DEFAULT_STEP and tolerance DEFAULT_TOLERANCE."""
     results = [CheckResult(name, check_layer(name, seed)) for name in LAYER_CASES]
     results += [CheckResult(name, check_unit(spec, seed)) for name, spec in UNIT_SPECS.items()]
     results.append(CheckResult("miniature-network", check_miniature_network(seed)))
-    if corrupt:
-        bad = results[0]
-        results[0] = CheckResult(bad.name, bad.max_rel_err + 1.0)
     return results

@@ -117,8 +117,9 @@ def sgd_nesterov_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
     state.step_count += 1
 
 
-class NonFiniteLossError(FloatingPointError):
-    """Training aborted on NaN/Inf; carries the first offending graph node."""
+class NonFiniteLossError(NonFiniteError):
+    """Training aborted on a NaN/Inf loss or gradient; carries the first
+    offending graph node."""
 
     def __init__(self, node: str, step: int):
         super().__init__(f"non-finite values first appear at node {node!r} (step {step})")
@@ -166,7 +167,8 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
                  out_dir: Optional[str] = None) -> TrainingLog:
     """Seeded epoch loop: shuffle, optional augmentation, Nesterov SGD steps,
     per-epoch mean loss / train accuracy / last-step lr records. A hook returning True
-    stops training early. Checkpoints use the binary graph format.
+    stops training early. Checkpoints use the binary graph format. A NaN/Inf
+    loss or gradient raises :class:`NonFiniteLossError` before the update.
     """
     images, labels = dataset.images, dataset.labels
     n = images.shape[0]
@@ -200,7 +202,8 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
                 result = execute(graph, batch, mode="train", labels=batch_labels)
             except NonFiniteError:
                 raise NonFiniteLossError(first_nonfinite_node(graph, batch), step)
-            if not np.isfinite(result.loss):
+            if not (np.isfinite(result.loss)
+                    and all(np.all(np.isfinite(g)) for g in result.grads.values())):
                 raise NonFiniteLossError(first_nonfinite_node(graph, batch), step)
             sgd_nesterov_step(params, result.grads, state, lr, config.momentum,
                               config.weight_decay, config.freeze)
@@ -226,11 +229,15 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
 
 def evaluate_classifier(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
                         batch_size: int = 256) -> float:
-    """Top-1 accuracy in inference mode."""
+    """Top-1 accuracy in inference mode. A NaN/Inf that an op rejects raises
+    :class:`NodeNonFiniteError` naming the first node that holds or makes one."""
     images, labels = dataset.images, dataset.labels
     correct = 0
     for start in range(0, images.shape[0], batch_size):
         batch = images[start:start + batch_size]
-        logits = execute(graph, batch, mode="infer").logits
+        try:
+            logits = execute(graph, batch, mode="infer").logits
+        except NonFiniteError:
+            raise NodeNonFiniteError(first_nonfinite_node(graph, batch, mode="infer"))
         correct += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
     return correct / images.shape[0]

@@ -100,15 +100,20 @@ def test_gradcheck_passes_and_is_deterministic(capsys):
     assert json.loads(out2) == first
 
 
-def test_gradcheck_corrupt_fixture_exits_1(capsys):
-    code, out, _ = run(capsys, "gradcheck", "--corrupt-fixture")
+def test_gradcheck_corrupt_fixture_exits_1(capsys, monkeypatch):
+    import wrinet.cli as cli
+    from wrinet.gradcheck import CheckResult
+
+    monkeypatch.setattr(cli, "run_suite", lambda seed: [CheckResult("conv", 1.0)])
+    code, out, _ = run(capsys, "gradcheck")
     assert code == 1
     assert "FAIL" in out
 
 
-def test_gradcheck_rejects_other_precision(capsys):
-    code, _, err = run(capsys, "gradcheck", "--precision", "32")
-    assert code == 2
+def test_gradcheck_rejects_other_precision():
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--precision", "32"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +340,27 @@ def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):
     assert err.startswith("error:") and path in err
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_eval_nonfinite_checkpoint_exits_3(tmp_path, cifar_dir, capsys):
+    net = mini_config_file(tmp_path)
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, "train", "--net", net, "--data-dir", cifar_dir,
+                     "--subset", "16", "--epochs", "0", "--out", str(out_dir))
+    assert code == 0
+    from wrinet.builder import NetworkConfig
+    from wrinet.graph import save_checkpoint
+
+    graph = build_network(NetworkConfig.from_dict(json.loads(open(net).read())))
+    load_checkpoint(graph, str(out_dir / "checkpoint-final.wrin"))
+    graph.nodes["stage1/unit0/conv2"].conv.weights[0, 0, 0, 0] = np.nan
+    path = tmp_path / "nan.wrin"
+    save_checkpoint(graph, str(path))
+    code, _, err = run(capsys, "eval", "--net", net, "--checkpoint", str(path),
+                       "--data-dir", cifar_dir)
+    assert code == 3
+    assert "stage1/unit0/conv2" in err
+
+
 def test_nonfinite_training_exits_3(tmp_path, cifar_dir, capsys, monkeypatch):
     net = mini_config_file(tmp_path)
     import wrinet.cli as cli
@@ -443,6 +469,17 @@ def test_detect_eval_unreadable_label_file_exits_2(kitti_dirs, capsys, bad):
     assert err.startswith("error:") and str(path) in err
 
 
+@pytest.mark.parametrize("side", ["gt", "det"])
+def test_detect_eval_inverted_box_exits_2(kitti_dirs, capsys, side):
+    gt, det = kitti_dirs
+    path = (gt if side == "gt" else det) / "b.txt"
+    path.write_text(CAR.format(x0=700, y0=200, x1=500, y1=400)
+                    + (" 0.7" if side == "det" else "") + "\n")
+    code, _, err = run(capsys, "detect-eval", "--gt-dir", str(gt), "--det-dir", str(det))
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err and "700.0" in err
+
+
 def test_detect_eval_text_and_json_agree(kitti_dirs, capsys):
     gt, det = kitti_dirs
     code, text, _ = run(capsys, "detect-eval", "--gt-dir", str(gt),
@@ -451,12 +488,3 @@ def test_detect_eval_text_and_json_agree(kitti_dirs, capsys):
                         "--det-dir", str(det), "--difficulty", "easy", "--json")
     parsed = json.loads(raw)
     assert f"{100 * parsed['mAP']:.2f}" in text
-
-
-@pytest.mark.parametrize("size", ["10", "a,b", "0,512"])
-def test_detect_eval_bad_img_size_exits_2(kitti_dirs, capsys, size):
-    gt, det = kitti_dirs
-    code, _, err = run(capsys, "detect-eval", "--gt-dir", str(gt),
-                       "--det-dir", str(det), "--img-size", size)
-    assert code == 2
-    assert err.startswith("error:") and "--img-size" in err

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrinet.data import (CIFAR10_RECORD, CIFAR100_RECORD, DatasetFormatError,
-                         KittiObject, augment, channel_stats, crop_flip,
+                         KittiObject, augment_batch, channel_stats, crop_flip,
                          kitti_difficulty, normalize_items, parse_kitti_labels,
                          read_cifar, serialize_kitti_labels,
                          synthesize_cifar_records, write_cifar)
@@ -104,11 +104,15 @@ def _item(seed=0):
 
 
 def test_augment_deterministic_per_seed():
-    item = _item()
-    a = augment(item, seed=123)
-    b = augment(item, seed=123)
-    assert np.array_equal(a.image, b.image)
-    assert a.label == item.label == b.label
+    """Equal seeds give equal batches, and output i is a crop-and-flip of input
+    i, so the labels, which stay in input order, still fit."""
+    images = np.stack([_item(seed).image for seed in range(4)])
+    a = augment_batch(images, np.random.default_rng(123))
+    b = augment_batch(images, np.random.default_rng(123))
+    assert np.array_equal(a, b)
+    for image, out in zip(images, a):
+        assert any(np.array_equal(out, crop_flip(image, oy, ox, flip))
+                   for oy in range(9) for ox in range(9) for flip in (False, True))
 
 
 def test_center_crop_without_flip_is_identity():
@@ -123,15 +127,14 @@ def test_flip_reverses_width_axis():
 
 
 def test_flip_frequency_near_half():
-    item = _item(3)
+    # every pixel holds its column number + 1, so a middle row's nonzero
+    # (unpadded) values fall from left to right only when the crop is flipped
+    ramp = np.broadcast_to(np.arange(1, 33, dtype=np.float32), (1000, 3, 32, 32))
+    rng = np.random.default_rng(3)
     flips = 0
-    for seed in range(10_000):
-        out = augment(item, seed=seed)
-        # detect flip by comparing against both candidates for this seed
-        rng = np.random.default_rng(seed)
-        oy, ox = (int(v) for v in rng.integers(0, 9, size=2))
-        if np.array_equal(out.image, crop_flip(item.image, oy, ox, True)):
-            flips += 1
+    for _ in range(10):
+        for out in augment_batch(ramp, rng)[:, 0, 16]:
+            flips += bool(np.all(np.diff(out[out > 0]) < 0))
     assert 0.47 <= flips / 10_000 <= 0.53
 
 

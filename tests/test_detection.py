@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import iou_by_pixel_count, match_reference, nms_reference, priors_reference
 from wrinet.detection import (PRIORS_PER_CELL, VARIANCES, Box, Detection, GroundTruth,
                               decode_boxes, encode_boxes, evaluate_detections,
-                              generate_priors, iou, iou_matrix, match_priors,
+                              generate_priors, iou_matrix, match_priors,
                               multibox_loss, nms, smooth_l1)
 
 
@@ -17,14 +18,14 @@ from wrinet.detection import (PRIORS_PER_CELL, VARIANCES, Box, Detection, Ground
 # ---------------------------------------------------------------------------
 
 def test_iou_identical_and_disjoint():
-    a = Box(0, 0, 10, 10)
-    assert iou(a, Box(0, 0, 10, 10)) == 1.0
-    assert iou(a, Box(20, 20, 30, 30)) == 0.0
-    assert iou(Box(0, 0, 0, 0), Box(0, 0, 0, 0)) == 0.0  # empty union
+    a = (0, 0, 10, 10)
+    assert iou_matrix(a, (0, 0, 10, 10))[0, 0] == 1.0
+    assert iou_matrix(a, (20, 20, 30, 30))[0, 0] == 0.0
+    assert iou_matrix((0, 0, 0, 0), (0, 0, 0, 0))[0, 0] == 0.0  # empty union
 
 
 def test_iou_quarter_overlap():
-    v = iou(Box(0, 0, 10, 10), Box(5, 5, 15, 15))
+    v = iou_matrix((0, 0, 10, 10), (5, 5, 15, 15))[0, 0]
     assert v == pytest.approx(25 / 175)
     assert v == pytest.approx(iou_by_pixel_count((0, 0, 10, 10), (5, 5, 15, 15)))
 
@@ -35,9 +36,10 @@ def test_iou_matches_pixel_counting(vals):
     ax0, ay0, bx0, by0 = vals[:4]
     a = (ax0, ay0, ax0 + 1 + vals[4], ay0 + 1 + vals[5])
     b = (bx0, by0, bx0 + 1 + vals[6], by0 + 1 + vals[7])
-    assert iou(a, b) == pytest.approx(iou_by_pixel_count(a, b))
-    assert iou(a, b) == pytest.approx(iou(b, a))
-    assert 0.0 <= iou(a, b) <= 1.0
+    v = iou_matrix(a, b)[0, 0]
+    assert v == pytest.approx(iou_by_pixel_count(a, b))
+    assert v == pytest.approx(iou_matrix(b, a)[0, 0])
+    assert 0.0 <= v <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +124,9 @@ def test_decode_inverts_encode():
 
 
 def test_encode_rejects_degenerate_groundtruth():
-    prior = Box(0.2, 0.2, 0.8, 0.8)
+    prior = np.array([[0.2, 0.2, 0.8, 0.8]])
     with pytest.raises(ValueError, match="nonpositive"):
-        encode_boxes(np.array([[0.3, 0.3, 0.3, 0.5]]), prior.as_array()[None])
+        encode_boxes(np.array([[0.3, 0.3, 0.3, 0.5]]), prior)
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,7 +275,7 @@ def test_multibox_gradients_match_finite_differences():
 def test_nms_worked_example():
     boxes = np.array([[0, 0, 10, 10], [1, 1, 11, 11], [20, 20, 30, 30]], dtype=float)
     scores = np.array([0.9, 0.8, 0.7])
-    assert iou(boxes[0], boxes[1]) == pytest.approx(81 / 119)
+    assert iou_matrix(boxes[0], boxes[1])[0, 0] == pytest.approx(81 / 119)
     kept = nms(boxes, scores, iou_threshold=0.5)
     assert kept == [0, 2]
 
@@ -377,7 +379,7 @@ def _greedy_flags(dets, gts, thr=0.5):
         for j, g in enumerate(gts):
             if j in used or g.image_id != dets[i].image_id:
                 continue
-            v = iou(dets[i].box, g.box)
+            v = iou_matrix(astuple(dets[i].box), astuple(g.box))[0, 0]
             if v >= best_v and (best is None or v > best_v):
                 best, best_v = j, v
         if best is not None:

@@ -75,36 +75,78 @@ def test_compared_op_names_exist(path):
 
 
 def names_read(tree: ast.AST) -> Counter:
-    """How often each name is loaded in ``tree``, as a bare name or as an
-    attribute (``detection.nms`` reads ``nms``)."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+    """How often each bare name is loaded in ``tree``."""
+    return Counter(n.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def qualified_reads(tree: ast.AST, modules: set[str]) -> Counter:
+    """How often ``tree`` reads each ``(module, name)`` of ``modules`` through
+    the module: ``from <module> import name``, or ``alias.name`` where an
+    import binds ``alias`` to the module (``import pkg.module as alias``,
+    ``from pkg import module``, ``from . import module as alias``). Modules
+    are known by the last part of their dotted path."""
+    aliases = {}
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[-1] in modules:
+                    aliases[a.asname or a.name] = a.name.split(".")[-1]
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").split(".")[-1]
+            for a in node.names:
+                if source in modules:
+                    reads[source, a.name] += 1
+                elif a.name in modules:
+                    aliases[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            module = aliases.get(ast.unparse(node.value))
+            if module:
+                reads[module, node.attr] += 1
+    return reads
 
 
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """``module.name`` for each public module-level function or class of
-    ``modules`` (module name -> source) that no source of ``modules`` or
-    ``readers`` reads outside its own definition. Reads match by name alone,
-    so a same-named attribute elsewhere hides a definition; the scan can miss
-    dead code but never flags live code."""
+    ``modules`` (module name -> source) that nothing reads outside its own
+    definition: neither a bare name in its own module nor a read through the
+    module (:func:`qualified_reads`) in ``modules`` or ``readers``. A
+    same-named attribute or bare name elsewhere does not count."""
     trees = {module: ast.parse(source) for module, source in modules.items()}
-    total = sum((names_read(t) for t in [*trees.values(), *map(ast.parse, readers)]),
-                Counter())
-    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_")
-                  and total[node.name] == names_read(node)[node.name])
+    qualified = sum((qualified_reads(t, set(trees))
+                     for t in [*trees.values(), *map(ast.parse, readers)]), Counter())
+    unread = []
+    for module, tree in trees.items():
+        own = names_read(tree)
+        unread += [f"{module}.{node.name}" for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_")
+                   and not qualified[module, node.name]
+                   and own[node.name] == names_read(node)[node.name]]
+    return sorted(unread)
 
 
 def test_definition_scan_finds_unread_names():
     modules = {
         "a": "def used(): pass\ndef recursive(n): return recursive(n - 1)\n"
-             "class Lone:\n    def make(self): return Lone()\ndef _private(): pass\n",
-        "b": "from a import used\nused = 1\n",
+             "class Lone:\n    def make(self): return Lone()\ndef _private(): pass\n"
+             "def local(): pass\nlocal()\n",
+        "b": "import pkg.a as alias\nalias.used()\n",
     }
-    assert unread_definitions(modules, []) == ["a.Lone", "a.recursive", "a.used"]
-    assert unread_definitions(modules, ["import a\na.used()\nLone"]) == ["a.recursive"]
+    assert unread_definitions(modules, []) == ["a.Lone", "a.recursive"]
+    assert unread_definitions(modules, ["from .a import Lone\n"]) == ["a.recursive"]
+
+
+def test_definition_scan_is_not_fooled_by_same_names():
+    """A same-named attribute, or a bare name in another module, is not a read
+    of the function."""
+    modules = {"a": "def dead(): pass\n",
+               "b": "class C:\n    dead = 1\nprint(C().dead)\ndead = 2\nprint(dead)\n"}
+    readers = ["import other\nother.dead()\nfrom other import dead\n"]
+    assert unread_definitions(modules, readers) == ["a.dead"]
+    assert unread_definitions(modules, readers + ["from pkg import a\na.dead()\n"]) == []
 
 
 # Public definitions that nothing in src/ or perfbench/ calls yet, each kept

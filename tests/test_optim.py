@@ -176,6 +176,20 @@ def test_nonfinite_loss_aborts_with_node_name():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_gradient_aborts_before_the_update():
+    """One NaN weight ahead of a batch norm: the ReLU clamps that channel's NaN
+    to 0, so the loss is finite while gradients are not. Training stops at
+    the first step, names the node, and writes no NaN into other weights."""
+    g = build_network(miniature_config(), seed=0)
+    g.nodes["stage1/unit0/conv1"].conv.weights[0, 0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteLossError) as err:
+        train_epochs(g, tiny_dataset(), tiny_train_config(epochs=1))
+    assert (err.value.node, err.value.step) == ("stage1/unit0/conv1", 0)
+    assert [k for k, v in g.parameters().items()
+            if not np.all(np.isfinite(v))] == ["stage1/unit0/conv1/weight"]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_first_nonfinite_node_reports_topologically_first():
     g = build_network(miniature_config(), seed=3)
     g.nodes["stage2/unit0/shared"].conv.weights[...] = np.inf
