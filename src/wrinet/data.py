@@ -233,19 +233,23 @@ def parse_kitti_labels(text: str) -> list[KittiObject]:
             raise DatasetFormatError(
                 f"line {lineno}: expected >= 15 fields, got {len(fields)}")
         try:
-            obj = KittiObject(
-                type=fields[0],
-                truncated=float(fields[1]),
-                occluded=int(float(fields[2])),
-                alpha=float(fields[3]),
-                bbox=tuple(float(v) for v in fields[4:8]),
-                dimensions=tuple(float(v) for v in fields[8:11]),
-                location=tuple(float(v) for v in fields[11:14]),
-                rotation_y=float(fields[14]),
-                score=float(fields[15]) if len(fields) >= 16 else None,
-            )
+            values = [float(v) for v in fields[1:16]]
         except ValueError as exc:
             raise DatasetFormatError(f"line {lineno}: {exc}") from exc
+        bad = [f for f, v in zip(fields[1:16], values) if not np.isfinite(v)]
+        if bad:
+            raise DatasetFormatError(f"line {lineno}: non-finite value {bad[0]!r}")
+        obj = KittiObject(
+            type=fields[0],
+            truncated=values[0],
+            occluded=int(values[1]),
+            alpha=values[2],
+            bbox=tuple(values[3:7]),
+            dimensions=tuple(values[7:10]),
+            location=tuple(values[10:13]),
+            rotation_y=values[13],
+            score=values[14] if len(values) == 15 else None,
+        )
         objects.append(obj)
     return objects
 

@@ -465,7 +465,8 @@ def load_checkpoint(graph: NetworkGraph, path: str) -> None:
     """Load ``path`` into ``graph``'s parameters and buffers. The whole file is
     parsed and checked against the graph before any entry is written, so a
     file that does not fit leaves the graph as it was; every fault of the
-    file is a ValueError naming the path and, where it has one, the offset."""
+    file's layout is a ValueError naming the path and, where it has one, the
+    offset, and a NaN or Inf value is a NodeNonFiniteError naming its node."""
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -514,5 +515,8 @@ def load_checkpoint(graph: NetworkGraph, path: str) -> None:
     if len(parsed) != len(entries):
         missing = sorted(set(entries) - set(parsed))
         raise ValueError(f"{path}: checkpoint is missing entries {missing[:5]}")
+    for name, values in parsed.items():
+        if not np.all(np.isfinite(values)):
+            raise NodeNonFiniteError(name.rsplit("/", 1)[0])
     for name, values in parsed.items():
         entries[name][...] = values.astype(entries[name].dtype)

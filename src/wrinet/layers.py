@@ -7,13 +7,13 @@ They read their array arguments without changing them, with one exception:
 caller owns (``bn_relu`` gives it the batch norm's fresh output). Train-mode
 batch norm also updates its running statistics.
 Convolution lowers to a channel-major patch matrix (im2col) of shape
-(C_in*kh*kw, N*H_out*W_out), built one tile at a time into one buffer per
-call (Jia et al. 2014): a tile is whole samples while one sample's patch
-matrix fits ``CONV_TILE_BYTES``, else a band of output rows of one sample.
-Each tile runs the forward's GEMMs, or backward's weight and patch-gradient
-GEMMs, and the cache keeps only the input, from which backward rebuilds the
-tiles. Activations stay NCHW at the kernel boundary; only ``dy`` and ``dx``
-are transposed inside the conv, tile by tile. A pointwise conv (1x1 without
+(C_in*k*k, N*H_out*W_out), built one tile at a time into one buffer per call
+(Jia et al. 2014): a tile is whole samples while one sample's patch matrix
+fits ``CONV_TILE_BYTES``, else a band of output rows of one sample. The
+forward runs one GEMM per sample of each tile; the cache keeps only the
+input. Backward rebuilds the tiles for ``dw`` and computes ``dx`` as a
+forward conv of ``dy`` with transposed, flipped weights, so kernels are
+square with padding below the kernel size. A pointwise conv (1x1 without
 padding, at any stride) multiplies its input, sampled at the stride, and
 builds no patch matrix. The gradients are exact, which the test suite
 verifies against naive 7-loop kernels and central finite differences.
@@ -100,9 +100,10 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _is_pointwise(p: ConvParams) -> bool:
-    """A 1x1 kernel without padding reads one input pixel per output: the
-    input sampled at the stride is its own patch matrix."""
-    return p.kernel == (1, 1) and p.padding == 0
+    """A 1x1 kernel (padding 0, as padding must be below the kernel size)
+    reads one input pixel per output: the input sampled at the stride is its
+    own patch matrix."""
+    return p.kernel == (1, 1)
 
 
 # Upper bound on the bytes of one tile of a conv's patch matrix. Every tile of
@@ -122,27 +123,27 @@ def _tile_shape(n: int, k: int, h_out: int, w_out: int, itemsize: int) -> tuple[
     return 1, max(1, CONV_TILE_BYTES // row_bytes)
 
 
-def _patch_tiles(x: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+def _patch_tiles(x: np.ndarray, k: int, stride: int, padding: int,
                  h_out: int, w_out: int, samples: int, rows: int):
     """Yield ``(n0, m, r0, r, cols)`` for each tile of the channel-major patch
     matrix: samples n0..n0+m and output rows r0..r0+r, with ``cols`` of shape
-    (C, kh, kw, m, r, W_out), rows in the (C_in, kh, kw) order of the weights.
+    (C, k, k, m, r, W_out), rows in the (C_in, k, k) order of the weights.
     Each block of samples is padded into one zero-bordered (C, m, H+2p, W+2p)
-    buffer and each tile filled with kh*kw strided block copies into one
+    buffer and each tile filled with k*k strided block copies into one
     buffer; both are reused, so ``cols`` is valid until the next tile."""
     n, c, h, w = x.shape
     xp_buf = np.zeros((c, samples, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    cols_buf = np.empty(c * kh * kw * samples * rows * w_out, dtype=x.dtype)
+    cols_buf = np.empty(c * k * k * samples * rows * w_out, dtype=x.dtype)
     for n0 in range(0, n, samples):
         m = min(samples, n - n0)
         xp = xp_buf[:, :m]
         xp[:, :, padding:padding + h, padding:padding + w] = x[n0:n0 + m].transpose(1, 0, 2, 3)
         for r0 in range(0, h_out, rows):
             r = min(rows, h_out - r0)
-            cols = cols_buf[:c * kh * kw * m * r * w_out].reshape(c, kh, kw, m, r, w_out)
-            for i in range(kh):
+            cols = cols_buf[:c * k * k * m * r * w_out].reshape(c, k, k, m, r, w_out)
+            for i in range(k):
                 top = i + stride * r0
-                for j in range(kw):
+                for j in range(k):
                     cols[:, i, j] = xp[:, :, top:top + stride * r:stride,
                                        j:j + stride * w_out:stride]
             yield n0, m, r0, r, cols
@@ -157,8 +158,12 @@ def _check_conv(x: np.ndarray, p: ConvParams) -> tuple[int, int]:
         raise ShapeError(
             f"input has {x.shape[1]} channels, filters expect {p.in_channels}")
     kh, kw = p.kernel
+    if kh != kw:
+        raise ShapeError(f"kernel must be square, got {kh}x{kw}")
+    if p.padding >= kh:
+        raise ShapeError(f"padding {p.padding} must be less than kernel {kh}")
     h_out = conv_output_size(x.shape[2], kh, p.stride, p.padding)
-    w_out = conv_output_size(x.shape[3], kw, p.stride, p.padding)
+    w_out = conv_output_size(x.shape[3], kh, p.stride, p.padding)
     if h_out < 1 or w_out < 1:
         raise ShapeError(
             f"conv output size {h_out}x{w_out} < 1 for input {x.shape[2]}x{x.shape[3]}, "
@@ -181,13 +186,12 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, tuple]:
         s = p.stride
         y = np.matmul(w_mat, x[:, :, ::s, ::s].reshape(n, c_in, h_out * w_out))
     else:
-        kh, kw = p.kernel
         k = w_mat.shape[1]
         samples, rows = _tile_shape(n, k, h_out, w_out, x.dtype.itemsize)
         # y is allocated contiguous, so each slice below is a view that
         # matmul writes through
         y = np.empty((n, p.out_channels, h_out * w_out), dtype=np.result_type(w_mat, x))
-        for n0, m, r0, r, cols in _patch_tiles(x, kh, kw, p.stride, p.padding,
+        for n0, m, r0, r, cols in _patch_tiles(x, p.kernel[0], p.stride, p.padding,
                                                h_out, w_out, samples, rows):
             np.matmul(w_mat, cols.reshape(k, m, r * w_out).transpose(1, 0, 2),
                       out=y[n0:n0 + m, :, r0 * w_out:(r0 + r) * w_out])
@@ -197,52 +201,33 @@ def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, tuple]:
 
 
 def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Exact gradients (dx, dw, db) of the forward map; ``dx`` is a fresh
-    C-contiguous NCHW array. Each tile of the patch matrix is rebuilt from
-    ``x``; ``dw`` accumulates one GEMM per tile against the tile's ``dy``
-    laid out (C_out, m*r*W_out), the tile's patch gradient overwrites the
-    tile, and it is scattered back (col2im) into the sample block's
-    channel-major padded gradient, whose interior becomes that block of
-    ``dx``."""
+    """Exact gradients (dx, dw, db) of the forward map, by one path for every
+    kernel, stride and padding. ``dw`` accumulates one GEMM per tile of the
+    patch matrix, rebuilt from ``x``, against the tile's ``dy`` laid out
+    (C_out, m*r*W_out). ``dx`` is the forward conv of ``dy`` with the weights
+    transposed to (C_in, C_out, k, k) and flipped, at padding k-1-p
+    (Dumoulin & Visin 2016); a strided ``dy`` is first spread into a zero
+    (N, C_out, H+2p-k+1, W+2p-k+1) buffer at every s-th row and column, so
+    ``dx`` is a fresh C-contiguous NCHW array."""
     x, p, h_out, w_out = cache
-    n, c_in, h, w = x.shape
+    n, h, w = x.shape[0], x.shape[2], x.shape[3]
     s, pad = p.stride, p.padding
-    w_mat = p.weights.reshape(p.out_channels, -1)
+    c_out, c_in, k, _ = p.weights.shape
     db = dy.sum(axis=(0, 2, 3)) if p.bias is not None else None
-    if _is_pointwise(p):
-        dy_mat = dy.reshape(n, p.out_channels, h_out * w_out)
-        x_mat = x[:, :, ::s, ::s].reshape(n, c_in, h_out * w_out)
-        dw = np.matmul(dy_mat, x_mat.transpose(0, 2, 1)).sum(axis=0).reshape(p.weights.shape)
-        dx_sampled = np.matmul(w_mat.T, dy_mat).reshape(n, c_in, h_out, w_out)
-        if s == 1:
-            return dx_sampled, dw, db
-        dx = np.zeros((n, c_in, h, w), dtype=dx_sampled.dtype)
-        dx[:, :, ::s, ::s] = dx_sampled
-        return dx, dw, db
-
-    kh, kw = p.kernel
-    c_out, k = w_mat.shape
-    samples, rows = _tile_shape(n, k, h_out, w_out, x.dtype.itemsize)
-    dw = np.zeros((c_out, k), dtype=np.result_type(dy, x))
+    rows_k = c_in * k * k
+    samples, rows = _tile_shape(n, rows_k, h_out, w_out, x.dtype.itemsize)
+    dw = np.zeros((c_out, rows_k), dtype=np.result_type(dy, x))
     dy_buf = np.empty(c_out * samples * rows * w_out, dtype=dy.dtype)
-    dxp_buf = np.empty((c_in, samples, h + 2 * pad, w + 2 * pad), dtype=dy.dtype)
-    dx = np.empty((n, c_in, h, w), dtype=dy.dtype)
-    for n0, m, r0, r, cols in _patch_tiles(x, kh, kw, s, pad, h_out, w_out, samples, rows):
-        if r0 == 0:
-            dxp = dxp_buf[:, :m]
-            dxp.fill(0)
+    for n0, m, r0, r, cols in _patch_tiles(x, k, s, pad, h_out, w_out, samples, rows):
         dy_t = dy_buf[:c_out * m * r * w_out].reshape(c_out, m, r, w_out)
         dy_t[...] = dy[n0:n0 + m, :, r0:r0 + r].transpose(1, 0, 2, 3)
-        dy_t = dy_t.reshape(c_out, -1)
-        cols_mat = cols.reshape(k, -1)
-        dw += dy_t @ cols_mat.T
-        np.matmul(w_mat.T, dy_t, out=cols_mat)  # the tile now holds its gradient
-        for i in range(kh):
-            top = i + s * r0
-            for j in range(kw):
-                dxp[:, :, top:top + s * r:s, j:j + s * w_out:s] += cols[:, i, j]
-        if r0 + r == h_out:
-            dx[n0:n0 + m] = dxp[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
+        dw += dy_t.reshape(c_out, -1) @ cols.reshape(rows_k, -1).T
+    z = dy
+    if s > 1:
+        z = np.zeros((n, c_out, h + 2 * pad - k + 1, w + 2 * pad - k + 1), dtype=dy.dtype)
+        z[:, :, ::s, ::s] = dy
+    flipped = p.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    dx, _ = conv2d_forward(z, ConvParams(weights=flipped, padding=k - 1 - pad))
     return dx, dw.reshape(p.weights.shape), db
 
 

@@ -174,10 +174,12 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
         monkeypatch.setattr(layers, kernel, counting)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
     result = g.forward(x, mode="train", keep_caches=True)
-    g.backward(result, {g.output_name: np.ones_like(result[g.output_name])})
     convs = [id(n.conv) for n in g.nodes.values() if n.op == "conv"]
     assert sorted(seen["conv_fwd"]) == sorted(convs)
+    g.backward(result, {g.output_name: np.ones_like(result[g.output_name])})
     assert seen["conv_bwd"] == len(convs)
+    # each conv backward computes dx as one forward conv of dy
+    assert len(seen["conv_fwd"]) == 2 * len(convs)
     assert seen["add"] == sum(n.op == "add" for n in g.nodes.values()) > 0
     pre_activations = sum(n.op == "bn_relu" for n in g.nodes.values())
     assert pre_activations > 0
@@ -283,10 +285,25 @@ def test_checkpoint_rejects_wrong_graph(tmp_path):
         load_checkpoint(other, str(path))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_checkpoint_value_names_its_node_and_writes_nothing(tmp_path, value):
+    source = build_network(miniature_config(), seed=0)
+    source.nodes["stage1/unit0/conv1"].conv.weights[0, 0, 0, 0] = value
+    path = tmp_path / "net.wrin"
+    save_checkpoint(source, str(path))
+    target = build_network(miniature_config(), seed=1)
+    before = {k: v.tobytes() for k, v in target.state_entries().items()}
+    with pytest.raises(graph_module.NodeNonFiniteError) as err:
+        load_checkpoint(target, str(path))
+    assert err.value.node == "stage1/unit0/conv1"
+    assert {k: v.tobytes() for k, v in target.state_entries().items()} == before
+
+
 def test_truncated_checkpoint_is_a_value_error_and_writes_nothing(tmp_path):
     """Every proper prefix of a checkpoint fails with a ValueError naming the
     file, before any entry of the graph is written; so does each byte's
-    one-bit flip (bit i % 8 of byte i) that does not load."""
+    one-bit flip (bit i % 8 of byte i) that does not load, except that a
+    flip that makes a value NaN or Inf is a NodeNonFiniteError."""
     def conv_bn_relu() -> NetworkGraph:
         g = NetworkGraph(3)
         g.add_bn_relu("bn", g.add_conv("c", g.input_name, layers.make_conv(3, 2, 3)))
@@ -316,6 +333,9 @@ def test_truncated_checkpoint_is_a_value_error_and_writes_nothing(tmp_path):
             load_checkpoint(target, str(cut))
         except ValueError as err:
             assert type(err) is ValueError and str(cut) in str(err), i
+            assert {k: v.tobytes() for k, v in target.state_entries().items()} == before, i
+        except graph_module.NodeNonFiniteError as err:  # the flip made a value NaN or Inf
+            assert err.node in ("c", "bn"), i
             assert {k: v.tobytes() for k, v in target.state_entries().items()} == before, i
         else:  # a flip inside a value loads; put the marker back
             for array in target.state_entries().values():

@@ -340,8 +340,11 @@ def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):
     assert err.startswith("error:") and path in err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_eval_nonfinite_checkpoint_exits_3(tmp_path, cifar_dir, capsys):
+@pytest.mark.parametrize("node", ["stage1/unit0/conv2", "stage1/unit0/conv1"])
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_eval_nonfinite_checkpoint_exits_3(tmp_path, cifar_dir, capsys, node, command):
+    """A NaN weight is caught when the checkpoint loads, also one ahead of a
+    bn_relu, whose clamp would map it to 0."""
     net = mini_config_file(tmp_path)
     out_dir = tmp_path / "run"
     code, _, _ = run(capsys, "train", "--net", net, "--data-dir", cifar_dir,
@@ -352,13 +355,16 @@ def test_eval_nonfinite_checkpoint_exits_3(tmp_path, cifar_dir, capsys):
 
     graph = build_network(NetworkConfig.from_dict(json.loads(open(net).read())))
     load_checkpoint(graph, str(out_dir / "checkpoint-final.wrin"))
-    graph.nodes["stage1/unit0/conv2"].conv.weights[0, 0, 0, 0] = np.nan
+    graph.nodes[node].conv.weights[0, 0, 0, 0] = np.nan
     path = tmp_path / "nan.wrin"
     save_checkpoint(graph, str(path))
-    code, _, err = run(capsys, "eval", "--net", net, "--checkpoint", str(path),
-                       "--data-dir", cifar_dir)
+    if command == "eval":
+        flags = ("eval", "--checkpoint", str(path))
+    else:
+        flags = ("train", "--resume", str(path), "--subset", "16", "--epochs", "1")
+    code, _, err = run(capsys, *flags, "--net", net, "--data-dir", cifar_dir)
     assert code == 3
-    assert "stage1/unit0/conv2" in err
+    assert node in err
 
 
 def test_nonfinite_training_exits_3(tmp_path, cifar_dir, capsys, monkeypatch):
@@ -478,6 +484,17 @@ def test_detect_eval_inverted_box_exits_2(kitti_dirs, capsys, side):
     code, _, err = run(capsys, "detect-eval", "--gt-dir", str(gt), "--det-dir", str(det))
     assert code == 2
     assert err.startswith("error:") and str(path) in err and "700.0" in err
+
+
+@pytest.mark.parametrize("side", ["gt", "det"])
+def test_detect_eval_non_finite_field_exits_2(kitti_dirs, capsys, side):
+    gt, det = kitti_dirs
+    path = (gt if side == "gt" else det) / "b.txt"
+    line = CAR.format(x0=500, y0=200, x1=700, y1=400)
+    path.write_text(line + " nan\n" if side == "det" else line.replace("700", "inf") + "\n")
+    code, _, err = run(capsys, "detect-eval", "--gt-dir", str(gt), "--det-dir", str(det))
+    assert code == 2
+    assert err.startswith("error:") and str(path) in err and "non-finite" in err
 
 
 def test_detect_eval_text_and_json_agree(kitti_dirs, capsys):

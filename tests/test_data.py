@@ -178,6 +178,16 @@ def test_malformed_line_reports_line_number():
         parse_kitti_labels(text)
 
 
+@pytest.mark.parametrize("field", [4, 6, 2, 15], ids=["bbox left", "bbox right",
+                                                      "occluded", "score"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_field_is_rejected(field, value):
+    fields = (CAR_LINE + " 0.87").split()
+    fields[field] = value
+    with pytest.raises(DatasetFormatError, match="line 2: non-finite"):
+        parse_kitti_labels(CAR_LINE + "\n" + " ".join(fields))
+
+
 def test_serialize_parse_identity():
     objs = parse_kitti_labels(CAR_LINE + "\n" + DONTCARE_LINE + "\n" + CAR_LINE + " 0.5")
     round_tripped = parse_kitti_labels(serialize_kitti_labels(objs))

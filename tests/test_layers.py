@@ -139,6 +139,12 @@ def test_conv_rejects_bad_inputs():
     with pytest.raises(ShapeError):
         conv2d_forward(np.zeros((1, 3, 2, 2)),
                        ConvParams(weights=np.zeros((4, 3, 3, 3)), stride=1, padding=0))
+    with pytest.raises(ShapeError, match="square"):
+        conv2d_forward(np.zeros((1, 3, 8, 8)),
+                       ConvParams(weights=np.zeros((4, 3, 3, 1)), stride=1, padding=0))
+    with pytest.raises(ShapeError, match="less than kernel"):
+        conv2d_forward(np.zeros((1, 3, 8, 8)),
+                       ConvParams(weights=np.zeros((4, 3, 3, 3)), stride=1, padding=3))
 
 
 def test_conv_gradients_match_finite_differences():
