@@ -189,13 +189,14 @@ def _init_graph_params(g: NetworkGraph, rng: np.random.Generator) -> None:
 
 def _min_relu_input(g: NetworkGraph, x: np.ndarray) -> float:
     """Smallest |ReLU input| over the graph: each bn_relu's batch-norm output."""
-    outputs = g.forward(x, mode="train", update_stats=False).outputs
+    bn_relus = [node for node in g.nodes.values() if node.op == "bn_relu"]
+    outputs = g.forward(x, mode="train", update_stats=False,
+                        keep=[node.inputs[0] for node in bn_relus]).outputs
     margin = np.inf
-    for node in g.nodes.values():
-        if node.op == "bn_relu":
-            z = layers.batch_norm_forward(outputs[node.inputs[0]], node.bn,
-                                          mode="train", update_stats=False)[0]
-            margin = min(margin, float(np.abs(z).min()))
+    for node in bn_relus:
+        z = layers.batch_norm_forward(outputs[node.inputs[0]], node.bn,
+                                      mode="train", update_stats=False)[0]
+        margin = min(margin, float(np.abs(z).min()))
     return margin
 
 

@@ -1,8 +1,11 @@
 """Directed acyclic network graphs with deterministic evaluation order.
 
 A :class:`NetworkGraph` is a list of named layer nodes in construction
-(topological) order. Forward evaluation walks that order; backward walks it in
-reverse, accumulating gradients. Parameters live in a registry keyed by
+(topological) order. Forward evaluation walks that order and drops each node's
+output right after its last reader has run, so only the outputs a caller
+names in ``keep`` outlive the pass (memory sharing by liveness, Chen et al.
+2016, on a static DAG). Backward walks the order in reverse, accumulating
+gradients from the caches alone. Parameters live in a registry keyed by
 hierarchical names (``stage1/unit0/conv1/weight``) so optimizers, freeze masks,
 and checkpoints all address the same namespace.
 
@@ -19,7 +22,7 @@ import os
 import struct
 import uuid
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -57,6 +60,10 @@ class Node:
 
 @dataclass
 class ForwardResult:
+    """What one :meth:`NetworkGraph.forward` leaves: the outputs it was asked
+    to keep (every other output was dropped after its last reader ran), and
+    with ``keep_caches`` each node's backward cache."""
+
     outputs: dict[str, np.ndarray]
     caches: dict[str, tuple]
 
@@ -295,12 +302,17 @@ class NetworkGraph:
     # -- evaluation ----------------------------------------------------------
 
     def forward(self, x: np.ndarray, mode: str = "infer", update_stats: bool = True,
-                keep_caches: bool = False, check_finite: bool = False) -> ForwardResult:
+                keep_caches: bool = False, check_finite: bool = False,
+                keep: Optional[Iterable[str]] = None) -> ForwardResult:
         """Evaluate all nodes in topological order. ``mode`` is ``"train"``
         (batch statistics) or ``"infer"`` (running statistics).
+        ``keep`` names the outputs returned in ``outputs`` (default: the
+        graph output; a name that is not a node is a ValueError). Every other
+        output is dropped right after the last node that reads it has run,
+        or at once if none does, so the pass holds only live outputs.
         ``keep_caches`` keeps every node's cache for one :meth:`backward`,
-        which releases each cache once used; without it each cache is
-        released before the next node runs.
+        which reads only caches and releases each once used; without it each
+        cache is released before the next node runs.
         ``check_finite`` validates every node's output, parameters and buffers
         (a ReLU maps NaN to 0) and raises :class:`NodeNonFiniteError` at the
         first offender (the diagnostic mode the trainer uses after a bad loss).
@@ -310,19 +322,31 @@ class NetworkGraph:
         before :meth:`backward` has run."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
+        keep = {self.output_name} if keep is None else set(keep)
+        unknown = keep - self.nodes.keys()
+        if unknown:
+            raise ValueError(f"cannot keep unknown nodes {sorted(unknown)}")
         x = tensor.require_nchw(x, "network input")
         if x.shape[1] != self.nodes[self.input_name].channels:
             raise ShapeError(
                 f"input has {x.shape[1]} channels, graph expects "
                 f"{self.nodes[self.input_name].channels}")
+        last_reader = {name: name for name in self.order}  # unread: dies at once
+        for name in self.order:
+            for inp in self.nodes[name].inputs:
+                last_reader[inp] = name
+        dies_after: dict[str, list[str]] = {}
+        for name, reader in last_reader.items():
+            if name not in keep:
+                dies_after.setdefault(reader, []).append(name)
         outputs: dict[str, np.ndarray] = {self.input_name: x}
         caches: dict[str, tuple] = {}
         for name in self.order[1:]:
             node = self.nodes[name]
             op = OPS[node.op]
-            ins = [outputs[i] for i in node.inputs]
             try:
-                y, cache = op.forward(node, ins, mode, update_stats)
+                y, cache = op.forward(node, [outputs[i] for i in node.inputs],
+                                      mode, update_stats)
             except tensor.NonFiniteError as exc:
                 raise NodeNonFiniteError(name) from exc
             if check_finite and not all(np.all(np.isfinite(a)) for a in (
@@ -331,7 +355,9 @@ class NetworkGraph:
             outputs[name] = y
             if keep_caches:
                 caches[name] = cache
-            del cache  # without keep_caches, a train-mode batch norm's xhat dies here
+            del y, cache  # without keep_caches, a train-mode batch norm's xhat dies here
+            for dead in dies_after.get(name, ()):
+                del outputs[dead]
         return ForwardResult(outputs=outputs, caches=caches)
 
     def backward(self, result: ForwardResult, out_grads: dict[str, np.ndarray]

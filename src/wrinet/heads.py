@@ -78,7 +78,8 @@ def detection_forward(backbone: NetworkGraph, head: DetectionHead, x: np.ndarray
                       mode: str = "train") -> tuple[np.ndarray, np.ndarray, ForwardResult]:
     """Returns per-prior class logits (N, P, C) and offsets (N, P, 4), plus
     the graph's forward result (with caches in train mode) for backward."""
-    result = backbone.forward(x, mode=mode, keep_caches=(mode == "train"))
+    result = backbone.forward(x, mode=mode, keep_caches=(mode == "train"),
+                              keep=(LOGITS, OFFSETS))
     n = x.shape[0]
     return (result[LOGITS].reshape(n, -1, head.num_classes + 1),
             result[OFFSETS].reshape(n, -1, 4), result)

@@ -127,12 +127,19 @@ class NonFiniteLossError(NonFiniteError):
         self.step = step
 
 
-def first_nonfinite_node(graph: NetworkGraph, x: np.ndarray, mode: str = "train") -> str:
+def first_nonfinite_node(graph: NetworkGraph, x: np.ndarray, mode: str = "train",
+                         grads: Optional[dict[str, np.ndarray]] = None) -> str:
+    """The first node, in topological order, whose output, parameters or
+    buffers hold a NaN/Inf on ``x``; failing that, the node of the first
+    non-finite entry of ``grads`` (backward order, as :meth:`backward`
+    returns them); failing that, ``"loss"``."""
     try:
         graph.forward(x, mode=mode, update_stats=False, check_finite=True)
     except NodeNonFiniteError as exc:
         return exc.node
-    return "loss"
+    bad = (name.rsplit("/", 1)[0] for name, g in (grads or {}).items()
+           if not np.all(np.isfinite(g)))
+    return next(bad, "loss")
 
 
 @dataclass
@@ -202,9 +209,11 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
                 result = execute(graph, batch, mode="train", labels=batch_labels)
             except NonFiniteError:
                 raise NonFiniteLossError(first_nonfinite_node(graph, batch), step)
-            if not (np.isfinite(result.loss)
-                    and all(np.all(np.isfinite(g)) for g in result.grads.values())):
+            if not np.isfinite(result.loss):
                 raise NonFiniteLossError(first_nonfinite_node(graph, batch), step)
+            if not all(np.all(np.isfinite(g)) for g in result.grads.values()):
+                raise NonFiniteLossError(
+                    first_nonfinite_node(graph, batch, grads=result.grads), step)
             sgd_nesterov_step(params, result.grads, state, lr, config.momentum,
                               config.weight_decay, config.freeze)
             losses.append(result.loss)

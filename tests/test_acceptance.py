@@ -116,7 +116,7 @@ def test_receptive_fields():
             continue
 
         def run(x, name=name):
-            return m.forward(x, mode="infer").outputs[name][0]
+            return m.forward(x, mode="infer", keep=m.order).outputs[name][0]
 
         measured = influence_receptive_field(run, (17, 17), channels=1)
         if measured != rf_map[name][0]:

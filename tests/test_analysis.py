@@ -198,7 +198,7 @@ def test_rf_engine_matches_pixel_influence_oracle_on_all_nodes():
         assert rf_map[node][0] == expected
 
         def run(x, node=node):
-            return g.forward(x, mode="infer").outputs[node][0]
+            return g.forward(x, mode="infer", keep=g.order).outputs[node][0]
 
         measured = influence_receptive_field(run, (17, 17), channels=1)
         assert measured == expected, f"{node}: engine {expected}, oracle {measured}"

@@ -65,7 +65,7 @@ def test_zero_residual_branch_equals_projection_shortcut():
             msr_initialize(node.conv, rng)
     zero_residual(g)
     x = rng.normal(size=(2, 4, 8, 8))
-    result = g.forward(x, mode="train")
+    result = g.forward(x, mode="train", keep=g.order)
     assert np.array_equal(result.outputs[out], result.outputs["unit/shortcut"])
 
 
@@ -107,7 +107,7 @@ def test_concat_branch_order_is_shared_b_c():
         if node.op == "conv":
             msr_initialize(node.conv, rng)
     x = rng.normal(size=(1, 4, 6, 6))
-    result = g.forward(x, mode="train")
+    result = g.forward(x, mode="train", keep=g.order)
     out = result.outputs["unit/concat"]
     assert np.array_equal(out[:, :4], result.outputs["unit/shared"])
     assert np.array_equal(out[:, 4:7], result.outputs["unit/b/conv"])
@@ -126,7 +126,7 @@ def test_bn_relu_never_clamps_its_input():
             msr_initialize(node.conv, rng)
     x = rng.normal(size=(2, 4, 6, 6))
     x_before = x.copy()
-    result = g.forward(x, mode="train", keep_caches=True)
+    result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
     shared = result.outputs["unit/shared"]
     assert (shared < 0).any()
     assert np.array_equal(result.outputs["unit/concat"][:, :4], shared)

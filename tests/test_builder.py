@@ -1,6 +1,7 @@
 import builtins
 import errno
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,54 @@ def test_second_backward_on_one_result_says_so():
     assert np.array_equal(got_dx, want_dx)
     with pytest.raises(ValueError, match="keep_caches=True and runs once per pass"):
         g.backward(result, dy)
+
+
+def test_forward_keeps_only_the_output_by_default():
+    g = build_network(miniature_config(), seed=0)
+    x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
+    default = g.forward(x)
+    assert list(default.outputs) == [g.output_name]
+    everything = g.forward(x, keep=g.order)
+    assert list(everything.outputs) == g.order
+    assert np.array_equal(everything[g.output_name], default[g.output_name])
+
+
+def test_forward_rejects_unknown_keep_name():
+    g = build_network(miniature_config(), seed=0)
+    with pytest.raises(ValueError, match="'nosuch'"):
+        g.forward(np.zeros((2, 3, 8, 8), dtype=np.float32), keep=("nosuch",))
+
+
+def test_train_step_is_bit_identical_whatever_is_kept():
+    """Backward reads only caches, so dropping dead outputs changes no bit
+    of the loss or of any gradient."""
+    g = build_network(miniature_config(), seed=0, dtype=np.float64)
+    rng = np.random.default_rng(1)
+    x, labels = rng.normal(size=(4, 3, 8, 8)), rng.integers(0, 4, size=4)
+    want = execute(g, x, mode="train", labels=labels)
+    result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
+    loss, dlogits = layers.softmax_cross_entropy(result[g.output_name], labels)
+    grads, _ = g.backward(result, {g.output_name: dlogits})
+    assert loss == want.loss
+    assert list(grads) == list(want.grads)
+    assert all(np.array_equal(grads[k], want.grads[k]) for k in grads)
+
+
+def test_dropping_dead_outputs_bounds_inference_memory():
+    """A wr-inception infer forward at N=8 holds only live outputs: its
+    traced peak is under a quarter of a pass that keeps every output."""
+    g = build_network(builtin_config("wr-inception"), seed=0)
+    x = np.random.default_rng(0).normal(size=(8, 3, 32, 32)).astype(np.float32)
+
+    def peak(**kwargs) -> int:
+        tracemalloc.start()
+        try:
+            g.forward(x, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < peak(keep=g.order) / 4
 
 
 def test_empty_concat_rejected_when_added():

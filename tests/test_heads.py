@@ -7,7 +7,7 @@ from wrinet.blocks import UnitSpec
 from wrinet.detection import match_priors
 from wrinet.gradcheck import fd_gradients, relative_error
 from wrinet.graph import NodeNonFiniteError, load_checkpoint, save_checkpoint
-from wrinet.heads import (build_detection_head, detection_backward,
+from wrinet.heads import (LOGITS, OFFSETS, build_detection_head, detection_backward,
                           detection_forward, detection_loss_batch)
 from wrinet.optim import OptimizerState, sgd_nesterov_step
 
@@ -35,6 +35,15 @@ def test_head_prediction_counts_match_priors():
     assert total == (16 * 16 + 8 * 8) * 4
     assert logits.shape == (2, total, 3)
     assert offsets.shape == (2, total, 4)
+
+
+def test_detection_forward_keeps_only_the_head_outputs():
+    g = tiny_backbone()
+    head = build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=1)
+    x = np.random.default_rng(0).normal(size=(2, 3, 16, 16)).astype(np.float32)
+    for mode in ("train", "infer"):
+        _, _, result = detection_forward(g, head, x, mode=mode)
+        assert set(result.outputs) == {LOGITS, OFFSETS}
 
 
 def test_prediction_and_prior_orderings_align():

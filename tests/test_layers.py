@@ -416,7 +416,7 @@ def test_train_mode_conv_caches_hold_only_their_input():
     node's train-mode cache add up to its input's bytes."""
     g = build_network(miniature_config(), seed=0)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
-    result = g.forward(x, mode="train", keep_caches=True)
+    result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
     convs = [node for node in g.nodes.values() if node.op == "conv"]
     assert any(not layers._is_pointwise(node.conv) for node in convs)
     for node in convs:

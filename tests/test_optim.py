@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wrinet import data as data_io
+from wrinet import layers
 from wrinet.builder import build_network, execute
 from wrinet.gradcheck import miniature_config
 from wrinet.optim import (LRSchedule, NonFiniteLossError, OptimizerState,
@@ -187,6 +188,27 @@ def test_nonfinite_gradient_aborts_before_the_update():
     assert (err.value.node, err.value.step) == ("stage1/unit0/conv1", 0)
     assert [k for k, v in g.parameters().items()
             if not np.all(np.isfinite(v))] == ["stage1/unit0/conv1/weight"]
+
+
+def test_nonfinite_gradient_of_finite_forward_names_its_node(monkeypatch):
+    """Loss, outputs and weights all finite, one conv's weight gradient NaN:
+    the re-run forward finds nothing, so the gradient's node is named."""
+    g = build_network(miniature_config(), seed=0)
+    bad = g.nodes["stage2/unit0/b/conv"].conv
+    real = layers.conv2d_backward
+
+    def nan_dw(dy, cache):
+        dx, dw, db = real(dy, cache)
+        if cache[1] is bad:
+            dw = np.full_like(dw, np.nan)
+        return dx, dw, db
+
+    monkeypatch.setattr(layers, "conv2d_backward", nan_dw)
+    before = {k: v.copy() for k, v in g.parameters().items()}
+    with pytest.raises(NonFiniteLossError) as err:
+        train_epochs(g, tiny_dataset(), tiny_train_config(epochs=1))
+    assert (err.value.node, err.value.step) == ("stage2/unit0/b/conv", 0)
+    assert all(np.array_equal(v, before[k]) for k, v in g.parameters().items())
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
