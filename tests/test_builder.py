@@ -227,8 +227,8 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     assert sorted(seen["conv_fwd"]) == sorted(convs)
     g.backward(result, {g.output_name: np.ones_like(result[g.output_name])})
     assert seen["conv_bwd"] == len(convs)
-    # each conv backward computes dx as one forward conv of dy
-    assert len(seen["conv_fwd"]) == 2 * len(convs)
+    # backward calls no conv2d_forward
+    assert sorted(seen["conv_fwd"]) == sorted(convs)
     assert seen["add"] == sum(n.op == "add" for n in g.nodes.values()) > 0
     pre_activations = sum(n.op == "bn_relu" for n in g.nodes.values())
     assert pre_activations > 0

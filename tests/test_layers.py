@@ -57,6 +57,16 @@ CONV_CASES = [  # (shape, cout, k, stride, pad, bias), one patch-matrix tile
     ((2, 4, 9, 6), 5, 1, 2, 0, False),  # 1x1 stride-2 shortcut
 ]
 
+# explicit-id cases for the stride-phase maths of conv2d_backward, each run in
+# float64 and float32
+PHASE_CONV_CASES = {
+    "k3-s3-p1-nonsquare": ((2, 3, 7, 11), 4, 3, 3, 1, False),
+    "k3-s4-p2-tapless-phase": ((2, 2, 9, 10), 3, 3, 4, 2, True),  # phase 3 has no taps
+    "k5-s2-p2-uneven-taps": ((2, 3, 8, 9), 4, 5, 2, 2, False),  # phases of 3 and 2 taps
+    "k2-s2-p1-even-kernel": ((2, 3, 6, 7), 2, 2, 2, 1, True),
+    "k3-s2-p1-ragged": ((2, 3, 8, 10), 3, 3, 2, 1, False),  # (H+2p-k) mod s = 1 both ways
+}
+
 # (case, tile, dtype): the tile budget is set to hold ``count`` samples or
 # output rows, so that the tiles below leave a remainder
 TILED_CONV_CASES = [
@@ -66,28 +76,66 @@ TILED_CONV_CASES = [
     (((4, 2, 8, 7), 3, 3, 2, 0, False), ("samples", 3), np.float32),  # blocks 3, 1
     (((2, 3, 11, 5), 2, 3, 1, 0, False), ("rows", 4), np.float64),  # bands 4, 4, 1
     (((2, 2, 6, 9), 3, 5, 1, 2, True), ("rows", 1), np.float32),  # one row per band
+    # tiles of the backward's patch matrix of dy, over the phase grid
+    (((5, 3, 7, 10), 4, 3, 1, 1, True), ("dy samples", 2), np.float64),  # blocks 2, 2, 1
+    (((2, 3, 11, 6), 4, 3, 1, 1, False), ("dy rows", 4), np.float32),  # bands 4, 4, 3
+    (((5, 2, 9, 7), 3, 3, 2, 1, False), ("dy samples", 2), np.float32),  # blocks 2, 2, 1
+    (((2, 2, 11, 8), 3, 3, 2, 1, True), ("dy rows", 4), np.float64),  # grid 6: bands 4, 2
+    (((2, 2, 9, 9), 3, 5, 2, 2, False), ("dy rows", 2), np.float64),  # grid 5: bands 2, 2, 1
 ]
 
 
-def _set_tile(monkeypatch, shape, k, stride, pad, tile, dtype):
+def _tiled_matrix(shape, cout, k, stride, pad, of):
+    """(rows, H, W) of the patch matrix a conv tiles: the forward's of ``x``
+    (``of == "x"``), C_in*k*k rows over the output; or the backward's of
+    ``dy`` (``of == "dy"``), C_out*u*u rows with u = ceil(k/stride) over the
+    phase grid, the grid rows q of the padded input rows s*q..s*q+s-1 that
+    hold input rows."""
+    if of == "x":
+        return (shape[1] * k * k,
+                *(layers.conv_output_size(size, k, stride, pad) for size in shape[2:]))
+    u = -(-k // stride)
+    return (cout * u * u,
+            *((pad + size - 1) // stride - pad // stride + 1 for size in shape[2:]))
+
+
+def _set_tile(monkeypatch, shape, cout, k, stride, pad, tile, dtype):
     """Set ``layers.CONV_TILE_BYTES`` to hold ``tile = (unit, count)``
-    samples or output rows of the case's patch matrix, and check that the
-    conv tiles it so."""
+    samples or rows of the case's patch matrix of ``x``, or, for units
+    ``"dy samples"`` and ``"dy rows"``, of ``dy``; check that the tiling is
+    so, and return the ``(rows, H, W, samples, rows per tile)`` that the
+    conv passes to ``_patch_tiles``."""
     unit, count = tile
-    h_out = layers.conv_output_size(shape[2], k, stride, pad)
-    w_out = layers.conv_output_size(shape[3], k, stride, pad)
-    row_bytes = shape[1] * k * k * w_out * np.dtype(dtype).itemsize
+    of = "dy" if unit.startswith("dy") else "x"
+    rows_k, h_out, w_out = _tiled_matrix(shape, cout, k, stride, pad, of)
+    row_bytes = rows_k * w_out * np.dtype(dtype).itemsize
     monkeypatch.setattr(layers, "CONV_TILE_BYTES",
-                        count * row_bytes * (h_out if unit == "samples" else 1))
-    tiling = layers._tile_shape(shape[0], shape[1] * k * k, h_out, w_out,
-                                np.dtype(dtype).itemsize)
-    assert tiling == ((count, h_out) if unit == "samples" else (1, count))
+                        count * row_bytes * (h_out if unit.endswith("samples") else 1))
+    tiling = layers._tile_shape(shape[0], rows_k, h_out, w_out, np.dtype(dtype).itemsize)
+    assert tiling == ((count, h_out) if unit.endswith("samples") else (1, count))
+    return (rows_k, h_out, w_out, *tiling)
+
+
+def _record_patch_tiles(monkeypatch):
+    """Wrap ``layers._patch_tiles`` and return the list it fills, one
+    ``(input, (rows, H, W, samples, rows per tile))`` per call."""
+    calls, real = [], layers._patch_tiles
+
+    def recording(x, k, stride, lead, h_out, w_out, samples, rows):
+        calls.append((x, (x.shape[1] * k * k, h_out, w_out, samples, rows)))
+        return real(x, k, stride, lead, h_out, w_out, samples, rows)
+
+    monkeypatch.setattr(layers, "_patch_tiles", recording)
+    return calls
 
 
 @pytest.mark.parametrize("shape,cout,k,stride,pad,bias,tile,dtype", [
     pytest.param(*case, None, np.float64,
                  id=f"shape{i}-" + "-".join(map(str, case[1:])))
     for i, case in enumerate(CONV_CASES)
+] + [
+    pytest.param(*case, None, dtype, id=f"{name}-" + np.dtype(dtype).name)
+    for name, case in PHASE_CONV_CASES.items() for dtype in (np.float64, np.float32)
 ] + [
     pytest.param(*case, tile, dtype, id="x".join(map(str, case[0])) +
                  f"-k{case[2]}-s{case[3]}-p{case[4]}-{tile[1]} {tile[0]} per tile-"
@@ -98,9 +146,12 @@ def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias,
                                               dtype, monkeypatch):
     """Forward and backward against the 7-loop kernels, in float64 within
     1e-12 (forward) and 1e-10 (backward), in float32 within 1e-5 of the
-    float64 oracle on the same inputs."""
+    float64 oracle on the same inputs; ``dx`` is exactly 0 wherever the
+    oracle's is (input pixels no window reads, and phases without taps). A
+    tiled case checks that its tiles are the ones the conv builds."""
+    calls = _record_patch_tiles(monkeypatch)
     if tile is not None:
-        _set_tile(monkeypatch, shape, k, stride, pad, tile, dtype)
+        tiling = _set_tile(monkeypatch, shape, cout, k, stride, pad, tile, dtype)
     tol = 1e-10 if dtype == np.float64 else 1e-5
     fwd_tol = 1e-12 if dtype == np.float64 else 1e-5
     rng = np.random.default_rng(hash((shape, cout, k, stride, pad)) % 2**32)
@@ -123,10 +174,29 @@ def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias,
     assert dx.dtype == dtype and dw.dtype == dtype
     assert _scaled_error(dx, dx_ref) <= tol
     assert _scaled_error(dw, dw_ref) <= tol
+    assert not dx[dx_ref == 0].any()
     if bias:
         assert _scaled_error(db, dy.astype(np.float64).sum(axis=(0, 2, 3))) <= tol
     else:
         assert db is None
+    if tile is not None:
+        tiled = dy if tile[0].startswith("dy") else x
+        assert tiling in [args for a, args in calls if a is tiled]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_backward_tiles_only_dy(stride, monkeypatch):
+    """One conv backward builds one patch matrix, of ``dy``: ``_patch_tiles``
+    runs once, on ``dy``, and never on ``x``."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 3, 8, 8))
+    p = make_conv(3, 4, 3, stride=stride, dtype=np.float64)
+    msr_initialize(p, rng)
+    y, cache = conv2d_forward(x, p)
+    calls = _record_patch_tiles(monkeypatch)
+    dy = rng.normal(size=y.shape)
+    conv2d_backward(dy, cache)
+    assert [a is dy for a, _ in calls] == [True]
 
 
 def test_conv_rejects_bad_inputs():
@@ -362,6 +432,7 @@ READ_ONLY_CONVS = {
     "conv pointwise": (1, 1, 0, None),
     "conv 3x3 s1 p2 row bands": (3, 1, 2, ("rows", 4)),
     "conv 3x3 s2 p0 sample blocks": (3, 2, 0, ("samples", 2)),
+    "conv 3x3 s2 p1 dy row bands": (3, 2, 1, ("dy rows", 3)),  # grid 4: bands 3, 1
 }
 
 
@@ -372,7 +443,7 @@ def _read_only_kernel(name, rng, monkeypatch):
     if name.startswith("conv"):
         k, stride, pad, tile = READ_ONLY_CONVS[name]
         if tile is not None:
-            _set_tile(monkeypatch, x.shape, k, stride, pad, tile, x.dtype)
+            _set_tile(monkeypatch, x.shape, 6, k, stride, pad, tile, x.dtype)
         p = make_conv(4, 6, k, stride=stride, padding=pad, bias=True, dtype=np.float64)
         msr_initialize(p, rng)
         return x, lambda x: conv2d_forward(x, p), conv2d_backward
