@@ -74,11 +74,9 @@ def _shortcut(g: NetworkGraph, raw: str, preact: str, spec: UnitSpec, scope: str
     return g.add_conv(f"{scope}/shortcut", preact, proj)
 
 
-def make_basic_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
-                    dtype=DEFAULT_DTYPE) -> str:
+def _basic_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
+                dtype=DEFAULT_DTYPE) -> str:
     """BN-ReLU-conv3x3(stride s)-BN-ReLU-conv3x3 plus shortcut."""
-    if spec.variant != "basic":
-        raise ValueError(f"expected basic unit spec, got {spec.variant!r}")
     w = spec.widths[0]
     pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
     x = g.add_conv(f"{scope}/conv1", pre,
@@ -89,11 +87,9 @@ def make_basic_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
     return g.add_add(f"{scope}/add", x, sc)
 
 
-def make_bottleneck_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
-                         dtype=DEFAULT_DTYPE) -> str:
+def _bottleneck_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
+                     dtype=DEFAULT_DTYPE) -> str:
     """1x1 reduce, 3x3 (carrying the unit stride), 1x1 restore, plus shortcut."""
-    if spec.variant != "bottleneck":
-        raise ValueError(f"expected bottleneck unit spec, got {spec.variant!r}")
     w_reduce, w_mid, w_out = spec.widths
     pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
     x = g.add_conv(f"{scope}/conv1", pre,
@@ -107,12 +103,10 @@ def make_bottleneck_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
     return g.add_add(f"{scope}/add", x, sc)
 
 
-def make_residual_inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec,
-                                 scope: str, dtype=DEFAULT_DTYPE) -> str:
+def _inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
+                    dtype=DEFAULT_DTYPE) -> str:
     """Shared 1x1 (carrying the unit stride) feeding three branches of
     receptive extents 1/3/5, concatenated and projected back by a 1x1."""
-    if spec.variant != "inception":
-        raise ValueError(f"expected inception unit spec, got {spec.variant!r}")
     w_shared, w_b, w_c1, w_c2 = spec.widths
     pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
     shared = g.add_conv(f"{scope}/shared", pre,
@@ -137,9 +131,9 @@ def make_residual_inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec,
 
 
 _BUILDERS = {
-    "basic": make_basic_unit,
-    "bottleneck": make_bottleneck_unit,
-    "inception": make_residual_inception_unit,
+    "basic": _basic_unit,
+    "bottleneck": _bottleneck_unit,
+    "inception": _inception_unit,
 }
 
 

@@ -25,16 +25,13 @@ BUILTIN_NAMES = ("wrn-16-4", "wr-inception", "wr-inception-l2", "preact-resnet-1
 
 @dataclass
 class StageConfig:
+    """A run of units; only the first may downsample."""
+
     units: list[UnitSpec]
-    stage_stride: int = 1
 
     def __post_init__(self):
         if not self.units:
             raise ValueError("stage needs at least one unit")
-        if self.units[0].stride != self.stage_stride:
-            raise ValueError(
-                f"first unit stride {self.units[0].stride} must match "
-                f"stage_stride {self.stage_stride}")
         for i, u in enumerate(self.units[1:], start=1):
             if u.stride != 1:
                 raise ValueError(f"unit {i} must have stride 1 inside a stage")
@@ -68,7 +65,6 @@ class NetworkConfig:
             "num_classes": self.num_classes,
             "stages": [
                 {
-                    "stage_stride": s.stage_stride,
                     "units": [
                         {
                             "variant": u.variant,
@@ -86,13 +82,10 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
-        stages = [
-            StageConfig(
-                units=[UnitSpec(**u) for u in s["units"]],
-                stage_stride=s["stage_stride"],
-            )
-            for s in d["stages"]
-        ]
+        """The inverse of :meth:`to_dict`. A stage's keys other than
+        ``units`` (earlier versions also wrote a copy of the first unit's
+        stride) are ignored."""
+        stages = [StageConfig([UnitSpec(**u) for u in s["units"]]) for s in d["stages"]]
         cfg = cls(
             name=d["name"],
             input_shape=tuple(d["input_shape"]),
@@ -117,27 +110,27 @@ def builtin_config(name: str, num_classes: int = 10,
     """Canonical configurations of the built-in network family."""
     if name == "wrn-16-4":
         stages = [
-            StageConfig([_basic(16, 64), _basic(64, 64)], 1),
-            StageConfig([_basic(64, 128, 2), _basic(128, 128)], 2),
-            StageConfig([_basic(128, 256, 2), _basic(256, 256)], 2),
+            StageConfig([_basic(16, 64), _basic(64, 64)]),
+            StageConfig([_basic(64, 128, 2), _basic(128, 128)]),
+            StageConfig([_basic(128, 256, 2), _basic(256, 256)]),
         ]
         conv1 = (3, 16)
     elif name == "wr-inception":
         stages = [
-            StageConfig([_basic(16, 64), _basic(64, 64)], 1),
+            StageConfig([_basic(16, 64), _basic(64, 64)]),
             StageConfig(
                 [_basic(64, 128, 2),
-                 UnitSpec("inception", 128, (128, 64, 64, 128), 1, 128)], 2),
-            StageConfig([_basic(128, 256, 2), _basic(256, 256)], 2),
+                 UnitSpec("inception", 128, (128, 64, 64, 128), 1, 128)]),
+            StageConfig([_basic(128, 256, 2), _basic(256, 256)]),
         ]
         conv1 = (3, 16)
     elif name == "wr-inception-l2":
         stages = [
-            StageConfig([_basic(64, 64), _basic(64, 64)], 1),
+            StageConfig([_basic(64, 64), _basic(64, 64)]),
             StageConfig(
                 [_basic(64, 256, 2),
-                 UnitSpec("inception", 256, (256, 256, 128, 256), 1, 256)], 2),
-            StageConfig([_basic(256, 256, 2), _basic(256, 256)], 2),
+                 UnitSpec("inception", 256, (256, 256, 128, 256), 1, 256)]),
+            StageConfig([_basic(256, 256, 2), _basic(256, 256)]),
         ]
         conv1 = (3, 64)
     elif name == "preact-resnet-164":
@@ -146,7 +139,7 @@ def builtin_config(name: str, num_classes: int = 10,
         def stage(cin: int, internal: int, w: int, stride: int) -> StageConfig:
             units = [_bottleneck(cin, internal, w, stride)]
             units += [_bottleneck(w, internal, w) for _ in range(17)]
-            return StageConfig(units, stride)
+            return StageConfig(units)
 
         stages = [stage(16, 16, 64, 1), stage(64, 32, 128, 2), stage(128, 64, 256, 2)]
         conv1 = (3, 16)
@@ -190,20 +183,20 @@ class ExecutionResult:
 
 def execute(graph: NetworkGraph, x: np.ndarray, mode: str = "infer",
             labels: Optional[np.ndarray] = None) -> ExecutionResult:
-    """Run the classifier graph. Train mode with labels returns loss and
+    """Run the classifier graph. Train mode takes labels and returns loss and
     gradients for every parameter (the optimizer skips frozen ones); infer
-    mode uses running batch-norm statistics and computes no gradients."""
+    mode takes none, uses running batch-norm statistics and returns only
+    the logits."""
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "train" and labels is None:
-        raise ValueError("train mode requires labels")
-    want_grads = mode == "train"
-    result = graph.forward(x, mode=mode, keep_caches=want_grads)
-    logits = result[graph.output_name]
+    if mode == "infer":
+        if labels is not None:
+            raise ValueError("infer mode takes no labels")
+        return ExecutionResult(logits=graph.forward(x, mode="infer")[graph.output_name])
     if labels is None:
-        return ExecutionResult(logits=logits)
+        raise ValueError("train mode requires labels")
+    result = graph.forward(x, mode="train", keep_caches=True)
+    logits = result[graph.output_name]
     loss, dlogits = layers.softmax_cross_entropy(logits, labels)
-    if not want_grads:
-        return ExecutionResult(logits=logits, loss=loss)
     grads, _ = graph.backward(result, {graph.output_name: dlogits})
     return ExecutionResult(logits=logits, loss=loss, grads=grads)

@@ -1,10 +1,10 @@
 """Command-line front end: analyze, gradcheck, train, eval, detect-eval.
 
-Exit codes: 0 success, 1 check failure, 2 usage or input error, 3 numeric
-failure. Every command supports ``--json``. Precedence: built-in defaults,
-then flags, then config files (a recorded config wins so a run is
-reproducible from one file). ``WRINET_DATA_DIR`` supplies the default data
-directory.
+Exit codes: 0 success, 1 check failure, 2 usage or input error (every
+:class:`CliError`), 3 numeric failure. Every command supports ``--json``.
+Precedence: built-in defaults, then flags, then config files (a recorded
+config wins so a run, early stopping included, is reproducible from one
+file). ``WRINET_DATA_DIR`` supplies the default data directory.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import detection as det
 from .analysis import analyze
 from .blocks import UnitSpec
 from .builder import BUILTIN_NAMES, NetworkConfig, build_network, builtin_config
-from .gradcheck import run_suite
+from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .graph import load_checkpoint
 from .optim import LRSchedule, classification_defaults, evaluate_classifier, train_epochs
 from .tensor import NonFiniteError
@@ -38,9 +38,7 @@ DATA_DIR_ENV = "WRINET_DATA_DIR"
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage or input error; :func:`main` prints it and exits 2."""
 
 
 def _parse_shape(text: str) -> tuple[int, int, int]:
@@ -123,13 +121,13 @@ def cmd_gradcheck(args) -> int:
     if args.json:
         print(json.dumps([
             {"name": r.name, "max_rel_err": r.max_rel_err,
-             "tolerance": r.tolerance, "passed": r.passed}
+             "tolerance": DEFAULT_TOLERANCE, "passed": r.passed}
             for r in results
         ], indent=2))
     else:
         for r in results:
             print(f"{r.name:<24} max rel err {r.max_rel_err:.3e}  "
-                  f"{'PASS' if r.passed else 'FAIL'} (tol {r.tolerance:g})")
+                  f"{'PASS' if r.passed else 'FAIL'} (tol {DEFAULT_TOLERANCE:g})")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
@@ -207,7 +205,7 @@ def cmd_train(args) -> int:
         epochs=args.epochs, seed=args.seed, batch_size=args.batch_size,
         lr_initial=args.lr, augment=not args.no_augment,
         freeze=tuple(args.freeze or ()),
-        checkpoint_every=args.checkpoint_every)
+        checkpoint_every=args.checkpoint_every, stop_acc=args.stop_acc)
     if args.config:
         with _input_file(args.config, "run config"):
             overrides = _json_object(args.config)
@@ -225,11 +223,7 @@ def cmd_train(args) -> int:
         with _input_file(args.resume, "checkpoint"):
             load_checkpoint(graph, args.resume)
 
-    hooks = []
-    if args.stop_acc is not None:
-        hooks.append(lambda rec: rec.acc >= args.stop_acc)
-
-    log = train_epochs(graph, dataset, train_cfg, hooks=hooks, out_dir=args.out)
+    log = train_epochs(graph, dataset, train_cfg, out_dir=args.out)
 
     if args.out:
         run_record = {
@@ -394,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter-name prefix to freeze (repeatable)")
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--stop-acc", type=float,
-                   help="stop once train accuracy reaches this value")
+                   help="stop once train accuracy reaches this value (recorded in run.json)")
     p.add_argument("--out", help="output directory for log.csv/checkpoints/run.json")
     p.add_argument("--resume", help="checkpoint to load before training")
     p.add_argument("--json", action="store_true")
@@ -431,7 +425,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
     except NonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -3,7 +3,8 @@ label text parsing with difficulty bucketing.
 
 CIFAR-10 records are 3073 bytes (1 label byte + 3072 channel-planar RGB
 pixels, row-major 32x32); CIFAR-100 records are 3074 bytes (coarse then fine
-label byte). Pixels are scaled to [0, 1]; :func:`normalize_items` then
+label byte; the coarse byte is range-checked, and items carry the fine
+label). Pixels are scaled to [0, 1]; :func:`normalize_items` then
 applies per-channel statistics computed from a training split
 (:func:`channel_stats`).
 """
@@ -33,7 +34,6 @@ class DatasetFormatError(ValueError):
 class LabeledImage:
     image: np.ndarray  # (3, 32, 32) float32
     label: int
-    coarse_label: Optional[int] = None
 
 
 @dataclass
@@ -62,8 +62,8 @@ def read_cifar(paths: Iterable[str] | str, variant: str = "cifar10"
                ) -> list[LabeledImage]:
     """Decode CIFAR binary files into labeled images scaled to [0, 1].
 
-    Truncated files and out-of-range label bytes are rejected with their byte
-    offsets.
+    Empty files are rejected by name, and truncated files and out-of-range
+    label bytes (the CIFAR-100 coarse byte included) with their byte offsets.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
@@ -76,6 +76,8 @@ def read_cifar(paths: Iterable[str] | str, variant: str = "cifar10"
     items: list[LabeledImage] = []
     for path in paths:
         blob = np.fromfile(path, dtype=np.uint8)
+        if blob.size == 0:
+            raise DatasetFormatError(f"{path}: file holds no records")
         if blob.size % record != 0:
             raise DatasetFormatError(
                 f"{path}: size {blob.size} is not a multiple of the "
@@ -91,10 +93,8 @@ def read_cifar(paths: Iterable[str] | str, variant: str = "cifar10"
                 f"{i * record + byte}")
         images = rows[:, n_labels:].reshape(-1, *IMAGE_SHAPE).astype(np.float32)
         images /= 255.0
-        fine = labels[:, -1].tolist()
-        coarse = labels[:, 0].tolist() if n_labels == 2 else [None] * len(fine)
-        items.extend(LabeledImage(image=image, label=label, coarse_label=c)
-                     for image, label, c in zip(images, fine, coarse))
+        items.extend(LabeledImage(image=image, label=label)
+                     for image, label in zip(images, labels[:, -1].tolist()))
     return items
 
 

@@ -30,11 +30,10 @@ KINK_MARGIN = 2e-4
 MAX_REDRAWS = 64
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                   scale_floor: float = 1e-6) -> float:
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), scale_floor)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
     rel = np.abs(a - n) / scale
     return float(rel.max()) if rel.size else 0.0
 
@@ -64,11 +63,10 @@ def fd_gradients(f: Callable[[], float], arrays: Iterable[np.ndarray],
 class CheckResult:
     name: str
     max_rel_err: float
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
+        return self.max_rel_err < DEFAULT_TOLERANCE
 
 
 def _projection(y0: np.ndarray, rng) -> np.ndarray:
@@ -112,7 +110,7 @@ def _batch_norm_case(rng):
     p.gamma[...] = rng.normal(1.0, 0.2, size=4)
     p.beta[...] = rng.normal(0.0, 0.2, size=4)
     return _projected(
-        rng, lambda: layers.batch_norm_forward(x, p, mode="train", update_stats=False),
+        rng, lambda: layers.batch_norm_forward(x, p, mode="train"),
         layers.batch_norm_backward, [x, p.gamma, p.beta])
 
 
@@ -190,12 +188,10 @@ def _init_graph_params(g: NetworkGraph, rng: np.random.Generator) -> None:
 def _min_relu_input(g: NetworkGraph, x: np.ndarray) -> float:
     """Smallest |ReLU input| over the graph: each bn_relu's batch-norm output."""
     bn_relus = [node for node in g.nodes.values() if node.op == "bn_relu"]
-    outputs = g.forward(x, mode="train", update_stats=False,
-                        keep=[node.inputs[0] for node in bn_relus]).outputs
+    outputs = g.forward(x, mode="train", keep=[node.inputs[0] for node in bn_relus]).outputs
     margin = np.inf
     for node in bn_relus:
-        z = layers.batch_norm_forward(outputs[node.inputs[0]], node.bn,
-                                      mode="train", update_stats=False)[0]
+        z = layers.batch_norm_forward(outputs[node.inputs[0]], node.bn, mode="train")[0]
         margin = min(margin, float(np.abs(z).min()))
     return margin
 
@@ -217,10 +213,10 @@ def _graph_error(g: NetworkGraph, x: np.ndarray,
     """Worst relative error over every parameter and the input, for the scalar
     ``objective(graph output) -> (value, gradient)``."""
     def loss() -> float:
-        r = g.forward(x, mode="train", update_stats=False)
+        r = g.forward(x, mode="train")
         return objective(r.outputs[g.output_name])[0]
 
-    result = g.forward(x, mode="train", update_stats=False, keep_caches=True)
+    result = g.forward(x, mode="train", keep_caches=True)
     _, dout = objective(result.outputs[g.output_name])
     analytic, input_grad = g.backward(result, {g.output_name: dout})
     params = g.parameters()
@@ -235,16 +231,16 @@ def check_unit(spec: UnitSpec, seed: int = 0) -> float:
         return g, rng.normal(size=(2, spec.in_channels, 8, 8))
 
     g, x, rng = _kink_free(draw, seed)
-    first = g.forward(x, mode="train", update_stats=False)
+    first = g.forward(x, mode="train")
     proj = _projection(first.outputs[g.output_name], rng)
     return _graph_error(g, x, lambda y: (float(np.sum(y * proj)), proj))
 
 
 def miniature_config(num_classes: int = 4) -> NetworkConfig:
     stages = [
-        StageConfig([UnitSpec("basic", 4, (4, 4), 1, 4)], 1),
-        StageConfig([UnitSpec("inception", 4, (4, 3, 3, 4), 2, 4)], 2),
-        StageConfig([UnitSpec("bottleneck", 4, (2, 2, 6), 2, 6)], 2),
+        StageConfig([UnitSpec("basic", 4, (4, 4), 1, 4)]),
+        StageConfig([UnitSpec("inception", 4, (4, 3, 3, 4), 2, 4)]),
+        StageConfig([UnitSpec("bottleneck", 4, (2, 2, 6), 2, 6)]),
     ]
     return NetworkConfig(name="miniature", input_shape=(3, 8, 8), conv1=(3, 4),
                          stages=stages, num_classes=num_classes)

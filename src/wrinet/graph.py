@@ -35,11 +35,14 @@ CHECKPOINT_VERSION = 1
 
 
 class NodeNonFiniteError(tensor.NonFiniteError):
-    """NaN/Inf surfaced during evaluation; names the first offending node."""
+    """NaN/Inf surfaced during evaluation or training; names the first
+    offending node and, in training, the optimizer step."""
 
-    def __init__(self, node: str):
-        super().__init__(f"non-finite values first appear at node {node!r}")
+    def __init__(self, node: str, step: Optional[int] = None):
+        at = "" if step is None else f" (step {step})"
+        super().__init__(f"non-finite values first appear at node {node!r}{at}")
         self.node = node
+        self.step = step
 
 
 @dataclass
@@ -78,7 +81,7 @@ Shape = tuple[int, int, int]
 class Op:
     """What one node kind means.
 
-    ``forward(node, inputs, mode, update_stats)`` returns ``(y, cache)``,
+    ``forward(node, inputs, mode)`` returns ``(y, cache)``,
     the cache holding all that backward needs; ``backward(node, dy, cache)``
     returns one gradient per input, then one per ``params`` entry (the
     kernels' dx, dw, db order).
@@ -140,10 +143,9 @@ def _flatten_shape(node: Node, shapes: list[Shape]) -> Shape:
     return (node.channels, 1, 1)
 
 
-def _bn_relu_forward(node: Node, xs: list[np.ndarray], mode: str,
-                     update_stats: bool) -> tuple[np.ndarray, tuple]:
-    z, bn_cache = layers.batch_norm_forward(xs[0], node.bn, mode=mode,
-                                            update_stats=update_stats)
+def _bn_relu_forward(node: Node, xs: list[np.ndarray], mode: str
+                     ) -> tuple[np.ndarray, tuple]:
+    z, bn_cache = layers.batch_norm_forward(xs[0], node.bn, mode=mode)
     # z is the batch norm's fresh output, so the ReLU may clamp it in place;
     # the output doubles as the ReLU's cache
     y, relu_cache = layers.relu_forward(z)
@@ -301,11 +303,12 @@ class NetworkGraph:
 
     # -- evaluation ----------------------------------------------------------
 
-    def forward(self, x: np.ndarray, mode: str = "infer", update_stats: bool = True,
-                keep_caches: bool = False, check_finite: bool = False,
+    def forward(self, x: np.ndarray, mode: str = "infer", keep_caches: bool = False,
+                check_finite: bool = False,
                 keep: Optional[Iterable[str]] = None) -> ForwardResult:
         """Evaluate all nodes in topological order. ``mode`` is ``"train"``
-        (batch statistics) or ``"infer"`` (running statistics).
+        (batch statistics, folded into each batch norm's running statistics)
+        or ``"infer"`` (running statistics).
         ``keep`` names the outputs returned in ``outputs`` (default: the
         graph output; a name that is not a node is a ValueError). Every other
         output is dropped right after the last node that reads it has run,
@@ -345,8 +348,7 @@ class NetworkGraph:
             node = self.nodes[name]
             op = OPS[node.op]
             try:
-                y, cache = op.forward(node, [outputs[i] for i in node.inputs],
-                                      mode, update_stats)
+                y, cache = op.forward(node, [outputs[i] for i in node.inputs], mode)
             except tensor.NonFiniteError as exc:
                 raise NodeNonFiniteError(name) from exc
             if check_finite and not all(np.all(np.isfinite(a)) for a in (

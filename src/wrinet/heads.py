@@ -85,7 +85,7 @@ def detection_forward(backbone: NetworkGraph, head: DetectionHead, x: np.ndarray
             result[OFFSETS].reshape(n, -1, 4), result)
 
 
-def detection_backward(backbone: NetworkGraph, head: DetectionHead, caches: ForwardResult,
+def detection_backward(backbone: NetworkGraph, caches: ForwardResult,
                        grad_logits: np.ndarray, grad_offsets: np.ndarray
                        ) -> dict[str, np.ndarray]:
     """Map per-prior gradients back through the predictor convs and the

@@ -296,14 +296,16 @@ BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9  # EMA decay kept on the running statistics
 
 
-def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train",
-                       update_stats: bool = True) -> tuple[np.ndarray, tuple]:
+def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train"
+                       ) -> tuple[np.ndarray, tuple]:
     """Normalise ``x`` per channel and apply ``gamma`` and ``beta``. ``x`` is
     only read; ``y`` is always a fresh array, so a caller may overwrite it
-    in place. Train mode centres ``x`` once into a fresh ``xhat``, which the
-    cache keeps; infer mode applies the folded scale ``s = gamma * inv_std``
-    and shift ``t = beta - running_mean * s`` (Ioffe & Szegedy 2015) and
-    caches ``x`` itself, building ``xhat`` only if backward asks for it."""
+    in place. Train mode normalises by the batch statistics, which it also
+    folds into the running ones (it never reads them), and centres ``x``
+    once into a fresh ``xhat``, which the cache keeps; infer mode applies
+    the folded scale ``s = gamma * inv_std`` and shift
+    ``t = beta - running_mean * s`` (Ioffe & Szegedy 2015) and caches ``x``
+    itself, building ``xhat`` only if backward asks for it."""
     x = require_nchw(x, "batch_norm input")
     c = x.shape[1]
     if c != p.gamma.shape[0]:
@@ -315,9 +317,8 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train",
         mean = np.einsum("nchw->c", x) / m
         xhat = x - mean[:, None, None]
         var = np.einsum("nchw,nchw->c", xhat, xhat) / m  # biased (1/M)
-        if update_stats:
-            p.running_mean[...] = BN_MOMENTUM * p.running_mean + (1 - BN_MOMENTUM) * mean
-            p.running_var[...] = BN_MOMENTUM * p.running_var + (1 - BN_MOMENTUM) * var
+        p.running_mean[...] = BN_MOMENTUM * p.running_mean + (1 - BN_MOMENTUM) * mean
+        p.running_var[...] = BN_MOMENTUM * p.running_var + (1 - BN_MOMENTUM) * var
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std[:, None, None]
         y = xhat * p.gamma[:, None, None]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -64,12 +64,15 @@ class TrainConfig:
     freeze: tuple[str, ...] = ()
     augment: bool = True
     checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
+    stop_acc: Optional[float] = None  # stop after an epoch whose train accuracy reaches it
 
     def __post_init__(self):
         if self.lr_initial <= 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("rates must be positive (momentum/decay nonnegative)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.stop_acc is not None and not isinstance(self.stop_acc, (int, float)):
+            raise TypeError(f"stop_acc must be a number, got {self.stop_acc!r}")
 
 
 def classification_defaults(**overrides) -> TrainConfig:
@@ -87,7 +90,6 @@ def detection_defaults(**overrides) -> TrainConfig:
 @dataclass
 class OptimizerState:
     velocity: dict[str, np.ndarray]
-    step_count: int = 0
 
     @classmethod
     def for_parameters(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
@@ -114,17 +116,6 @@ def sgd_nesterov_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
         v *= momentum
         v += g
         w -= lr * (g + momentum * v)
-    state.step_count += 1
-
-
-class NonFiniteLossError(NonFiniteError):
-    """Training aborted on a NaN/Inf loss or gradient; carries the first
-    offending graph node."""
-
-    def __init__(self, node: str, step: int):
-        super().__init__(f"non-finite values first appear at node {node!r} (step {step})")
-        self.node = node
-        self.step = step
 
 
 def first_nonfinite_node(graph: NetworkGraph, x: np.ndarray, mode: str = "train",
@@ -132,11 +123,16 @@ def first_nonfinite_node(graph: NetworkGraph, x: np.ndarray, mode: str = "train"
     """The first node, in topological order, whose output, parameters or
     buffers hold a NaN/Inf on ``x``; failing that, the node of the first
     non-finite entry of ``grads`` (backward order, as :meth:`backward`
-    returns them); failing that, ``"loss"``."""
+    returns them); failing that, ``"loss"``. The graph's buffers are restored
+    after the diagnostic forward, so diagnosing changes no state."""
+    saved = [(b, b.copy()) for b in graph.buffers().values()]
     try:
-        graph.forward(x, mode=mode, update_stats=False, check_finite=True)
+        graph.forward(x, mode=mode, check_finite=True)
     except NodeNonFiniteError as exc:
         return exc.node
+    finally:
+        for b, copy in saved:
+            b[...] = copy
     bad = (name.rsplit("/", 1)[0] for name, g in (grads or {}).items()
            if not np.all(np.isfinite(g)))
     return next(bad, "loss")
@@ -169,13 +165,12 @@ class TrainingLog:
 
 
 def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
-                 config: TrainConfig,
-                 hooks: Optional[list[Callable[[EpochRecord], Optional[bool]]]] = None,
-                 out_dir: Optional[str] = None) -> TrainingLog:
+                 config: TrainConfig, out_dir: Optional[str] = None) -> TrainingLog:
     """Seeded epoch loop: shuffle, optional augmentation, Nesterov SGD steps,
-    per-epoch mean loss / train accuracy / last-step lr records. A hook returning True
-    stops training early. Checkpoints use the binary graph format. A NaN/Inf
-    loss or gradient raises :class:`NonFiniteLossError` before the update.
+    per-epoch mean loss / train accuracy / last-step lr records. Training
+    stops early after an epoch whose accuracy reaches ``config.stop_acc``.
+    Checkpoints use the binary graph format. A NaN/Inf loss or gradient
+    raises :class:`NodeNonFiniteError`, with the step, before the update.
     """
     images, labels = dataset.images, dataset.labels
     n = images.shape[0]
@@ -208,13 +203,12 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
             try:
                 result = execute(graph, batch, mode="train", labels=batch_labels)
             except NonFiniteError:
-                raise NonFiniteLossError(first_nonfinite_node(graph, batch), step)
-            if not np.isfinite(result.loss):
-                raise NonFiniteLossError(first_nonfinite_node(graph, batch), step)
-            if not all(np.all(np.isfinite(g)) for g in result.grads.values()):
-                raise NonFiniteLossError(
-                    first_nonfinite_node(graph, batch, grads=result.grads), step)
-            sgd_nesterov_step(params, result.grads, state, lr, config.momentum,
+                result = None
+            grads = None if result is None else result.grads
+            if grads is None or not (np.isfinite(result.loss) and all(
+                    np.all(np.isfinite(g)) for g in grads.values())):
+                raise NodeNonFiniteError(first_nonfinite_node(graph, batch, grads=grads), step)
+            sgd_nesterov_step(params, grads, state, lr, config.momentum,
                               config.weight_decay, config.freeze)
             losses.append(result.loss)
             correct += int((result.logits.argmax(axis=1) == batch_labels).sum())
@@ -224,11 +218,7 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
         log.epochs.append(record)
         if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
             checkpoint(f"epoch{epoch + 1}")
-        stop = False
-        for hook in hooks or []:
-            if hook(record):
-                stop = True
-        if stop:
+        if config.stop_acc is not None and record.acc >= config.stop_acc:
             break
     checkpoint("final")
     if out_dir:

@@ -160,8 +160,7 @@ def test_training_sanity_overfits_subset(tmp_path):
         probes.append([r.loss for r in log2.epochs])
     deterministic = probes[0] == probes[1]
 
-    log = train_epochs(graph, dataset, config,
-                       hooks=[lambda rec: rec.acc >= 0.996])
+    log = train_epochs(graph, dataset, dataclasses.replace(config, stop_acc=0.996))
     ok = deterministic and log.final_acc >= 0.99 and len(log.epochs) <= 200
     report("training sanity: 256-image overfit >= 99%", ok,
            f"acc={log.final_acc:.4f} after {len(log.epochs)} epochs, "

@@ -84,6 +84,13 @@ def test_train_mode_requires_labels():
         execute(g, x, mode="train")
 
 
+def test_infer_mode_takes_no_labels():
+    g = build_network(miniature_config(), seed=0)
+    x = np.zeros((2, 3, 8, 8), dtype=np.float32)
+    with pytest.raises(ValueError, match="infer mode takes no labels"):
+        execute(g, x, mode="infer", labels=np.array([0, 1]))
+
+
 def test_execute_rejects_wrong_input_channels():
     g = build_network(miniature_config(), seed=0)
     with pytest.raises(ShapeError):
@@ -109,9 +116,8 @@ def test_second_backward_on_one_result_says_so():
     g = build_network(miniature_config(), seed=0, dtype=np.float64)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
     dy = {g.output_name: np.ones((2, 4))}
-    want, want_dx = g.backward(g.forward(x, mode="train", update_stats=False,
-                                         keep_caches=True), dy)
-    result = g.forward(x, mode="train", update_stats=False, keep_caches=True)
+    want, want_dx = g.backward(g.forward(x, mode="train", keep_caches=True), dy)
+    result = g.forward(x, mode="train", keep_caches=True)
     got, got_dx = g.backward(result, dy)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[k], want[k]) for k in want)
@@ -239,7 +245,7 @@ def test_chaining_violation_reports_stage_index():
     cfg = builtin_config("wrn-16-4")
     cfg.stages[1] = StageConfig(
         [UnitSpec("basic", 32, (128, 128), 2, 128),
-         UnitSpec("basic", 128, (128, 128), 1, 128)], 2)
+         UnitSpec("basic", 128, (128, 128), 1, 128)])
     with pytest.raises(ShapeError, match="stage 1"):
         build_network(cfg, seed=0)
 
@@ -251,6 +257,23 @@ def test_config_json_round_trip():
     assert restored == cfg
     parsed = json.loads(text)
     assert parsed["conv1"]["out_channels"] == 64
+
+
+@pytest.mark.parametrize("name", ["wr-inception", "preact-resnet-164"])
+def test_config_with_recorded_stage_stride_still_loads(name):
+    """Earlier run.json files hold each stage's stride, a copy of its first
+    unit's; such a file loads and builds a bit-identical graph."""
+    cfg = builtin_config(name)
+    old = cfg.to_dict()
+    for stage in old["stages"]:
+        assert "stage_stride" not in stage
+        stage["stage_stride"] = stage["units"][0]["stride"]
+    restored = NetworkConfig.from_dict(json.loads(json.dumps(old)))
+    assert restored == cfg
+    want = build_network(cfg, seed=3).state_entries()
+    got = build_network(restored, seed=3).state_entries()
+    assert list(got) == list(want)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
 
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):

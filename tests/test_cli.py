@@ -291,6 +291,7 @@ def train_with_config(capsys, tmp_path, cifar_dir, record: dict, *flags):
     ({"freeze": "conv1/"}, "conv1/"),  # a string, not a list of prefixes
     ({"schedule": {"boundaries": "60"}}, "60"),
     ({"schedule": {"kind": "step"}}, "step"),
+    ({"stop_acc": "0.9"}, "0.9"),
 ])
 def test_bad_train_block_in_run_config_exits_2(tmp_path, cifar_dir, capsys, block, named):
     code, _, err = train_with_config(capsys, tmp_path, cifar_dir, {"train": block})
@@ -329,6 +330,41 @@ def test_run_json_alone_reproduces_the_train_config(tmp_path, cifar_dir, capsys)
                      "--out", str(second))
     assert code == 0
     assert json.loads((second / "run.json").read_text())["train"] == recorded
+
+
+def test_run_json_reproduces_an_early_stopped_run(tmp_path, cifar_dir, capsys):
+    net = mini_config_file(tmp_path)
+    common = ("train", "--net", net, "--data-dir", cifar_dir, "--subset", "16",
+              "--batch-size", "8", "--epochs", "4", "--json")
+    code, _, _ = run(capsys, *common, "--out", str(tmp_path / "full"))
+    assert code == 0
+    accs = [float(line.split(",")[4]) for line in
+            (tmp_path / "full" / "log.csv").read_text().strip().splitlines()[1:]]
+    stop_acc = accs[2]
+    first = tmp_path / "first"
+    code, out, _ = run(capsys, *common, "--stop-acc", str(stop_acc), "--out", str(first))
+    assert code == 0
+    epochs_run = json.loads(out)["epochs_run"]
+    assert epochs_run == 1 + next(i for i, acc in enumerate(accs) if acc >= stop_acc) < 4
+    assert json.loads((first / "run.json").read_text())["train"]["stop_acc"] == stop_acc
+    second = tmp_path / "second"
+    code, out, _ = run(capsys, "train", "--net", net, "--data-dir", cifar_dir,
+                       "--subset", "16", "--json", "--config", str(first / "run.json"),
+                       "--out", str(second))
+    assert code == 0
+    assert json.loads(out)["epochs_run"] == epochs_run
+    assert (second / "log.csv").read_bytes() == (first / "log.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, name", [("train", "data_batch_1.bin"),
+                                           ("eval", "test_batch.bin")])
+def test_empty_split_file_exits_2(cifar_dir, capsys, command, name):
+    path = os.path.join(cifar_dir, name)
+    open(path, "wb").close()
+    flags = ("--epochs", "0") if command == "train" else ()
+    code, _, err = run(capsys, command, "--net", "wrn-16-4", "--data-dir", cifar_dir, *flags)
+    assert code == 2
+    assert err.startswith("error:") and f"{path}: file holds no records" in err
 
 
 def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):

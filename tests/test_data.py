@@ -50,7 +50,20 @@ def test_cifar100_two_label_bytes(tmp_path):
     write_cifar(str(path), [((4, 42), pixels)], variant="cifar100")
     assert path.stat().st_size == CIFAR100_RECORD
     (item,) = read_cifar(str(path), variant="cifar100")
-    assert item.coarse_label == 4 and item.label == 42
+    assert item.label == 42
+    path.write_bytes(bytes(CIFAR100_RECORD) + bytes([20]) + bytes(CIFAR100_RECORD - 1))
+    with pytest.raises(DatasetFormatError, match=f"coarse label byte 20 >= 20 at offset "
+                                                 f"{CIFAR100_RECORD}$"):
+        read_cifar(str(path), variant="cifar100")
+
+
+@pytest.mark.parametrize("variant", ["cifar10", "cifar100"])
+def test_empty_file_is_named(tmp_path, variant):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    with pytest.raises(DatasetFormatError) as err:
+        read_cifar([str(path)], variant=variant)
+    assert str(err.value) == f"{path}: file holds no records"
 
 
 def test_truncated_file_names_record_size(tmp_path):

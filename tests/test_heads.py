@@ -14,8 +14,8 @@ from wrinet.optim import OptimizerState, sgd_nesterov_step
 
 def tiny_backbone(seed=0, dtype=np.float32):
     stages = [
-        StageConfig([UnitSpec("basic", 4, (4, 4), 1, 4)], 1),
-        StageConfig([UnitSpec("inception", 4, (4, 3, 3, 4), 2, 4)], 2),
+        StageConfig([UnitSpec("basic", 4, (4, 4), 1, 4)]),
+        StageConfig([UnitSpec("inception", 4, (4, 3, 3, 4), 2, 4)]),
     ]
     cfg = NetworkConfig(name="toy-det", input_shape=(3, 16, 16), conv1=(3, 4),
                         stages=stages, num_classes=4)
@@ -80,7 +80,7 @@ def test_head_gradients_match_finite_differences():
         return float(np.sum(logits * proj_l) + np.sum(offsets * proj_o))
 
     logits, offsets, caches = detection_forward(g, head, x, mode="train")
-    grads = detection_backward(g, head, caches, proj_l, proj_o)
+    grads = detection_backward(g, caches, proj_l, proj_o)
     arrays = {k: v for k, v in g.parameters().items() if k.startswith("head/map")}
     # spot-check head parameters and two backbone parameters
     check = dict(list(arrays.items())[:4])
@@ -122,7 +122,7 @@ def test_toy_detection_training_reduces_loss():
         logits, offsets, caches = detection_forward(g, head, batch, mode="train")
         loss, gl, go = detection_loss_batch(logits, offsets, head.priors,
                                             gt_boxes, gt_labels)
-        grads = detection_backward(g, head, caches, gl, go)
+        grads = detection_backward(g, caches, gl, go)
         sgd_nesterov_step(params, grads, state, lr=0.01, momentum=0.9,
                           weight_decay=0.0005)
         losses.append(loss)
@@ -153,7 +153,7 @@ def test_frozen_backbone_stays_untouched_through_detection_path():
         logits, offsets, caches = detection_forward(g, head, batch, mode="train")
         _, gl, go = detection_loss_batch(logits, offsets, head.priors, [boxes],
                                          [labels])
-        grads = detection_backward(g, head, caches, gl, go)
+        grads = detection_backward(g, caches, gl, go)
         sgd_nesterov_step(params, grads, state, 0.01, 0.9, 0.0, freeze=freeze)
     frozen_after = {k: v.tobytes() for k, v in params.items() if k.startswith(freeze)}
     assert frozen_before == frozen_after

@@ -168,6 +168,47 @@ def test_every_public_definition_is_read():
     assert unread_definitions(modules, readers) == sorted(UNREAD_ALLOWED)
 
 
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.Class.field`` for each field of a dataclass of ``modules``
+    (module name -> source) that no source of ``modules`` or ``readers``
+    loads as an attribute. Writes (``obj.field += 1``) and keyword arguments
+    are not reads; a read of a same-named attribute of any object is."""
+    read = {node.attr for source in [*modules.values(), *readers]
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, source in modules.items():
+        for cls in ast.parse(source).body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0] in ("dataclass", "dataclasses.dataclass")
+                    for d in cls.decorator_list):
+                unread += [f"{module}.{cls.name}.{f.target.id}" for f in cls.body
+                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                           and f.target.id not in read]
+    return sorted(unread)
+
+
+def test_field_scan_finds_unread_fields():
+    modules = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass(frozen=True)\nclass P:\n    x: int\n    count: int = 0\n"
+             "    tag: str = ''\n    def bump(self):\n        self.count += 1\n"
+             "@dataclass\nclass Q:\n    y: int\n"
+             "class Plain:\n    z: int\n"
+             "P(x=1, tag='t').x\n",
+    }
+    assert unread_fields(modules, []) == ["a.P.count", "a.P.tag", "a.Q.y"]
+    assert unread_fields(modules, ["q.y\n"]) == ["a.P.count", "a.P.tag"]
+
+
+def test_every_dataclass_field_is_read():
+    """A dataclass field that no program reads is state that only its
+    writers keep alive; delete it."""
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    readers = [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    assert unread_fields(modules, readers) == []
+
+
 def bench_record_problems(record: dict, benchmark: dict) -> list[str]:
     """Why a ``BENCH_*.json`` record cannot back a claim: missing ``env``; a
     workload or metric that ``benchmark`` (BENCHMARK.json) does not define,

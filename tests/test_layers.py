@@ -296,7 +296,7 @@ def _bn_relu_op(x, p, mode):
     """Forward and backward of the graph's ``bn_relu`` op; returns (y, the
     backward as a function of dy)."""
     node = Node("bn", "bn_relu", ["input"], bn=p, channels=p.gamma.shape[0])
-    y, cache = OPS["bn_relu"].forward(node, [x], mode, True)
+    y, cache = OPS["bn_relu"].forward(node, [x], mode)
     return y, lambda dy: OPS["bn_relu"].backward(node, dy, cache)
 
 

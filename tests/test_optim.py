@@ -5,7 +5,8 @@ from wrinet import data as data_io
 from wrinet import layers
 from wrinet.builder import build_network, execute
 from wrinet.gradcheck import miniature_config
-from wrinet.optim import (LRSchedule, NonFiniteLossError, OptimizerState,
+from wrinet.graph import NodeNonFiniteError
+from wrinet.optim import (LRSchedule, OptimizerState,
                           TrainConfig, classification_defaults,
                           detection_defaults, evaluate_classifier,
                           first_nonfinite_node, lr_at, sgd_nesterov_step,
@@ -170,7 +171,7 @@ def test_frozen_bytes_identical_across_run():
 def test_nonfinite_loss_aborts_with_node_name():
     g = build_network(miniature_config(), seed=3)
     g.nodes["stage2/unit0/shared"].conv.weights[...] = np.inf
-    with pytest.raises(NonFiniteLossError) as err:
+    with pytest.raises(NodeNonFiniteError) as err:
         train_epochs(g, tiny_dataset(), tiny_train_config(epochs=1))
     assert err.value.node != "loss"
     assert err.value.node in g.nodes
@@ -183,9 +184,11 @@ def test_nonfinite_gradient_aborts_before_the_update():
     the first step, names the node, and writes no NaN into other weights."""
     g = build_network(miniature_config(), seed=0)
     g.nodes["stage1/unit0/conv1"].conv.weights[0, 0, 0, 0] = np.nan
-    with pytest.raises(NonFiniteLossError) as err:
+    with pytest.raises(NodeNonFiniteError) as err:
         train_epochs(g, tiny_dataset(), tiny_train_config(epochs=1))
     assert (err.value.node, err.value.step) == ("stage1/unit0/conv1", 0)
+    assert str(err.value) == \
+        "non-finite values first appear at node 'stage1/unit0/conv1' (step 0)"
     assert [k for k, v in g.parameters().items()
             if not np.all(np.isfinite(v))] == ["stage1/unit0/conv1/weight"]
 
@@ -205,7 +208,7 @@ def test_nonfinite_gradient_of_finite_forward_names_its_node(monkeypatch):
 
     monkeypatch.setattr(layers, "conv2d_backward", nan_dw)
     before = {k: v.copy() for k, v in g.parameters().items()}
-    with pytest.raises(NonFiniteLossError) as err:
+    with pytest.raises(NodeNonFiniteError) as err:
         train_epochs(g, tiny_dataset(), tiny_train_config(epochs=1))
     assert (err.value.node, err.value.step) == ("stage2/unit0/b/conv", 0)
     assert all(np.array_equal(v, before[k]) for k, v in g.parameters().items())
@@ -217,6 +220,23 @@ def test_first_nonfinite_node_reports_topologically_first():
     g.nodes["stage2/unit0/shared"].conv.weights[...] = np.inf
     node = first_nonfinite_node(g, tiny_dataset().images[:4])
     assert node == "stage2/unit0/shared"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad, want", [(None, "loss"),
+                                       ("stage3/unit0/conv2", "stage3/unit0/conv2")])
+def test_train_mode_diagnosis_leaves_buffers_unchanged(bad, want):
+    """The diagnostic forward runs in train mode, which folds batch
+    statistics into the running ones; every buffer comes back byte for byte,
+    also when the pass stops part way, after some batch norms have run."""
+    g = build_network(miniature_config(), seed=3)
+    x = tiny_dataset().images[:4]
+    execute(g, x, mode="train", labels=np.arange(4))  # nontrivial running stats
+    if bad:
+        g.nodes[bad].conv.weights[...] = np.inf
+    before = {k: v.tobytes() for k, v in g.buffers().items()}
+    assert first_nonfinite_node(g, x) == want
+    assert {k: v.tobytes() for k, v in g.buffers().items()} == before
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -251,11 +271,18 @@ def test_iteration_schedule_records_each_epochs_last_step_lr():
     assert [r.lr for r in log.epochs] == [0.01 * 0.5, 0.01 * 0.5 ** 2, 0.01 * 0.5 ** 2]
 
 
-def test_early_stop_hook():
-    g = build_network(miniature_config(), seed=6)
-    log = train_epochs(g, tiny_dataset(), tiny_train_config(epochs=50),
-                       hooks=[lambda rec: rec.epoch >= 1])
-    assert len(log.epochs) == 2
+def test_stop_acc_ends_training_after_the_epoch_that_reaches_it():
+    full = train_epochs(build_network(miniature_config(), seed=6), tiny_dataset(),
+                        tiny_train_config(epochs=6))
+    accs = [r.acc for r in full.epochs]
+    stop_acc = accs[3]
+    first = next(i for i, acc in enumerate(accs) if acc >= stop_acc)
+    log = train_epochs(build_network(miniature_config(), seed=6), tiny_dataset(),
+                       tiny_train_config(epochs=6, stop_acc=stop_acc))
+    assert log.epochs == full.epochs[:first + 1]
+    one = train_epochs(build_network(miniature_config(), seed=6), tiny_dataset(),
+                       tiny_train_config(epochs=6, stop_acc=0.0))
+    assert len(one.epochs) == 1
 
 
 def test_evaluate_classifier_counts_correctly():
