@@ -56,8 +56,6 @@ class UnitSpec:
 
     @property
     def concat_width(self) -> int:
-        if self.variant != "inception":
-            raise ValueError("concat width is defined only for inception units")
         shared, branch_b, _, branch_c_out = self.widths
         return shared + branch_b + branch_c_out
 

@@ -1,7 +1,8 @@
 """Command-line front end: analyze, gradcheck, train, eval, detect-eval.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error (every
-:class:`CliError`), 3 numeric failure. Every command supports ``--json``.
+:class:`CliError`), 3 numeric failure (a :class:`NodeNonFiniteError`, which
+names the first node with a NaN or Inf). Every command supports ``--json``.
 Precedence: built-in defaults, then flags, then config files (a recorded
 config wins so a run, early stopping included, is reproducible from one
 file). ``WRINET_DATA_DIR`` supplies the default data directory.
@@ -25,9 +26,8 @@ from .analysis import analyze
 from .blocks import UnitSpec
 from .builder import BUILTIN_NAMES, NetworkConfig, build_network, builtin_config
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
-from .graph import load_checkpoint
+from .graph import NodeNonFiniteError, load_checkpoint
 from .optim import LRSchedule, classification_defaults, evaluate_classifier, train_epochs
-from .tensor import NonFiniteError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -158,13 +158,15 @@ def _split_paths(directory: str, dataset: str, split: str) -> list[str]:
 
 def _read_split(directory: str, dataset: str, split: str,
                 subset: int | None = None) -> list[data_io.LabeledImage]:
-    """The first ``subset`` images of a split (all when None); unreadable or
-    malformed files are a CliError naming the file."""
+    """The first ``subset`` images of a split (all when None); a nonpositive
+    ``subset`` and unreadable or malformed files are a CliError."""
+    if subset is not None and subset < 1:
+        raise CliError(f"--subset wants a positive image count, got {subset}")
     try:
         items = data_io.read_cifar(_split_paths(directory, dataset, split), variant=dataset)
     except (data_io.DatasetFormatError, OSError) as exc:
         raise CliError(f"unreadable data: {exc}") from exc
-    return items[:subset] if subset else items
+    return items[:subset]
 
 
 def _num_classes(dataset: str) -> int:
@@ -201,11 +203,14 @@ def cmd_train(args) -> int:
     num_classes = _num_classes(args.dataset)
     config = _resolve_config(args.net, num_classes, (3, 32, 32))
 
-    train_cfg = classification_defaults(
-        epochs=args.epochs, seed=args.seed, batch_size=args.batch_size,
-        lr_initial=args.lr, augment=not args.no_augment,
-        freeze=tuple(args.freeze or ()),
-        checkpoint_every=args.checkpoint_every, stop_acc=args.stop_acc)
+    try:
+        train_cfg = classification_defaults(
+            epochs=args.epochs, seed=args.seed, batch_size=args.batch_size,
+            lr_initial=args.lr, augment=not args.no_augment,
+            freeze=tuple(args.freeze or ()),
+            checkpoint_every=args.checkpoint_every, stop_acc=args.stop_acc)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if args.config:
         with _input_file(args.config, "run config"):
             overrides = _json_object(args.config)
@@ -426,7 +431,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonFiniteError as exc:
+    except NodeNonFiniteError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

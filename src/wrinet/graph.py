@@ -34,9 +34,10 @@ CHECKPOINT_MAGIC = b"WRIN"
 CHECKPOINT_VERSION = 1
 
 
-class NodeNonFiniteError(tensor.NonFiniteError):
-    """NaN/Inf surfaced during evaluation or training; names the first
-    offending node and, in training, the optimizer step."""
+class NodeNonFiniteError(FloatingPointError):
+    """The one non-finite failure: a NaN/Inf loss, gradient or logit found by
+    the trainer or evaluator, a checked forward, or a checkpoint load. Names
+    the first offending node and, in training, the optimizer step."""
 
     def __init__(self, node: str, step: Optional[int] = None):
         at = "" if step is None else f" (step {step})"
@@ -316,9 +317,10 @@ class NetworkGraph:
         ``keep_caches`` keeps every node's cache for one :meth:`backward`,
         which reads only caches and releases each once used; without it each
         cache is released before the next node runs.
-        ``check_finite`` validates every node's output, parameters and buffers
-        (a ReLU maps NaN to 0) and raises :class:`NodeNonFiniteError` at the
-        first offender (the diagnostic mode the trainer uses after a bad loss).
+        Without ``check_finite`` no value is scanned and NaN/Inf propagate.
+        With it, every node's output, parameters and buffers are checked (a
+        ReLU maps NaN to 0) and :class:`NodeNonFiniteError` is raised at the
+        first offender: the diagnostic pass of :func:`optim.first_nonfinite_node`.
 
         No node changes its inputs. A ``bn_relu`` output is also that node's
         backward cache, so callers must not write into returned outputs
@@ -347,10 +349,7 @@ class NetworkGraph:
         for name in self.order[1:]:
             node = self.nodes[name]
             op = OPS[node.op]
-            try:
-                y, cache = op.forward(node, [outputs[i] for i in node.inputs], mode)
-            except tensor.NonFiniteError as exc:
-                raise NodeNonFiniteError(name) from exc
+            y, cache = op.forward(node, [outputs[i] for i in node.inputs], mode)
             if check_finite and not all(np.all(np.isfinite(a)) for a in (
                     y, *op.params(node).values(), *op.buffers(node).values())):
                 raise NodeNonFiniteError(name)

@@ -22,7 +22,7 @@ import numpy as np
 from . import data as data_io
 from .builder import execute
 from .graph import NetworkGraph, NodeNonFiniteError, save_checkpoint
-from .tensor import NonFiniteError, ShapeError
+from .tensor import ShapeError
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,14 @@ class TrainConfig:
     stop_acc: Optional[float] = None  # stop after an epoch whose train accuracy reaches it
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "checkpoint_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.epochs < 0 or self.checkpoint_every < 0:
+            raise ValueError("epochs and checkpoint_every must be nonnegative")
+        if not isinstance(self.augment, bool):
+            raise TypeError(f"augment must be true or false, got {self.augment!r}")
         if self.lr_initial <= 0 or self.momentum < 0 or self.weight_decay < 0:
             raise ValueError("rates must be positive (momentum/decay nonnegative)")
         if self.batch_size < 1:
@@ -200,12 +208,9 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
             batch_labels = labels[idx]
             lr = lr_at(config.schedule, epoch if config.schedule.kind == "epoch" else step,
                        config.lr_initial)
-            try:
-                result = execute(graph, batch, mode="train", labels=batch_labels)
-            except NonFiniteError:
-                result = None
-            grads = None if result is None else result.grads
-            if grads is None or not (np.isfinite(result.loss) and all(
+            result = execute(graph, batch, mode="train", labels=batch_labels)
+            grads = result.grads
+            if not (np.isfinite(result.loss) and all(
                     np.all(np.isfinite(g)) for g in grads.values())):
                 raise NodeNonFiniteError(first_nonfinite_node(graph, batch, grads=grads), step)
             sgd_nesterov_step(params, grads, state, lr, config.momentum,
@@ -228,15 +233,15 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
 
 def evaluate_classifier(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
                         batch_size: int = 256) -> float:
-    """Top-1 accuracy in inference mode. A NaN/Inf that an op rejects raises
-    :class:`NodeNonFiniteError` naming the first node that holds or makes one."""
+    """Top-1 accuracy in inference mode. A NaN/Inf logit raises
+    :class:`NodeNonFiniteError` naming the first node that holds or makes a
+    NaN/Inf; one that a later ReLU clamps away leaves the logits finite."""
     images, labels = dataset.images, dataset.labels
     correct = 0
     for start in range(0, images.shape[0], batch_size):
         batch = images[start:start + batch_size]
-        try:
-            logits = execute(graph, batch, mode="infer").logits
-        except NonFiniteError:
+        logits = execute(graph, batch, mode="infer").logits
+        if not np.all(np.isfinite(logits)):
             raise NodeNonFiniteError(first_nonfinite_node(graph, batch, mode="infer"))
         correct += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
     return correct / images.shape[0]

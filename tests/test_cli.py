@@ -292,6 +292,12 @@ def train_with_config(capsys, tmp_path, cifar_dir, record: dict, *flags):
     ({"schedule": {"boundaries": "60"}}, "60"),
     ({"schedule": {"kind": "step"}}, "step"),
     ({"stop_acc": "0.9"}, "0.9"),
+    ({"epochs": "2"}, "epochs"),
+    ({"epochs": -1}, "epochs"),
+    ({"batch_size": 8.0}, "batch_size"),
+    ({"seed": True}, "seed"),
+    ({"checkpoint_every": -2}, "checkpoint_every"),
+    ({"augment": "no"}, "augment"),
 ])
 def test_bad_train_block_in_run_config_exits_2(tmp_path, cifar_dir, capsys, block, named):
     code, _, err = train_with_config(capsys, tmp_path, cifar_dir, {"train": block})
@@ -367,6 +373,25 @@ def test_empty_split_file_exits_2(cifar_dir, capsys, command, name):
     assert err.startswith("error:") and f"{path}: file holds no records" in err
 
 
+@pytest.mark.parametrize("subset", ["0", "-30"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_nonpositive_subset_exits_2(cifar_dir, capsys, command, subset):
+    flags = ("--epochs", "0") if command == "train" else ()
+    code, _, err = run(capsys, command, "--net", "wrn-16-4", "--data-dir", cifar_dir,
+                       "--subset", subset, *flags)
+    assert code == 2
+    assert err.startswith("error:") and f"positive image count, got {subset}" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--epochs", "-1"), ("--checkpoint-every", "-1"),
+                                         ("--batch-size", "0"), ("--lr", "0")])
+def test_bad_train_flag_exits_2(cifar_dir, capsys, flag, value):
+    code, _, err = run(capsys, "train", "--net", "wrn-16-4", "--data-dir", cifar_dir,
+                       "--subset", "16", flag, value)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):
     path = os.path.join(cifar_dir, "data_batch_1.bin")
     with open(path, "r+b") as fh:
@@ -403,6 +428,7 @@ def test_eval_nonfinite_checkpoint_exits_3(tmp_path, cifar_dir, capsys, node, co
     assert node in err
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nonfinite_training_exits_3(tmp_path, cifar_dir, capsys, monkeypatch):
     net = mini_config_file(tmp_path)
     import wrinet.cli as cli

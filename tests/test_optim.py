@@ -292,3 +292,13 @@ def test_evaluate_classifier_counts_correctly():
     logits = execute(g, ds.images, mode="infer").logits
     manual = float((logits.argmax(axis=1) == ds.labels).mean())
     assert acc == pytest.approx(manual)
+
+
+def test_nonfinite_logits_fail_evaluation_with_node_name():
+    """A NaN made after the last join reaches the logits: evaluation names
+    the node that makes it instead of scoring the NaN."""
+    g = build_network(miniature_config(), seed=7)
+    g.nodes["head/fc"].fc.bias[0] = np.nan
+    with pytest.raises(NodeNonFiniteError) as err:
+        evaluate_classifier(g, tiny_dataset(n=16))
+    assert err.value.node == "head/fc"

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrinet.graph import OPS
-from wrinet.tensor import (NonFiniteError, ShapeError, add_elementwise,
-                           concat_channels)
+from wrinet.tensor import ShapeError, add_elementwise, concat_channels
 
 
 def test_concat_sums_channels():
@@ -55,13 +54,6 @@ def test_add_identity_and_constant():
 def test_add_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
         add_elementwise(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 3)))
-
-
-def test_add_rejects_nonfinite():
-    a = np.zeros((1, 1, 1, 1))
-    b = np.full((1, 1, 1, 1), np.inf)
-    with pytest.raises(NonFiniteError):
-        add_elementwise(a, b)
 
 
 def test_add_commutes_against_scalar_loop():
