@@ -11,7 +11,7 @@ counts so the headline number isolates convolution cost.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from .blocks import UnitSpec, build_standalone_unit
@@ -44,19 +44,7 @@ class CostReport:
         return {
             "network": self.network,
             "input_shape": list(self.input_shape),
-            "per_node": [
-                {
-                    "name": n.name,
-                    "op": n.op,
-                    "param_count": n.param_count,
-                    "mac_count": n.mac_count,
-                    "elementwise_ops": n.elementwise_ops,
-                    "output_shape": list(n.output_shape),
-                    "receptive_field": n.receptive_field,
-                    "stride_product": n.stride_product,
-                }
-                for n in self.per_node
-            ],
+            "per_node": [asdict(n) for n in self.per_node],
             "totals": {
                 "params": self.total_params,
                 "macs": self.total_macs,
@@ -155,6 +143,6 @@ def analyze(graph: NetworkGraph, input_hw: Optional[tuple[int, int]] = None,
         per_node=per_node,
         total_params=total_params,
         total_macs=total_macs,
-        total_elementwise=sum(elementwise.values()),
+        total_elementwise=sum(n.elementwise_ops for n in per_node),
         comparisons=comp_records,
     )

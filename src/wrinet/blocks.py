@@ -21,6 +21,7 @@ from .layers import make_conv
 from .tensor import DEFAULT_DTYPE
 
 _WIDTH_COUNT = {"basic": 2, "bottleneck": 3, "inception": 4}
+_CHAIN_KERNELS = {"basic": (3, 3), "bottleneck": (1, 3, 1)}
 
 
 @dataclass
@@ -68,36 +69,25 @@ def _shortcut(g: NetworkGraph, raw: str, preact: str, spec: UnitSpec, scope: str
     if not spec.needs_projection():
         return raw
     proj = make_conv(spec.in_channels, spec.out_channels, kernel=1,
-                     stride=spec.stride, padding=0, dtype=dtype)
+                     stride=spec.stride, dtype=dtype)
     return g.add_conv(f"{scope}/shortcut", preact, proj)
 
 
-def _basic_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
+def _chain_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
                 dtype=DEFAULT_DTYPE) -> str:
-    """BN-ReLU-conv3x3(stride s)-BN-ReLU-conv3x3 plus shortcut."""
-    w = spec.widths[0]
-    pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
-    x = g.add_conv(f"{scope}/conv1", pre,
-                   make_conv(spec.in_channels, w, 3, stride=spec.stride, dtype=dtype))
-    x = g.add_bn_relu(f"{scope}/bn2", x, dtype)
-    x = g.add_conv(f"{scope}/conv2", x, make_conv(w, spec.out_channels, 3, dtype=dtype))
-    sc = _shortcut(g, inp, pre, spec, scope, dtype)
-    return g.add_add(f"{scope}/add", x, sc)
-
-
-def _bottleneck_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
-                     dtype=DEFAULT_DTYPE) -> str:
-    """1x1 reduce, 3x3 (carrying the unit stride), 1x1 restore, plus shortcut."""
-    w_reduce, w_mid, w_out = spec.widths
-    pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
-    x = g.add_conv(f"{scope}/conv1", pre,
-                   make_conv(spec.in_channels, w_reduce, 1, padding=0, dtype=dtype))
-    x = g.add_bn_relu(f"{scope}/bn2", x, dtype)
-    x = g.add_conv(f"{scope}/conv2", x,
-                   make_conv(w_reduce, w_mid, 3, stride=spec.stride, dtype=dtype))
-    x = g.add_bn_relu(f"{scope}/bn3", x, dtype)
-    x = g.add_conv(f"{scope}/conv3", x, make_conv(w_mid, w_out, 1, padding=0, dtype=dtype))
-    sc = _shortcut(g, inp, pre, spec, scope, dtype)
+    """BN-ReLU-conv once per width, with 3x3, 3x3 kernels (basic) or 1x1,
+    3x3, 1x1 (bottleneck); the first 3x3 carries the unit stride. Plus
+    shortcut, which projects the first pre-activation ``bn1``."""
+    kernels = _CHAIN_KERNELS[spec.variant]
+    strided = kernels.index(3)
+    x, c_in = inp, spec.in_channels
+    for i, (k, width) in enumerate(zip(kernels, spec.widths)):
+        x = g.add_bn_relu(f"{scope}/bn{i + 1}", x, dtype)
+        stride = spec.stride if i == strided else 1
+        x = g.add_conv(f"{scope}/conv{i + 1}", x,
+                       make_conv(c_in, width, k, stride=stride, dtype=dtype))
+        c_in = width
+    sc = _shortcut(g, inp, f"{scope}/bn1", spec, scope, dtype)
     return g.add_add(f"{scope}/add", x, sc)
 
 
@@ -109,7 +99,7 @@ def _inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
     pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
     shared = g.add_conv(f"{scope}/shared", pre,
                         make_conv(spec.in_channels, w_shared, 1, stride=spec.stride,
-                                  padding=0, dtype=dtype))
+                                  dtype=dtype))
 
     b = g.add_bn_relu(f"{scope}/b/bn", shared, dtype)
     b = g.add_conv(f"{scope}/b/conv", b, make_conv(w_shared, w_b, 3, dtype=dtype))
@@ -122,15 +112,14 @@ def _inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
     cat = g.add_concat(f"{scope}/concat", [shared, b, c])
     x = g.add_bn_relu(f"{scope}/proj/bn", cat, dtype)
     x = g.add_conv(f"{scope}/proj/conv", x,
-                   make_conv(spec.concat_width, spec.out_channels, 1, padding=0,
-                             dtype=dtype))
+                   make_conv(spec.concat_width, spec.out_channels, 1, dtype=dtype))
     sc = _shortcut(g, inp, pre, spec, scope, dtype)
     return g.add_add(f"{scope}/add", x, sc)
 
 
 _BUILDERS = {
-    "basic": _basic_unit,
-    "bottleneck": _bottleneck_unit,
+    "basic": _chain_unit,
+    "bottleneck": _chain_unit,
     "inception": _inception_unit,
 }
 

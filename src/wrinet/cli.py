@@ -262,6 +262,8 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise CliError(f"--seed wants a nonnegative integer, got {args.seed}")
     directory = _data_dir(args)
     num_classes = _num_classes(args.dataset)
     normalization = None

@@ -87,7 +87,8 @@ class Op:
     returns one gradient per input, then one per ``params`` entry (the
     kernels' dx, dw, db order).
     ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
-    ShapeError naming the node; ``window(node, input shape)`` gives the
+    ShapeError naming the node; ``NetworkGraph.forward`` applies it to every
+    node before any node runs. ``window(node, input shape)`` gives the
     (kernel, stride) step of the receptive-field recurrence. ``params`` and
     ``buffers(node)`` map entry names to arrays, registered as
     ``<node>/<entry>``. The defaults describe an op that keeps its input's
@@ -310,6 +311,11 @@ class NetworkGraph:
         """Evaluate all nodes in topological order. ``mode`` is ``"train"``
         (batch statistics, folded into each batch norm's running statistics)
         or ``"infer"`` (running statistics).
+        ``x`` must be (N, C, H, W) with the graph's input channels, and every
+        node's shape rule (:meth:`infer_shapes`) must accept its H x W: a
+        ShapeError naming the first node that does not comes before any node
+        runs, so a rejected input changes no state. The kernels check no
+        shapes of their own.
         ``keep`` names the outputs returned in ``outputs`` (default: the
         graph output; a name that is not a node is a ValueError). Every other
         output is dropped right after the last node that reads it has run,
@@ -331,11 +337,14 @@ class NetworkGraph:
         unknown = keep - self.nodes.keys()
         if unknown:
             raise ValueError(f"cannot keep unknown nodes {sorted(unknown)}")
-        x = tensor.require_nchw(x, "network input")
+        x = np.asarray(x)
+        if x.ndim != 4:
+            raise ShapeError(f"network input must be 4-D (N, C, H, W), got shape {x.shape}")
         if x.shape[1] != self.nodes[self.input_name].channels:
             raise ShapeError(
                 f"input has {x.shape[1]} channels, graph expects "
                 f"{self.nodes[self.input_name].channels}")
+        self.infer_shapes(x.shape[2:])
         last_reader = {name: name for name in self.order}  # unread: dies at once
         for name in self.order:
             for inp in self.nodes[name].inputs:

@@ -16,9 +16,12 @@ its input, sampled at the stride, and builds no patch matrix. Backward
 builds one patch matrix, of the zero-bordered ``dy`` over the stride-phase
 grid, with a window of ceil(k/s) taps a side (k x k at stride 1, 2 x 2 for a
 3x3 kernel at stride 2), and takes both ``dx`` and ``dw`` from each of its
-tiles; ``x`` is only copied by phase, never expanded into patches. Kernels
-are square, with padding below the kernel size so that every output window
-touches the input, which the backward's zero borders rely on. The
+tiles; ``x`` is only copied by phase, never expanded into patches.
+:class:`ConvParams` holds the conv's own invariants and refuses to be built
+without them: a stride of at least 1, a square kernel, and padding in
+[0, k), so that every output window touches the input, which the backward's
+zero borders rely on. The kernels check no shapes: they trust the graph,
+whose ``forward`` applies every node's shape rule before any node runs. The
 gradients are exact, which the test suite verifies against naive 7-loop
 kernels and central finite differences.
 """
@@ -30,17 +33,29 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import DEFAULT_DTYPE, ShapeError, require_nchw
+from .tensor import DEFAULT_DTYPE, ShapeError
 
 
 @dataclass
 class ConvParams:
-    """Cross-correlation weights (C_out, C_in, k_h, k_w) with optional bias."""
+    """Cross-correlation weights (C_out, C_in, k, k) with optional bias. The
+    kernel is square, the stride at least 1 and the padding in [0, k); any
+    other value is a ShapeError here, so no conv kernel meets one."""
 
     weights: np.ndarray
     bias: Optional[np.ndarray] = None
     stride: int = 1
     padding: int = 0
+
+    def __post_init__(self):
+        kh, kw = self.kernel
+        if kh != kw:
+            raise ShapeError(f"kernel must be square, got {kh}x{kw}")
+        if self.stride < 1:
+            raise ShapeError(f"stride must be positive, got {self.stride}")
+        if not 0 <= self.padding < kh:
+            raise ShapeError(f"padding {self.padding} must be nonnegative and less "
+                             f"than kernel {kh}")
 
     @property
     def out_channels(self) -> int:
@@ -171,38 +186,18 @@ def _phase_slices(stride: int, phases: int, offset: int, size: int, g0: int, cou
     return out
 
 
-def _check_conv(x: np.ndarray, p: ConvParams) -> tuple[int, int]:
-    if p.stride <= 0:
-        raise ShapeError(f"stride must be positive, got {p.stride}")
-    if p.padding < 0:
-        raise ShapeError(f"padding must be nonnegative, got {p.padding}")
-    if x.shape[1] != p.in_channels:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels, filters expect {p.in_channels}")
-    kh, kw = p.kernel
-    if kh != kw:
-        raise ShapeError(f"kernel must be square, got {kh}x{kw}")
-    if p.padding >= kh:
-        raise ShapeError(f"padding {p.padding} must be less than kernel {kh}")
-    h_out = conv_output_size(x.shape[2], kh, p.stride, p.padding)
-    w_out = conv_output_size(x.shape[3], kh, p.stride, p.padding)
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(
-            f"conv output size {h_out}x{w_out} < 1 for input {x.shape[2]}x{x.shape[3]}, "
-            f"kernel {kh}, stride {p.stride}, padding {p.padding}")
-    return h_out, w_out
-
-
 def conv2d_forward(x: np.ndarray, p: ConvParams) -> tuple[np.ndarray, tuple]:
     """Cross-correlate ``x`` with the filters; ``y`` is a fresh C-contiguous
     (N, C_out, H_out, W_out) array and the cache ``(x, p)``
     holds no patch matrix. The channel-major patch matrix is built one tile
     at a time (see ``_patch_tiles``), and each tile's per-sample GEMMs write
     straight into ``y``; a pointwise conv (1x1 without padding) multiplies
-    ``x``, sampled at the stride, and builds none."""
-    x = require_nchw(x, "conv input")
-    h_out, w_out = _check_conv(x, p)
-    n, c_in = x.shape[0], x.shape[1]
+    ``x``, sampled at the stride, and builds none. ``x`` must have
+    ``p.in_channels`` channels and give an output of at least 1x1, which
+    the graph's shape rules guarantee; ``p`` guarantees the rest."""
+    n, c_in, h, w = x.shape
+    h_out, w_out = (conv_output_size(size, p.kernel[0], p.stride, p.padding)
+                    for size in (h, w))
     w_mat = p.weights.reshape(p.out_channels, -1)
     if _is_pointwise(p):
         s = p.stride
@@ -239,7 +234,7 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
     phase, which is copied into a reused buffer (this order ran a tile's GEMM
     1.5-1.8x faster than its transpose for 16- and 64-channel inputs). Phases
     at or past ``k`` have no taps, so their ``dx`` is zero and they are
-    skipped. Padding below the kernel size, which the forward checks, makes
+    skipped. Padding below the kernel size, which ``ConvParams`` holds to, makes
     every output window touch the input; that is what keeps both zero
     borders of ``dy`` nonnegative. ``dx`` is a fresh
     C-contiguous NCHW array."""
@@ -306,10 +301,6 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train"
     the folded scale ``s = gamma * inv_std`` and shift
     ``t = beta - running_mean * s`` (Ioffe & Szegedy 2015) and caches ``x``
     itself, building ``xhat`` only if backward asks for it."""
-    x = require_nchw(x, "batch_norm input")
-    c = x.shape[1]
-    if c != p.gamma.shape[0]:
-        raise ShapeError(f"input has {c} channels, batch norm expects {p.gamma.shape[0]}")
     if mode == "train":
         m = x.shape[0] * x.shape[2] * x.shape[3]
         if m < 2:
@@ -377,7 +368,6 @@ def relu_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    x = require_nchw(x, "pool input")
     y = x.mean(axis=(2, 3), keepdims=True)
     return y, (x.shape,)
 
@@ -390,9 +380,6 @@ def global_avg_pool_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
 
 def fully_connected_forward(x: np.ndarray, p: FCParams) -> tuple[np.ndarray, tuple]:
     """x is (N, D_in); returns (N, D_out)."""
-    if x.ndim != 2 or x.shape[1] != p.weights.shape[1]:
-        raise ShapeError(
-            f"fully connected expects (N, {p.weights.shape[1]}), got {x.shape}")
     y = x @ p.weights.T + p.bias
     return y, (x, p)
 
@@ -417,14 +404,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood over the batch and its gradient
-    (softmax - one_hot) / N, computed with max-subtraction for stability."""
+    (softmax - one_hot) / N, computed with max-subtraction for stability.
+    ``logits`` is (N, K); ``labels`` must be N class indices in [0, K)."""
     logits = np.asarray(logits)
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be (N, K), got {logits.shape}")
     n, k = logits.shape
     if labels.shape != (n,):
-        raise ShapeError(f"labels must be ({n},), got {labels.shape}")
+        raise ValueError(f"labels must be ({n},), got {labels.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         bad = int(np.argmax((labels < 0) | (labels >= k)))
         raise ValueError(f"label {labels[bad]} at row {bad} outside [0, {k})")

@@ -71,8 +71,9 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 0 or self.checkpoint_every < 0:
-            raise ValueError("epochs and checkpoint_every must be nonnegative")
+        if min(self.epochs, self.seed, self.checkpoint_every) < 0:
+            raise ValueError("epochs, seed and checkpoint_every must be nonnegative, got "
+                             f"{self.epochs}, {self.seed} and {self.checkpoint_every}")
         if not isinstance(self.augment, bool):
             raise TypeError(f"augment must be true or false, got {self.augment!r}")
         if self.lr_initial <= 0 or self.momentum < 0 or self.weight_decay < 0:

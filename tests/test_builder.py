@@ -14,7 +14,8 @@ from wrinet.gradcheck import miniature_config
 from wrinet import graph as graph_module
 from wrinet import layers, tensor
 from wrinet.graph import NetworkGraph, load_checkpoint, save_checkpoint
-from wrinet.heads import build_detection_head
+from wrinet.heads import build_detection_head, detection_forward
+from wrinet.layers import make_conv
 from wrinet.tensor import ShapeError
 
 PARAM_WINDOWS = {
@@ -183,13 +184,58 @@ def test_empty_concat_rejected_when_added():
 
 def test_flatten_rejects_other_input_size():
     """A detection graph evaluated at a size it was not built for must fail
-    at the flatten node, not report a different prior count."""
+    at the flatten node, not report a different prior count, and a forward
+    must fail before any node runs: no batch-norm buffer moves."""
     g = build_network(miniature_config(), seed=0)
-    build_detection_head(g, ("stage1/unit0/add", "stage2/unit0/add"), (8, 8),
-                         num_classes=2, seed=0)
+    head = build_detection_head(g, ("stage1/unit0/add", "stage2/unit0/add"), (8, 8),
+                                num_classes=2, seed=0)
     assert g.infer_shapes((8, 8))["head/logits"] == (3 * 4 * (8 * 8 + 4 * 4), 1, 1)
     with pytest.raises(ShapeError, match="flatten 'head/map0/cls/flat'"):
         g.infer_shapes((16, 16))
+    before = {k: v.copy() for k, v in g.buffers().items()}
+    x = np.random.default_rng(0).normal(size=(2, 3, 16, 16)).astype(np.float32)
+    with pytest.raises(ShapeError, match="flatten 'head/map0/cls/flat'"):
+        detection_forward(g, head, x, mode="train")
+    assert all(np.array_equal(before[k], v) for k, v in g.buffers().items())
+
+
+def _strided_join(g: NetworkGraph) -> None:
+    pre = g.add_bn_relu("pre", "input")
+    a = g.add_conv("a", pre, make_conv(3, 4, 3, stride=2))
+    b = g.add_conv("b", pre, make_conv(3, 4, 3))
+    g.add_add("join", a, b)
+
+
+def _collapsing_conv(g: NetworkGraph) -> None:
+    pre = g.add_bn_relu("pre", "input")
+    g.add_conv("c", pre, make_conv(3, 4, 2))  # 2x2, padding 0
+
+
+@pytest.mark.parametrize("build, input_hw, match", [
+    pytest.param(lambda g: g.add_conv("c", "input", make_conv(4, 8, 3)), None,
+                 "'c' expects 4 input channels, node 'input' provides 3",
+                 id="conv-channels"),
+    pytest.param(lambda g: g.add_add("sum", g.add_conv("a", "input", make_conv(3, 4, 1)),
+                                     "input"),
+                 None, "add 'sum': channel mismatch 4 vs 3", id="add-channels"),
+    pytest.param(_strided_join, (8, 8), "add 'join': spatial mismatch", id="add-strides"),
+    pytest.param(_collapsing_conv, (1, 1), "'c' output collapses", id="conv-collapse"),
+])
+def test_graph_checks_shapes_before_any_node_runs(build, input_hw, match):
+    """Shapes are checked by the graph: channels when a node is added, and
+    spatial sizes by every node's shape rule at the start of forward, so a
+    bad input fails naming its node before any batch-norm buffer moves."""
+    g = NetworkGraph(3)
+    if input_hw is None:
+        with pytest.raises(ShapeError, match=match):
+            build(g)
+        return
+    build(g)
+    before = {k: v.copy() for k, v in g.buffers().items()}
+    x = np.random.default_rng(0).normal(size=(2, 3, *input_hw)).astype(np.float32)
+    with pytest.raises(ShapeError, match=match):
+        g.forward(x, mode="train")
+    assert all(np.array_equal(before[k], v) for k, v in g.buffers().items())
 
 
 def test_graph_looks_kernels_up_at_call_time(monkeypatch):

@@ -298,6 +298,7 @@ def train_with_config(capsys, tmp_path, cifar_dir, record: dict, *flags):
     ({"seed": True}, "seed"),
     ({"checkpoint_every": -2}, "checkpoint_every"),
     ({"augment": "no"}, "augment"),
+    ({"seed": -3}, "seed"),
 ])
 def test_bad_train_block_in_run_config_exits_2(tmp_path, cifar_dir, capsys, block, named):
     code, _, err = train_with_config(capsys, tmp_path, cifar_dir, {"train": block})
@@ -384,12 +385,20 @@ def test_nonpositive_subset_exits_2(cifar_dir, capsys, command, subset):
 
 
 @pytest.mark.parametrize("flag, value", [("--epochs", "-1"), ("--checkpoint-every", "-1"),
-                                         ("--batch-size", "0"), ("--lr", "0")])
+                                         ("--batch-size", "0"), ("--lr", "0"),
+                                         ("--seed", "-1")])
 def test_bad_train_flag_exits_2(cifar_dir, capsys, flag, value):
     code, _, err = run(capsys, "train", "--net", "wrn-16-4", "--data-dir", cifar_dir,
                        "--subset", "16", flag, value)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_negative_eval_seed_exits_2(cifar_dir, capsys):
+    code, _, err = run(capsys, "eval", "--net", "wrn-16-4", "--data-dir", cifar_dir,
+                       "--seed", "-1")
+    assert code == 2
+    assert err.startswith("error:") and "--seed" in err
 
 
 def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):

@@ -74,6 +74,42 @@ def test_compared_op_names_exist(path):
     assert op_names_compared((ROOT / path).read_text()) <= {*OPS, "input"}
 
 
+def shape_error_raisers(source: str) -> list[str]:
+    """The enclosing function of each ``raise ShapeError`` in ``source``, as
+    ``Class.method`` for a method and ``<module>`` outside any function."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None and \
+                    ast.unparse(child.exc).split("(")[0] == "ShapeError":
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_shape_error_scan_names_enclosing_functions():
+    source = ("class P:\n    def __post_init__(self):\n        if 1:\n"
+              "            raise ShapeError('a')\n"
+              "def f():\n    raise ShapeError\n    raise ValueError('b')\n"
+              "raise ShapeError(f'{1}')\n")
+    assert shape_error_raisers(source) == ["P.__post_init__", "f", "<module>"]
+
+
+def test_kernels_raise_no_shape_errors_of_their_own():
+    """The graph checks every shape before a kernel runs, so the kernel
+    modules raise ShapeError only for the conv's own invariants and for a
+    train-mode batch norm with fewer than two values per channel."""
+    raisers = [r for module in ("layers.py", "tensor.py")
+               for r in shape_error_raisers((SRC / module).read_text())]
+    assert sorted(set(raisers)) == ["ConvParams.__post_init__", "batch_norm_forward"]
+
+
 def names_read(tree: ast.AST) -> Counter:
     """How often each bare name is loaded in ``tree``."""
     return Counter(n.id for n in ast.walk(tree)

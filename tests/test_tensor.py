@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wrinet.graph import OPS
-from wrinet.tensor import ShapeError, add_elementwise, concat_channels
+from wrinet.tensor import add_elementwise, concat_channels
 
 
 def test_concat_sums_channels():
@@ -31,29 +30,12 @@ def test_concat_copies_values_in_order():
             assert np.all(out[n, c] == expected)
 
 
-def test_concat_rejects_mismatch_with_index():
-    a = np.zeros((1, 2, 4, 4))
-    bad = np.zeros((1, 2, 5, 4))
-    with pytest.raises(ShapeError, match=r"inputs\[1\]"):
-        concat_channels([a, bad])
-
-
-def test_concat_requires_at_least_one_input():
-    with pytest.raises(ShapeError):
-        concat_channels([])
-
-
 def test_add_identity_and_constant():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(1, 2, 2, 2))
     assert np.array_equal(add_elementwise(a, np.zeros_like(a)), a)
     ones = np.ones((1, 2, 2, 2))
     assert np.all(add_elementwise(ones, ones) == 2.0)
-
-
-def test_add_rejects_shape_mismatch():
-    with pytest.raises(ShapeError):
-        add_elementwise(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 3)))
 
 
 def test_add_commutes_against_scalar_loop():
