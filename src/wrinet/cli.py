@@ -83,6 +83,20 @@ def _resolve_config(net: str, num_classes: int,
         raise CliError(str(exc)) from exc
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError(f"--seed wants a nonnegative integer, got {seed}")
+
+
+def _check_classes(config: NetworkConfig, num_classes: int, dataset: str,
+                   source: str) -> None:
+    """The network must score every label of the dataset; ``source`` is
+    where its config came from (a ``--net`` file or a run config)."""
+    if config.num_classes < num_classes:
+        raise CliError(f"{source}: network {config.name!r} has {config.num_classes} "
+                       f"classes, {dataset} has {num_classes}")
+
+
 def _inception_comparisons(config: NetworkConfig) -> list[tuple[UnitSpec, UnitSpec]]:
     pairs = []
     for stage in config.stages:
@@ -117,6 +131,7 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gradcheck(args) -> int:
+    _check_seed(args.seed)
     results = run_suite(seed=args.seed)
     if args.json:
         print(json.dumps([
@@ -202,6 +217,7 @@ def cmd_train(args) -> int:
     directory = _data_dir(args)
     num_classes = _num_classes(args.dataset)
     config = _resolve_config(args.net, num_classes, (3, 32, 32))
+    source = args.net
 
     try:
         train_cfg = classification_defaults(
@@ -216,7 +232,9 @@ def cmd_train(args) -> int:
             overrides = _json_object(args.config)
             if "network" in overrides:
                 config = NetworkConfig.from_dict(overrides["network"])
+                source = args.config
             train_cfg = replace(train_cfg, **_train_fields(overrides.get("train", {})))
+    _check_classes(config, num_classes, args.dataset, source)
 
     raw_items = _read_split(directory, args.dataset, "train", args.subset)
     stats = data_io.channel_stats(raw_items)
@@ -262,8 +280,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    if args.seed < 0:
-        raise CliError(f"--seed wants a nonnegative integer, got {args.seed}")
+    _check_seed(args.seed)
     directory = _data_dir(args)
     num_classes = _num_classes(args.dataset)
     normalization = None
@@ -273,12 +290,15 @@ def cmd_eval(args) -> int:
             record = _json_object(args.config)
             if "network" in record:
                 config = NetworkConfig.from_dict(record["network"])
+                source = args.config
             if "normalization" in record:
                 normalization = (
                     np.array(record["normalization"]["mean"], dtype=np.float32),
                     np.array(record["normalization"]["std"], dtype=np.float32))
     if config is None:
         config = _resolve_config(args.net, num_classes, (3, 32, 32))
+        source = args.net
+    _check_classes(config, num_classes, args.dataset, source)
     if normalization is None:
         normalization = data_io.channel_stats(_read_split(directory, args.dataset, "train"))
 

@@ -5,7 +5,12 @@ A :class:`NetworkGraph` is a list of named layer nodes in construction
 output right after its last reader has run, so only the outputs a caller
 names in ``keep`` outlive the pass (memory sharing by liveness, Chen et al.
 2016, on a static DAG). Backward walks the order in reverse, accumulating
-gradients from the caches alone. Parameters live in a registry keyed by
+gradients from the caches and the outputs each op's backward reads. An output
+that its op can rebuild from its own cache (a ``bn_relu``'s) is not kept for
+backward: it is rebuilt once, when backward first reads it, and dropped after
+its producer's backward (the recompute half of Chen et al. 2016; Pleiss et
+al. 2017), so a kept pass holds one full-size array per ``bn_relu``, its
+normalised input. Parameters live in a registry keyed by
 hierarchical names (``stage1/unit0/conv1/weight``) so optimizers, freeze masks,
 and checkpoints all address the same namespace.
 
@@ -66,7 +71,8 @@ class Node:
 class ForwardResult:
     """What one :meth:`NetworkGraph.forward` leaves: the outputs it was asked
     to keep (every other output was dropped after its last reader ran), and
-    with ``keep_caches`` each node's backward cache."""
+    with ``keep_caches`` each node's backward cache, holding None in place
+    of each output that backward rebuilds (see :class:`Op`)."""
 
     outputs: dict[str, np.ndarray]
     caches: dict[str, tuple]
@@ -82,10 +88,18 @@ Shape = tuple[int, int, int]
 class Op:
     """What one node kind means.
 
-    ``forward(node, inputs, mode)`` returns ``(y, cache)``,
-    the cache holding all that backward needs; ``backward(node, dy, cache)``
-    returns one gradient per input, then one per ``params`` entry (the
-    kernels' dx, dw, db order).
+    ``forward(node, inputs, mode)`` returns ``(y, cache)``, the cache
+    holding all that backward needs; ``backward(node, dy, cache)`` returns
+    one gradient per input, then one per ``params`` entry (the kernels' dx,
+    dw, db order). ``reads(node)`` names the nodes whose outputs backward
+    reads (a conv's or fc's input, a ``bn_relu``'s own output for its ReLU
+    mask); the cache is then a tuple that starts with those outputs, in that
+    order. ``rebuild(node, cache)``, where set, gives the node's output
+    again, bit for bit, from the rest of its cache: a kept forward stores
+    None in the output's place in every cache, and backward rebuilds it for
+    the first node that reads it. ``batch_statistics`` marks an op that
+    normalises by per-channel statistics over N, H and W in train mode,
+    which needs N*H*W >= 2.
     ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
     ShapeError naming the node; ``NetworkGraph.forward`` applies it to every
     node before any node runs. ``window(node, input shape)`` gives the
@@ -106,6 +120,9 @@ class Op:
     window: Callable[[Node, Shape], tuple[int, int]] = lambda node, shape: (1, 1)
     params: Callable[[Node], dict[str, np.ndarray]] = lambda node: {}
     buffers: Callable[[Node], dict[str, np.ndarray]] = lambda node: {}
+    reads: Callable[[Node], list[str]] = lambda node: []
+    rebuild: Optional[Callable[[Node, object], np.ndarray]] = None
+    batch_statistics: bool = False
 
 
 def _conv_shape(node: Node, shapes: list[Shape]) -> Shape:
@@ -148,43 +165,46 @@ def _flatten_shape(node: Node, shapes: list[Shape]) -> Shape:
 def _bn_relu_forward(node: Node, xs: list[np.ndarray], mode: str
                      ) -> tuple[np.ndarray, tuple]:
     z, bn_cache = layers.batch_norm_forward(xs[0], node.bn, mode=mode)
-    # z is the batch norm's fresh output, so the ReLU may clamp it in place;
-    # the output doubles as the ReLU's cache
-    y, relu_cache = layers.relu_forward(z)
-    return y, (bn_cache, relu_cache)
+    # z is the batch norm's fresh output, so the ReLU may clamp it in place
+    y, _ = layers.relu_forward(z)
+    return y, (y, bn_cache)
 
 
 def _bn_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
-    bn_cache, relu_cache = cache
-    return layers.batch_norm_backward(layers.relu_backward(dy, relu_cache), bn_cache)
+    y, bn_cache = cache
+    return layers.batch_norm_backward(layers.relu_backward(dy, y), bn_cache)
 
 
 def _fc_forward(node: Node, xs: list[np.ndarray], *_) -> tuple[np.ndarray, tuple]:
     x = xs[0]
-    y, cache = layers.fully_connected_forward(x.reshape(x.shape[0], -1), node.fc)
-    return y, (cache, x.shape)
+    return layers.fully_connected_forward(x.reshape(x.shape[0], -1), node.fc)[0], (x,)
 
 
 def _fc_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
-    fc_cache, in_shape = cache
-    dx, dw, db = layers.fully_connected_backward(dy, fc_cache)
-    return dx.reshape(in_shape), dw, db
+    (x,) = cache
+    dx, dw, db = layers.fully_connected_backward(dy, (x.reshape(x.shape[0], -1), node.fc))
+    return dx.reshape(x.shape), dw, db
 
 
 OPS: dict[str, Op] = {
     "conv": Op(
+        # the kernel's cache is (x, params)
         forward=lambda n, xs, *_: layers.conv2d_forward(xs[0], n.conv),
         backward=lambda n, dy, cache: layers.conv2d_backward(dy, cache),
         shape=_conv_shape,
         window=lambda n, shape: (n.conv.kernel[0], n.conv.stride),
         params=lambda n: {k: v for k, v in (("weight", n.conv.weights),
-                                            ("bias", n.conv.bias)) if v is not None}),
+                                            ("bias", n.conv.bias)) if v is not None},
+        reads=lambda n: n.inputs),
     "bn_relu": Op(
         forward=_bn_relu_forward,
         backward=_bn_relu_backward,
         params=lambda n: {"gamma": n.bn.gamma, "beta": n.bn.beta},
         buffers=lambda n: {"running_mean": n.bn.running_mean,
-                           "running_var": n.bn.running_var}),
+                           "running_var": n.bn.running_var},
+        reads=lambda n: [n.name],
+        rebuild=lambda n, cache: layers.batch_norm_relu_recompute(cache[1]),
+        batch_statistics=True),
     "add": Op(
         forward=lambda n, xs, *_: (tensor.add_elementwise(xs[0], xs[1]), None),
         backward=lambda n, dy, cache: (dy, dy),
@@ -211,7 +231,8 @@ OPS: dict[str, Op] = {
         forward=_fc_forward,
         backward=_fc_backward,
         shape=_fc_shape,
-        params=lambda n: {"weight": n.fc.weights, "bias": n.fc.bias}),
+        params=lambda n: {"weight": n.fc.weights, "bias": n.fc.bias},
+        reads=lambda n: n.inputs),
 }
 
 
@@ -312,25 +333,32 @@ class NetworkGraph:
         (batch statistics, folded into each batch norm's running statistics)
         or ``"infer"`` (running statistics).
         ``x`` must be (N, C, H, W) with the graph's input channels, and every
-        node's shape rule (:meth:`infer_shapes`) must accept its H x W: a
-        ShapeError naming the first node that does not comes before any node
-        runs, so a rejected input changes no state. The kernels check no
+        node's shape rule (:meth:`infer_shapes`) must accept its H x W, and
+        in train mode every op with ``batch_statistics`` must see N*H*W >= 2:
+        a ShapeError naming the first node that does not comes before any
+        node runs, so a rejected input changes no state. The kernels check no
         shapes of their own.
         ``keep`` names the outputs returned in ``outputs`` (default: the
         graph output; a name that is not a node is a ValueError). Every other
         output is dropped right after the last node that reads it has run,
         or at once if none does, so the pass holds only live outputs.
         ``keep_caches`` keeps every node's cache for one :meth:`backward`,
-        which reads only caches and releases each once used; without it each
-        cache is released before the next node runs.
+        which releases each once used, together with the outputs named by
+        each op's ``reads``, except those whose op can ``rebuild`` them:
+        backward rebuilds those, so no ``bn_relu`` output outlives its last
+        forward reader. Without ``keep_caches`` each cache is released
+        before the next node runs.
         Without ``check_finite`` no value is scanned and NaN/Inf propagate.
         With it, every node's output, parameters and buffers are checked (a
         ReLU maps NaN to 0) and :class:`NodeNonFiniteError` is raised at the
         first offender: the diagnostic pass of :func:`optim.first_nonfinite_node`.
 
-        No node changes its inputs. A ``bn_relu`` output is also that node's
-        backward cache, so callers must not write into returned outputs
-        before :meth:`backward` has run."""
+        No node changes its inputs. Backward reads the arrays a kept pass
+        holds, so until :meth:`backward` has run, callers must not write into
+        ``x`` or into a returned output that a conv or fc reads and that no
+        ``bn_relu`` produced (a detection tap, the fc input), nor, in infer
+        mode, into a ``bn_relu``'s input. No cache holds any other output,
+        ``bn_relu`` outputs included."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         keep = {self.output_name} if keep is None else set(keep)
@@ -344,7 +372,17 @@ class NetworkGraph:
             raise ShapeError(
                 f"input has {x.shape[1]} channels, graph expects "
                 f"{self.nodes[self.input_name].channels}")
-        self.infer_shapes(x.shape[2:])
+        shapes = self.infer_shapes(x.shape[2:])
+        if mode == "train":
+            for name in self.order[1:]:
+                _, h, w = shapes[name]
+                if OPS[self.nodes[name].op].batch_statistics and x.shape[0] * h * w < 2:
+                    raise ShapeError(
+                        f"{self.nodes[name].op} {name!r} normalises over N*H*W = "
+                        f"{x.shape[0]}*{h}*{w} values per channel in train mode, "
+                        "which needs at least 2")
+        rebuildable = {name for name in self.order[1:]
+                       if OPS[self.nodes[name].op].rebuild is not None}
         last_reader = {name: name for name in self.order}  # unread: dies at once
         for name in self.order:
             for inp in self.nodes[name].inputs:
@@ -364,6 +402,11 @@ class NetworkGraph:
                 raise NodeNonFiniteError(name)
             outputs[name] = y
             if keep_caches:
+                reads = op.reads(node)
+                if reads:
+                    cache = (*(None if src in rebuildable else a
+                               for src, a in zip(reads, cache)),
+                             *cache[len(reads):])
                 caches[name] = cache
             del y, cache  # without keep_caches, a train-mode batch norm's xhat dies here
             for dead in dies_after.get(name, ()):
@@ -378,17 +421,29 @@ class NetworkGraph:
         respect to those nodes' outputs. ``result`` must come from a forward
         pass with ``keep_caches=True``. Each node's cache is released from
         ``result`` once its backward has run, so peak memory falls as the pass
-        proceeds and one forward result supports one backward. Returns
+        proceeds and one forward result supports one backward. An output the
+        forward did not keep for backward is rebuilt from its producer's cache
+        when the first node that reads it runs, and dropped after the
+        producer's backward, so each is rebuilt once. Returns
         (parameter gradients, input gradient). Gradients are accumulated
         without mutating shared arrays.
         """
         acc: dict[str, np.ndarray] = {}
+        rebuilt: dict[str, np.ndarray] = {}
 
         def contribute(name: str, g: np.ndarray) -> None:
             if name in acc:
                 acc[name] = acc[name] + g
             else:
                 acc[name] = g
+
+        def output(name: str, stored: Optional[np.ndarray]) -> np.ndarray:
+            if stored is not None:
+                return stored
+            if name not in rebuilt:
+                node = self.nodes[name]
+                rebuilt[name] = OPS[node.op].rebuild(node, result.caches[name])
+            return rebuilt[name]
 
         for name, g in out_grads.items():
             if name not in self.nodes:
@@ -404,7 +459,15 @@ class NetworkGraph:
                                  "pass made with keep_caches=True and runs once per pass")
             node = self.nodes[name]
             op = OPS[node.op]
-            grads = op.backward(node, acc.pop(name), result.caches.pop(name))
+            cache = result.caches[name]
+            reads = op.reads(node)
+            if reads:
+                cache = (*(output(src, a) for src, a in zip(reads, cache)),
+                         *cache[len(reads):])
+            del result.caches[name]
+            grads = op.backward(node, acc.pop(name), cache)
+            del cache  # a bn_relu's xhat dies here, its rebuilt output on the next line
+            rebuilt.pop(name, None)
             k = len(node.inputs)
             # zip stops at the node's entries: a conv without bias has no
             # "bias" entry and its kernel returns db=None.

@@ -5,7 +5,9 @@ and ``*_backward(dy, cache) -> grads``, operating on (N, C, H, W) numpy arrays.
 They read their array arguments without changing them, with one exception:
 ``relu_forward`` clamps its input in place, so it must be given an array its
 caller owns (``bn_relu`` gives it the batch norm's fresh output). Train-mode
-batch norm also updates its running statistics.
+batch norm also updates its running statistics, and
+``batch_norm_relu_recompute`` rebuilds a ``bn_relu`` output from the batch
+norm's cache, so a backward pass need not keep it.
 Convolution lowers to a channel-major patch matrix (im2col) of shape
 (C_in*k*k, N*H_out*W_out), built one tile at a time into one buffer per call
 (Jia et al. 2014): a tile is whole samples while one sample's patch matrix
@@ -312,18 +314,38 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train"
         p.running_var[...] = BN_MOMENTUM * p.running_var + (1 - BN_MOMENTUM) * var
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std[:, None, None]
-        y = xhat * p.gamma[:, None, None]
-        y += p.beta[:, None, None]
         cache = (xhat, inv_std, p, mode)
     elif mode == "infer":
         inv_std = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
-        scale = p.gamma * inv_std
-        y = x * scale[:, None, None]
-        y += (p.beta - p.running_mean * scale)[:, None, None]
         cache = (x, inv_std, p, mode)
     else:
         raise ValueError(f"unknown batch norm mode {mode!r}")
-    return y.astype(x.dtype, copy=False), cache
+    return _batch_norm_affine(cache), cache
+
+
+def _batch_norm_affine(cache: tuple) -> np.ndarray:
+    """The batch norm's output from its cache, in a fresh array of the
+    input's dtype (``xhat`` keeps it): ``xhat * gamma + beta`` in train mode,
+    ``x * s + t`` with the folded ``s`` and ``t`` in infer mode."""
+    saved, inv_std, p, mode = cache
+    if mode == "train":
+        scale, shift = p.gamma, p.beta
+    else:
+        scale = p.gamma * inv_std
+        shift = p.beta - p.running_mean * scale
+    y = saved * scale[:, None, None]
+    y += shift[:, None, None]
+    return y.astype(saved.dtype, copy=False)
+
+
+def batch_norm_relu_recompute(cache: tuple) -> np.ndarray:
+    """``relu(batch_norm_forward(x))`` rebuilt from the batch norm's cache
+    alone, bit for bit: the forward's own float ops in its order, so a
+    caller need not keep the output for the ReLU's backward or the next
+    layer's (recomputation, Chen et al. 2016; Pleiss et al. 2017)."""
+    y = _batch_norm_affine(cache)
+    np.fmax(y, 0, out=y)
+    return y
 
 
 def batch_norm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,56 @@ def test_flatten_rejects_other_input_size():
     with pytest.raises(ShapeError, match="flatten 'head/map0/cls/flat'"):
         detection_forward(g, head, x, mode="train")
     assert all(np.array_equal(before[k], v) for k, v in g.buffers().items())
+
+
+def test_train_batch_too_small_for_a_batch_norm_moves_no_buffer():
+    """A train-mode batch norm needs N*H*W >= 2 per channel: one sample
+    whose maps shrink to 1x1 fails before any node runs, naming the first
+    batch norm it is too small for, and moves no buffer. Inference runs,
+    and so does training on two samples."""
+    g = build_network(miniature_config(), seed=0)
+    x = np.random.default_rng(0).normal(size=(1, 3, 4, 4)).astype(np.float32)
+    shapes = g.infer_shapes((4, 4))
+    first = next(name for name in g.order
+                 if g.nodes[name].op == "bn_relu" and shapes[name][1:] == (1, 1))
+    before = {k: v.tobytes() for k, v in g.buffers().items()}
+    with pytest.raises(ShapeError, match=re.escape(f"bn_relu '{first}' normalises "
+                                                    "over N*H*W = 1*1*1")):
+        execute(g, x, mode="train", labels=np.zeros(1, dtype=np.int64))
+    assert {k: v.tobytes() for k, v in g.buffers().items()} == before
+    assert execute(g, x, mode="infer").logits.shape == (1, 4)
+    execute(g, np.concatenate([x, x]), mode="train", labels=np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_backward_rebuilds_each_bn_relu_output_once_bit_for_bit(monkeypatch, mode):
+    """No kept cache holds a ``bn_relu`` output: backward rebuilds each one
+    once per pass, when its first reader runs, equal bit for bit to the
+    forward's, also one read by two convs (``bn1`` by ``conv1`` and
+    ``shortcut``)."""
+    g = build_network(miniature_config(), seed=0, dtype=np.float64)
+    x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
+    bn_relus = {id(node.bn): name for name, node in g.nodes.items() if node.op == "bn_relu"}
+    readers = {name: sum(name in node.inputs for node in g.nodes.values() if node.op == "conv")
+               for name in bn_relus.values()}
+    assert max(readers.values()) == 2
+    rebuilt = []
+    recompute = layers.batch_norm_relu_recompute
+
+    def counting(cache):
+        y = recompute(cache)
+        rebuilt.append((bn_relus[id(cache[2])], y.tobytes()))
+        return y
+
+    monkeypatch.setattr(layers, "batch_norm_relu_recompute", counting)
+    for _ in range(2):
+        result = g.forward(x, mode=mode, keep_caches=True, keep=g.order)
+        assert rebuilt == []
+        forward = {name: result[name].tobytes() for name in bn_relus.values()}
+        g.backward(result, {g.output_name: np.ones_like(result[g.output_name])})
+        assert sorted(name for name, _ in rebuilt) == sorted(bn_relus.values())
+        assert all(forward[name] == y for name, y in rebuilt)
+        rebuilt.clear()
 
 
 def _strided_join(g: NetworkGraph) -> None:

@@ -401,6 +401,33 @@ def test_negative_eval_seed_exits_2(cifar_dir, capsys):
     assert err.startswith("error:") and "--seed" in err
 
 
+def test_negative_gradcheck_seed_exits_2(capsys):
+    code, _, err = run(capsys, "gradcheck", "--seed", "-1")
+    assert code == 2
+    assert err.startswith("error:") and "--seed" in err
+
+
+@pytest.mark.parametrize("source", ["--net", "--config"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_network_with_too_few_classes_exits_2(tmp_path, cifar_dir, capsys, command, source):
+    """A 4-class network cannot score CIFAR-10's labels: train and eval stop
+    before any step or batch, naming the file the network came from."""
+    from wrinet.gradcheck import miniature_config
+
+    network = miniature_config(num_classes=4).to_dict()
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network if source == "--net" else {"network": network}))
+    out_dir = tmp_path / "run"
+    argv = ["--net", str(path)] if source == "--net" else ["--net", "wrn-16-4",
+                                                           "--config", str(path)]
+    if command == "train":
+        argv += ["--epochs", "1", "--out", str(out_dir)]
+    code, _, err = run(capsys, command, *argv, "--data-dir", cifar_dir, "--subset", "16")
+    assert code == 2
+    assert err.startswith(f"error: {path}:") and "4 classes, cifar10 has 10" in err
+    assert not out_dir.exists()
+
+
 def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):
     path = os.path.join(cifar_dir, "data_batch_1.bin")
     with open(path, "r+b") as fh:

@@ -473,16 +473,43 @@ def test_kernels_only_read_their_arrays(name, monkeypatch):
 
 
 def test_train_mode_conv_caches_hold_only_their_input():
-    """No conv keeps a patch matrix for backward: the arrays in each conv
-    node's train-mode cache add up to its input's bytes."""
+    """No conv keeps a patch matrix for backward, nor an input that backward
+    rebuilds: a conv reading a ``bn_relu`` output caches no array, and every
+    other conv caches exactly its input."""
     g = build_network(miniature_config(), seed=0)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
     result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
     convs = [node for node in g.nodes.values() if node.op == "conv"]
     assert any(not layers._is_pointwise(node.conv) for node in convs)
+    rebuilt = [node for node in convs if g.nodes[node.inputs[0]].op == "bn_relu"]
+    assert 0 < len(rebuilt) < len(convs)
     for node in convs:
-        cached = sum(a.nbytes for a in _cached_arrays(result.caches[node.name]))
-        assert cached == result.outputs[node.inputs[0]].nbytes, node.name
+        cached = list(_cached_arrays(result.caches[node.name]))
+        if node in rebuilt:
+            assert cached == [], node.name
+        else:
+            assert [a.nbytes for a in cached] == [result.outputs[node.inputs[0]].nbytes]
+            assert cached[0] is result.outputs[node.inputs[0]], node.name
+
+
+def test_train_mode_caches_hold_one_full_size_array_per_bn_relu():
+    """After a kept train forward the caches hold, per ``bn_relu``, its
+    normalised input (its output's size) and per-channel ``inv_std``, and
+    the inputs of each conv and fc that no ``bn_relu`` produced; no
+    ``bn_relu`` output itself."""
+    g = build_network(miniature_config(), seed=0)
+    x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
+    result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
+    cached = {id(a): a for a in _cached_arrays(tuple(result.caches.values()))}
+    bn_relus = [node for node in g.nodes.values() if node.op == "bn_relu"]
+    kept_inputs = {node.inputs[0] for node in g.nodes.values()
+                   if node.op in ("conv", "fc") and g.nodes[node.inputs[0]].op != "bn_relu"}
+    assert kept_inputs >= {g.input_name}
+    want = sum(result.outputs[node.name].nbytes + node.bn.gamma.nbytes for node in bn_relus)
+    want += sum(result.outputs[name].nbytes for name in kept_inputs)
+    assert sum(a.nbytes for a in cached.values()) == want
+    assert not any(np.shares_memory(a, result.outputs[node.name])
+                   for a in cached.values() for node in bn_relus)
 
 
 # ---------------------------------------------------------------------------
