@@ -10,7 +10,11 @@ that its op can rebuild from its own cache (a ``bn_relu``'s) is not kept for
 backward: it is rebuilt once, when backward first reads it, and dropped after
 its producer's backward (the recompute half of Chen et al. 2016; Pleiss et
 al. 2017), so a kept pass holds one full-size array per ``bn_relu``, its
-normalised input. Parameters live in a registry keyed by
+normalised input. A ``bn_relu`` backward consumes both arrays it is handed,
+its rebuilt output and its ``xhat``: it writes its ReLU gradient into the
+one and its input gradient into the other, so it allocates nothing of its
+output's size (in-place activated batch norm, Rota Bulo et al. 2018).
+Parameters live in a registry keyed by
 hierarchical names (``stage1/unit0/conv1/weight``) so optimizers, freeze masks,
 and checkpoints all address the same namespace.
 
@@ -97,9 +101,12 @@ class Op:
     order. ``rebuild(node, cache)``, where set, gives the node's output
     again, bit for bit, from the rest of its cache: a kept forward stores
     None in the output's place in every cache, and backward rebuilds it for
-    the first node that reads it. ``batch_statistics`` marks an op that
-    normalises by per-channel statistics over N, H and W in train mode,
-    which needs N*H*W >= 2.
+    the first node that reads it. Backward runs every reader before the
+    producer, so a ``bn_relu`` backward consumes the rebuilt output it is
+    handed (it writes its ReLU gradient there) and, in train mode, its
+    cached ``xhat`` (it writes ``dx`` there). ``batch_statistics`` marks an
+    op that normalises by per-channel statistics over N, H and W in train
+    mode, which needs N*H*W >= 2.
     ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
     ShapeError naming the node; ``NetworkGraph.forward`` applies it to every
     node before any node runs. ``window(node, input shape)`` gives the
@@ -424,7 +431,9 @@ class NetworkGraph:
         proceeds and one forward result supports one backward. An output the
         forward did not keep for backward is rebuilt from its producer's cache
         when the first node that reads it runs, and dropped after the
-        producer's backward, so each is rebuilt once. Returns
+        producer's backward, so each is rebuilt once; a ``bn_relu``'s
+        backward, which runs after every reader's, consumes its rebuilt
+        output and its train-mode ``xhat`` in place. Returns
         (parameter gradients, input gradient). Gradients are accumulated
         without mutating shared arrays.
         """
@@ -466,7 +475,7 @@ class NetworkGraph:
                          *cache[len(reads):])
             del result.caches[name]
             grads = op.backward(node, acc.pop(name), cache)
-            del cache  # a bn_relu's xhat dies here, its rebuilt output on the next line
+            del cache  # a bn_relu's rebuilt output, now its dz, dies on the next line
             rebuilt.pop(name, None)
             k = len(node.inputs)
             # zip stops at the node's entries: a conv without bias has no

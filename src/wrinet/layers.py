@@ -2,9 +2,14 @@
 
 Every layer is a pair of functions, ``*_forward(x, params) -> (y, cache)``
 and ``*_backward(dy, cache) -> grads``, operating on (N, C, H, W) numpy arrays.
-They read their array arguments without changing them, with one exception:
-``relu_forward`` clamps its input in place, so it must be given an array its
-caller owns (``bn_relu`` gives it the batch norm's fresh output). Train-mode
+They read their array arguments without changing them, except for three
+arrays that their caller owns and hands over: ``relu_forward`` clamps its
+input in place (``bn_relu`` gives it the batch norm's fresh output),
+``relu_backward`` writes its result into the forward output ``y`` it is
+given, and train-mode ``batch_norm_backward`` writes ``dx`` into the cached
+``xhat``, so its cache serves one backward. ``bn_relu``'s backward thus
+allocates nothing of its output's size: the graph hands it an output rebuilt
+for it alone (in-place activated batch norm, Rota Bulo et al. 2018). Train-mode
 batch norm also updates its running statistics, and
 ``batch_norm_relu_recompute`` rebuilds a ``bn_relu`` output from the batch
 norm's cache, so a backward pass need not keep it.
@@ -18,7 +23,8 @@ its input, sampled at the stride, and builds no patch matrix. Backward
 builds one patch matrix, of the zero-bordered ``dy`` over the stride-phase
 grid, with a window of ceil(k/s) taps a side (k x k at stride 1, 2 x 2 for a
 3x3 kernel at stride 2), and takes both ``dx`` and ``dw`` from each of its
-tiles; ``x`` is only copied by phase, never expanded into patches.
+tiles; ``x`` is only copied by phase, never expanded into patches, and the
+tiles are sized by the larger of the two per-tile matrices.
 :class:`ConvParams` holds the conv's own invariants and refuses to be built
 without them: a stride of at least 1, a square kernel, and padding in
 [0, k), so that every output window touches the input, which the backward's
@@ -234,7 +240,10 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
     transposed and flipped into one row block per phase, times the tile, and
     ``dw`` by phase accumulates the tile times the transpose of ``x`` by
     phase, which is copied into a reused buffer (this order ran a tile's GEMM
-    1.5-1.8x faster than its transpose for 16- and 64-channel inputs). Phases
+    1.5-1.8x faster than its transpose for 16- and 64-channel inputs). A
+    tile holds as many samples or rows as the larger of those two matrices
+    fits in ``CONV_TILE_BYTES``: in a 1x1 320->128 conv the copy of ``x``
+    has 2.5x the rows of the patches of ``dy``. Phases
     at or past ``k`` have no taps, so their ``dx`` is zero and they are
     skipped. Padding below the kernel size, which ``ConvParams`` holds to, makes
     every output window touch the input; that is what keeps both zero
@@ -259,7 +268,7 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
     w_pad = np.zeros((c_out, c_in, s * u, s * u), dtype=p.weights.dtype)
     w_pad[:, :, :k, :k] = p.weights
     w_ph = w_pad.reshape(c_out, c_in, u, s, u, s)[taps].transpose(order).reshape(rows_x, rows_dy)
-    samples, rows = _tile_shape(n, rows_dy, grid_h, grid_w, dy.dtype.itemsize)
+    samples, rows = _tile_shape(n, max(rows_dy, rows_x), grid_h, grid_w, dy.dtype.itemsize)
     dx = (np.empty if phases == s else np.zeros)(x.shape, dtype=np.result_type(w_ph, dy))
     dw_ph = np.zeros((rows_dy, rows_x), dtype=np.result_type(dy, x))
     xs_buf = np.empty(rows_x * samples * rows * grid_w, dtype=x.dtype)
@@ -350,8 +359,11 @@ def batch_norm_relu_recompute(cache: tuple) -> np.ndarray:
 
 def batch_norm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dx, dgamma, dbeta); train mode includes the batch-statistic
-    terms. ``dy`` is only read. An infer-mode cache holds the forward's
-    input, which is centred here on the running mean."""
+    terms. ``dy`` is only read. A train-mode cache is consumed: ``dx`` is
+    computed in place in its ``xhat``, which ``dy`` must match in dtype (as
+    in the graph), so the cache serves one backward. An infer-mode cache
+    holds the forward's input, which is only read: it is centred here on the
+    running mean, and ``dx`` is a fresh array."""
     saved, inv_std, p, mode = cache
     xhat = saved if mode == "train" else (
         (saved - p.running_mean[:, None, None]) * inv_std[:, None, None])
@@ -361,7 +373,7 @@ def batch_norm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.nd
     if mode == "infer":
         return dy * g, dgamma, dbeta
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    dx = xhat * (-dgamma / m)[:, None, None]
+    dx = np.multiply(xhat, (-dgamma / m)[:, None, None], out=xhat)
     dx += dy
     dx -= (dbeta / m)[:, None, None]
     dx *= g
@@ -383,10 +395,12 @@ def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def relu_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``dy`` where the forward output is positive, else 0 (the subgradient
-    at exactly 0 is 0). The zeroing multiplies, so a non-finite ``dy`` at
-    ``y <= 0`` gives NaN rather than being masked: a bad gradient
-    propagates to where it can be localised."""
-    return dy * (y > 0)
+    at exactly 0 is 0), written into ``y`` and returned: ``y`` is consumed,
+    so the caller must own it and match ``dy``'s dtype, as ``bn_relu``'s
+    backward owns its rebuilt output; ``dy`` is only read. The zeroing
+    multiplies, so a non-finite ``dy`` at ``y <= 0`` gives NaN rather than
+    being masked: a bad gradient propagates to where it can be localised."""
+    return np.multiply(dy, y > 0, out=y)
 
 
 def global_avg_pool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:

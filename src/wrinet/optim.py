@@ -147,6 +147,16 @@ def first_nonfinite_node(graph: NetworkGraph, x: np.ndarray, mode: str = "train"
     return next(bad, "loss")
 
 
+def _check_labels(graph: NetworkGraph, labels: np.ndarray) -> None:
+    """Every label must be one of the network's classes, the output
+    node's channels; the first that is not is a ValueError."""
+    classes = graph.nodes[graph.output_name].channels
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} is not one of the {classes} classes "
+                         f"of network {graph.name!r}")
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -179,12 +189,14 @@ def train_epochs(graph: NetworkGraph, dataset: "data_io.ClassificationDataset",
     per-epoch mean loss / train accuracy / last-step lr records. Training
     stops early after an epoch whose accuracy reaches ``config.stop_acc``.
     Checkpoints use the binary graph format. A NaN/Inf loss or gradient
-    raises :class:`NodeNonFiniteError`, with the step, before the update.
+    raises :class:`NodeNonFiniteError`, with the step, before the update. A
+    label the network cannot predict is a ValueError before the first step.
     """
     images, labels = dataset.images, dataset.labels
     n = images.shape[0]
     if n == 0:
         raise ValueError("dataset is empty")
+    _check_labels(graph, labels)
     params = graph.parameters()
     state = OptimizerState.for_parameters(params)
     rng = np.random.default_rng(config.seed)
@@ -236,8 +248,10 @@ def evaluate_classifier(graph: NetworkGraph, dataset: "data_io.ClassificationDat
                         batch_size: int = 256) -> float:
     """Top-1 accuracy in inference mode. A NaN/Inf logit raises
     :class:`NodeNonFiniteError` naming the first node that holds or makes a
-    NaN/Inf; one that a later ReLU clamps away leaves the logits finite."""
+    NaN/Inf; one that a later ReLU clamps away leaves the logits finite. A
+    label the network cannot predict is a ValueError before any batch runs."""
     images, labels = dataset.images, dataset.labels
+    _check_labels(graph, labels)
     correct = 0
     for start in range(0, images.shape[0], batch_size):
         batch = images[start:start + batch_size]

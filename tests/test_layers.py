@@ -1,9 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import bn_relu_reference, naive_conv2d, naive_conv2d_backward
 from wrinet import gradcheck, layers
-from wrinet.builder import build_network
+from wrinet.builder import build_network, execute
 from wrinet.gradcheck import miniature_config
 from wrinet.graph import OPS, Node
 from wrinet.layers import (BatchNormParams, ConvParams, FCParams,
@@ -82,36 +85,42 @@ TILED_CONV_CASES = [
     (((5, 2, 9, 7), 3, 3, 2, 1, False), ("dy samples", 2), np.float32),  # blocks 2, 2, 1
     (((2, 2, 11, 8), 3, 3, 2, 1, True), ("dy rows", 4), np.float64),  # grid 6: bands 4, 2
     (((2, 2, 9, 9), 3, 5, 2, 2, False), ("dy rows", 2), np.float64),  # grid 5: bands 2, 2, 1
+    # a 1x1 6->2 conv: the copy of x by phase, not dy, sizes the tiles
+    (((5, 6, 5, 7), 2, 1, 1, 0, True), ("dy samples", 2), np.float64),  # blocks 2, 2, 1
 ]
 
 
 def _tiled_matrix(shape, cout, k, stride, pad, of):
-    """(rows, H, W) of the patch matrix a conv tiles: the forward's of ``x``
-    (``of == "x"``), C_in*k*k rows over the output; or the backward's of
-    ``dy`` (``of == "dy"``), C_out*u*u rows with u = ceil(k/stride) over the
-    phase grid, the grid rows q of the padded input rows s*q..s*q+s-1 that
-    hold input rows."""
+    """(rows, sizing rows, H, W) of the patch matrix a conv tiles: the
+    forward's of ``x`` (``of == "x"``), C_in*k*k rows over the output, its
+    tiles sized by those rows; or the backward's of ``dy`` (``of == "dy"``),
+    C_out*u*u rows with u = ceil(k/stride) over the phase grid, the grid
+    rows q of the padded input rows s*q..s*q+s-1 that hold input rows, its
+    tiles sized by the larger of those rows and the p*p*C_in rows of each
+    tile's copy of ``x`` by phase, p = min(stride, k)."""
     if of == "x":
-        return (shape[1] * k * k,
+        rows = shape[1] * k * k
+        return (rows, rows,
                 *(layers.conv_output_size(size, k, stride, pad) for size in shape[2:]))
-    u = -(-k // stride)
-    return (cout * u * u,
+    u, phases = -(-k // stride), min(stride, k)
+    return (cout * u * u, max(cout * u * u, phases * phases * shape[1]),
             *((pad + size - 1) // stride - pad // stride + 1 for size in shape[2:]))
 
 
 def _set_tile(monkeypatch, shape, cout, k, stride, pad, tile, dtype):
     """Set ``layers.CONV_TILE_BYTES`` to hold ``tile = (unit, count)``
     samples or rows of the case's patch matrix of ``x``, or, for units
-    ``"dy samples"`` and ``"dy rows"``, of ``dy``; check that the tiling is
+    ``"dy samples"`` and ``"dy rows"``, of ``dy``, each counted in the rows
+    that size its tiles (see ``_tiled_matrix``); check that the tiling is
     so, and return the ``(rows, H, W, samples, rows per tile)`` that the
     conv passes to ``_patch_tiles``."""
     unit, count = tile
     of = "dy" if unit.startswith("dy") else "x"
-    rows_k, h_out, w_out = _tiled_matrix(shape, cout, k, stride, pad, of)
-    row_bytes = rows_k * w_out * np.dtype(dtype).itemsize
+    rows_k, sizing, h_out, w_out = _tiled_matrix(shape, cout, k, stride, pad, of)
+    row_bytes = sizing * w_out * np.dtype(dtype).itemsize
     monkeypatch.setattr(layers, "CONV_TILE_BYTES",
                         count * row_bytes * (h_out if unit.endswith("samples") else 1))
-    tiling = layers._tile_shape(shape[0], rows_k, h_out, w_out, np.dtype(dtype).itemsize)
+    tiling = layers._tile_shape(shape[0], sizing, h_out, w_out, np.dtype(dtype).itemsize)
     assert tiling == ((count, h_out) if unit.endswith("samples") else (1, count))
     return (rows_k, h_out, w_out, *tiling)
 
@@ -289,10 +298,13 @@ def _scaled_error(got: np.ndarray, want: np.ndarray) -> float:
 
 def _bn_relu_op(x, p, mode):
     """Forward and backward of the graph's ``bn_relu`` op; returns (y, the
-    backward as a function of dy)."""
+    backward as a function of dy). The backward consumes the output it is
+    handed, so it gets one rebuilt from the cache, as ``graph.backward``
+    gives it, and ``y`` keeps its values."""
     node = Node("bn", "bn_relu", ["input"], bn=p, channels=p.gamma.shape[0])
-    y, cache = OPS["bn_relu"].forward(node, [x], mode)
-    return y, lambda dy: OPS["bn_relu"].backward(node, dy, cache)
+    op = OPS["bn_relu"]
+    y, cache = op.forward(node, [x], mode)
+    return y, lambda dy: op.backward(node, dy, (op.rebuild(node, cache), *cache[1:]))
 
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
@@ -341,13 +353,17 @@ def test_bn_relu_float32_error_against_float64(mean, bound):
 
 def test_relu_basics():
     """The forward clamps its argument in place and returns it twice: as
-    the output and as the backward cache."""
+    the output and as the backward cache. The backward consumes that cache,
+    writing its result there, and leaves ``dy`` unchanged."""
     x = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
     y, cache = relu_forward(x)
     assert y is x and cache is x
     assert np.array_equal(x.ravel(), [0.0, 0.0, 2.0])
     dy = np.array([5.0, 6.0, 7.0]).reshape(x.shape)
-    assert np.array_equal(relu_backward(dy, cache).ravel(), [0.0, 0.0, 7.0])
+    dx = relu_backward(dy, cache)
+    assert dx is cache
+    assert np.array_equal(dx.ravel(), [0.0, 0.0, 7.0])
+    assert np.array_equal(dy.ravel(), [5.0, 6.0, 7.0])
     positive = np.abs(np.random.default_rng(0).normal(size=(1, 2, 3, 3))) + 0.1
     assert np.array_equal(relu_forward(positive.copy())[0], positive)
 
@@ -452,20 +468,24 @@ def _read_only_kernel(name, rng, monkeypatch):
                                   "global_avg_pool", "fully_connected"])
 def test_kernels_only_read_their_arrays(name, monkeypatch):
     """``x``, ``dy`` and every array a cache holds are bitwise unchanged by
-    the forward and the backward, and conv's ``y`` and ``dx`` are
-    C-contiguous NCHW."""
+    the forward and the backward, except the one documented consumer: a
+    train-mode batch norm's backward writes ``dx`` into its cached
+    ``xhat``. Conv's ``y`` and ``dx`` are C-contiguous NCHW."""
     rng = np.random.default_rng(0)
     x, forward, backward = _read_only_kernel(name, rng, monkeypatch)
     x_bytes = x.tobytes()
     y, cache = forward(x)
     assert x.tobytes() == x_bytes
-    cached = list(_cached_arrays(cache))
+    consumed = cache[0] if name == "batch_norm train" else None
+    cached = [a for a in _cached_arrays(cache) if a is not consumed]
     cached_bytes = [a.tobytes() for a in cached]
     dy = rng.normal(size=y.shape)
     dy_bytes = dy.tobytes()
     dx = backward(dy, cache)
     assert x.tobytes() == x_bytes and dy.tobytes() == dy_bytes
     assert [a.tobytes() for a in cached] == cached_bytes
+    if consumed is not None:
+        assert dx[0] is consumed
     if name.startswith("conv"):
         dx = dx[0]
         assert y.ndim == 4 and y.shape[:2] == (3, 6) and y.flags.c_contiguous
@@ -510,6 +530,39 @@ def test_train_mode_caches_hold_one_full_size_array_per_bn_relu():
     assert sum(a.nbytes for a in cached.values()) == want
     assert not any(np.shares_memory(a, result.outputs[node.name])
                    for a in cached.values() for node in bn_relus)
+
+
+def test_bn_relu_backward_allocates_less_than_its_output(monkeypatch):
+    """In a kept float64 train step of the miniature net, each ``bn_relu``
+    backward writes its ReLU gradient into the rebuilt output it is handed
+    and ``dx`` into its ``xhat``: no call allocates as many bytes as its
+    output holds (a one-byte mask, per-channel sums and numpy's 8,192-element
+    ufunc buffers remain, so the input is large enough that the smallest
+    output, 2 channels at 16x16, holds 256 KiB; the largest call allocates
+    0.38x its output)."""
+    g = build_network(miniature_config(), seed=0, dtype=np.float64)
+    rng = np.random.default_rng(0)
+    x, labels = rng.normal(size=(64, 3, 64, 64)), rng.integers(0, 4, size=64)
+    op = OPS["bn_relu"]
+    calls = []
+
+    def measured(node, dy, cache):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        grads = op.backward(node, dy, cache)
+        calls.append((node.name, tracemalloc.get_traced_memory()[1] - before,
+                      cache[0].nbytes))
+        return grads
+
+    monkeypatch.setitem(OPS, "bn_relu", dataclasses.replace(op, backward=measured))
+    tracemalloc.start()
+    try:
+        execute(g, x, mode="train", labels=labels)
+    finally:
+        tracemalloc.stop()
+    assert sorted(name for name, *_ in calls) == sorted(
+        name for name, node in g.nodes.items() if node.op == "bn_relu")
+    assert all(peak < nbytes for _, peak, nbytes in calls), calls
 
 
 # ---------------------------------------------------------------------------

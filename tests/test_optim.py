@@ -302,3 +302,29 @@ def test_nonfinite_logits_fail_evaluation_with_node_name():
     with pytest.raises(NodeNonFiniteError) as err:
         evaluate_classifier(g, tiny_dataset(n=16))
     assert err.value.node == "head/fc"
+
+
+def _labels_past_four_classes():
+    ds = tiny_dataset(n=16, classes=5)
+    assert ds.labels.max() == 4
+    return ds
+
+
+def test_evaluate_classifier_rejects_labels_it_cannot_predict():
+    """A label at or past the network's class count is an error naming the
+    label and the count, not a silently lower accuracy."""
+    g = build_network(miniature_config(), seed=7)
+    with pytest.raises(ValueError, match="label 4 is not one of the 4 classes"):
+        evaluate_classifier(g, _labels_past_four_classes())
+
+
+def test_train_epochs_rejects_labels_it_cannot_predict_before_any_step(tmp_path):
+    """The trainer makes the evaluator's label check before its first step:
+    no parameter or buffer moves and no file is written."""
+    g = build_network(miniature_config(), seed=7)
+    before = {k: v.tobytes() for k, v in g.state_entries().items()}
+    with pytest.raises(ValueError, match="label 4 is not one of the 4 classes"):
+        train_epochs(g, _labels_past_four_classes(), tiny_train_config(),
+                     out_dir=str(tmp_path / "run"))
+    assert {k: v.tobytes() for k, v in g.state_entries().items()} == before
+    assert not (tmp_path / "run").exists()
