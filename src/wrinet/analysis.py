@@ -57,18 +57,18 @@ class CostReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
-        head = f"{'node':<42}{'op':<8}{'params':>12}{'macs':>16}{'out shape':>16}{'rf':>6}{'s':>4}"
+        head = f"{'node':<42}{'op':<12}{'params':>12}{'macs':>16}{'out shape':>16}{'rf':>6}{'s':>4}"
         lines = [f"network: {self.network}  input: {self.input_shape}", head,
                  "-" * len(head)]
         for n in self.per_node:
             shape = "x".join(str(d) for d in n.output_shape)
             lines.append(
-                f"{n.name:<42}{n.op:<8}{n.param_count:>12,}{n.mac_count:>16,}"
+                f"{n.name:<42}{n.op:<12}{n.param_count:>12,}{n.mac_count:>16,}"
                 f"{shape:>16}{n.receptive_field:>6}{n.stride_product:>4}")
         lines.append("-" * len(head))
         lines.append(
-            f"{'totals':<50}{self.total_params:>12,}{self.total_macs:>16,}")
-        lines.append(f"elementwise ops (bn_relu/pool/join): {self.total_elementwise:,}")
+            f"{'totals':<54}{self.total_params:>12,}{self.total_macs:>16,}")
+        lines.append(f"elementwise ops (norm/affine_relu/pool/join): {self.total_elementwise:,}")
         for c in self.comparisons:
             lines.append(
                 f"unit cost: {c['a']} = {c['macs_a']:,} MACs/position vs "

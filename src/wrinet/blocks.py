@@ -1,15 +1,22 @@
 """Pre-activation residual units: basic, bottleneck, and residual-inception.
 
-Every convolution is preceded by BN -> ReLU, one ``bn_relu`` graph node named
-``<scope>/bn<tag>``. A unit's shortcut is the raw input when neither channels
-nor resolution change; otherwise it is a strided 1x1 projection applied to the
-shared pre-activated input, which is the wide residual network convention
-this family follows.
+Every convolution is preceded by BN -> ReLU, added by
+:meth:`NetworkGraph.add_bn_relu` as an ``affine_relu`` node named
+``<scope>/bn<tag>`` that reads the ``<tensor>/norm`` node of its input; a
+tensor read by several pre-activations is normalised once. A unit's shortcut
+is the raw input when neither channels nor resolution change; otherwise it
+is a strided 1x1 projection applied to the shared pre-activated input, which
+is the wide residual network convention this family follows.
 
 The residual-inception unit shares one 1x1 convolution across three branches
 (the shared output itself, one 3x3, and a stacked 3x3 pair whose composite
-receptive field matches a 5x5), concatenates them, and projects the widened
-map back to the unit width with a 1x1 convolution before the shortcut add.
+receptive field matches a 5x5), joins them along channels, and projects the
+widened map back to the unit width with a 1x1 convolution before the
+shortcut add. The join is the projection's pre-activation ``proj/bn``, which
+reads the three branches' normalisations in that order: per-channel batch
+norm of a concat is the concat of per-branch batch norms, so ``shared`` is
+normalised once for ``b/bn``, ``c/bn1`` and ``proj/bn``, and no concatenated
+copy is made.
 """
 
 from __future__ import annotations
@@ -94,7 +101,8 @@ def _chain_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
 def _inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
                     dtype=DEFAULT_DTYPE) -> str:
     """Shared 1x1 (carrying the unit stride) feeding three branches of
-    receptive extents 1/3/5, concatenated and projected back by a 1x1."""
+    receptive extents 1/3/5, joined by the projection's pre-activation and
+    projected back by a 1x1."""
     w_shared, w_b, w_c1, w_c2 = spec.widths
     pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
     shared = g.add_conv(f"{scope}/shared", pre,
@@ -109,8 +117,7 @@ def _inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
     c = g.add_bn_relu(f"{scope}/c/bn2", c, dtype)
     c = g.add_conv(f"{scope}/c/conv2", c, make_conv(w_c1, w_c2, 3, dtype=dtype))
 
-    cat = g.add_concat(f"{scope}/concat", [shared, b, c])
-    x = g.add_bn_relu(f"{scope}/proj/bn", cat, dtype)
+    x = g.add_bn_relu(f"{scope}/proj/bn", [shared, b, c], dtype)
     x = g.add_conv(f"{scope}/proj/conv", x,
                    make_conv(spec.concat_width, spec.out_channels, 1, dtype=dtype))
     sc = _shortcut(g, inp, pre, spec, scope, dtype)
@@ -147,7 +154,7 @@ def effective_receptive_paths(spec: UnitSpec) -> set[int]:
     g, out = build_standalone_unit(flat)
     rf_map = g.receptive_field_map((64, 64))
     if spec.variant == "inception":
-        _, _, per_branch = rf_map["unit/concat"]
+        _, _, per_branch = rf_map["unit/proj/bn"]
     else:
         add_node = g.nodes[out]
         residual = add_node.inputs[0]  # conv path; inputs[1] is the shortcut

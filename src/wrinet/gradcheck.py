@@ -105,13 +105,25 @@ def _conv_case(rng):
 
 
 def _batch_norm_case(rng):
-    x = rng.normal(size=(3, 4, 5, 5)) * 2.0 + 0.3
-    p = layers.make_batch_norm(4, dtype=np.float64)
-    p.gamma[...] = rng.normal(1.0, 0.2, size=4)
-    p.beta[...] = rng.normal(0.0, 0.2, size=4)
-    return _projected(
-        rng, lambda: layers.batch_norm_forward(x, p, mode="train"),
-        layers.batch_norm_backward, [x, p.gamma, p.beta])
+    """Two tensors, each normalised by its batch statistics, joined along
+    channels by one affine: the batch norm of a concat, as it is split."""
+    xs = [rng.normal(size=(3, c, 5, 5)) * 2.0 + 0.3 for c in (4, 2)]
+    stats = tuple(layers.make_batch_norm(x.shape[1], dtype=np.float64) for x in xs)
+    p = layers.make_affine(stats, dtype=np.float64)
+    p.gamma[...] = rng.normal(1.0, 0.2, size=6)
+    p.beta[...] = rng.normal(0.0, 0.2, size=6)
+
+    def forward():
+        xhats, caches = zip(*(layers.batch_norm_forward(x, s, mode="train")
+                              for x, s in zip(xs, stats)))
+        return layers.affine_forward(xhats, p, "train"), (xhats, caches)
+
+    def backward(dy, cache):
+        xhats, caches = cache
+        dxhats, dgamma, dbeta = layers.affine_backward(dy.copy(), xhats, p, "train")
+        return (*map(layers.batch_norm_backward, dxhats, caches), dgamma, dbeta)
+
+    return _projected(rng, forward, backward, [*xs, p.gamma, p.beta])
 
 
 def _relu_case(rng):
@@ -180,18 +192,20 @@ def _init_graph_params(g: NetworkGraph, rng: np.random.Generator) -> None:
     for node in g.nodes.values():
         if node.params is not None:
             layers.msr_initialize(node.params, rng)
-        if node.bn is not None:
-            node.bn.gamma[...] = rng.normal(1.0, 0.1, size=node.bn.gamma.shape)
-            node.bn.beta[...] = rng.normal(0.0, 0.1, size=node.bn.beta.shape)
+        if node.affine is not None:
+            node.affine.gamma[...] = rng.normal(1.0, 0.1, size=node.affine.gamma.shape)
+            node.affine.beta[...] = rng.normal(0.0, 0.1, size=node.affine.beta.shape)
 
 
 def _min_relu_input(g: NetworkGraph, x: np.ndarray) -> float:
-    """Smallest |ReLU input| over the graph: each bn_relu's batch-norm output."""
-    bn_relus = [node for node in g.nodes.values() if node.op == "bn_relu"]
-    outputs = g.forward(x, mode="train", keep=[node.inputs[0] for node in bn_relus]).outputs
+    """Smallest |ReLU input| over the graph: each affine_relu's affine of
+    its normalised inputs."""
+    affines = [node for node in g.nodes.values() if node.op == "affine_relu"]
+    outputs = g.forward(x, mode="train",
+                        keep=[norm for node in affines for norm in node.inputs]).outputs
     margin = np.inf
-    for node in bn_relus:
-        z = layers.batch_norm_forward(outputs[node.inputs[0]], node.bn, mode="train")[0]
+    for node in affines:
+        z = layers.affine_forward([outputs[n] for n in node.inputs], node.affine, "train")
         margin = min(margin, float(np.abs(z).min()))
     return margin
 

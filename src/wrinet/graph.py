@@ -5,15 +5,25 @@ A :class:`NetworkGraph` is a list of named layer nodes in construction
 output right after its last reader has run, so only the outputs a caller
 names in ``keep`` outlive the pass (memory sharing by liveness, Chen et al.
 2016, on a static DAG). Backward walks the order in reverse, accumulating
-gradients from the caches and the outputs each op's backward reads. An output
-that its op can rebuild from its own cache (a ``bn_relu``'s) is not kept for
-backward: it is rebuilt once, when backward first reads it, and dropped after
-its producer's backward (the recompute half of Chen et al. 2016; Pleiss et
-al. 2017), so a kept pass holds one full-size array per ``bn_relu``, its
-normalised input. A ``bn_relu`` backward consumes both arrays it is handed,
-its rebuilt output and its ``xhat``: it writes its ReLU gradient into the
-one and its input gradient into the other, so it allocates nothing of its
-output's size (in-place activated batch norm, Rota Bulo et al. 2018).
+gradients from the caches and the outputs each op's backward reads.
+
+A pre-activation (batch norm, then ReLU) is two kinds of node. A ``norm``
+node normalises one tensor by its batch statistics and owns its running
+statistics; it is made once per tensor, by the first pre-activation that
+reads the tensor, and named ``<tensor>/norm``. An ``affine_relu`` node,
+one per consumer, applies its own ``gamma`` and ``beta`` and a ReLU to one
+or more normalised tensors joined along channels. So a tensor that feeds
+three pre-activations is normalised once, and the inception unit's
+projection reads its three normalised branches without a concat (Ioffe &
+Szegedy 2015; Pleiss et al. 2017). A kept pass holds one full-size array
+per ``norm``, its normalised output, which its consumers' backward read.
+An ``affine_relu`` output is not kept for backward: it is rebuilt once from
+its inputs, when backward first reads it, and dropped after its producer's
+backward (the recompute half of Chen et al. 2016). An ``affine_relu``
+backward writes its ReLU gradient and then its inputs' gradient into its
+rebuilt output, and a ``norm`` backward writes its input's gradient into
+its normalised output, so neither allocates an array of its output's size
+(in-place activated batch norm, Rota Bulo et al. 2018).
 Parameters live in a registry keyed by
 hierarchical names (``stage1/unit0/conv1/weight``) so optimizers, freeze masks,
 and checkpoints all address the same namespace.
@@ -36,7 +46,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import layers, tensor
-from .layers import BatchNormParams, ConvParams, FCParams
+from .layers import AffineParams, BatchNormParams, ConvParams, FCParams
 from .tensor import DEFAULT_DTYPE, ShapeError
 
 CHECKPOINT_MAGIC = b"WRIN"
@@ -61,14 +71,16 @@ class Node:
     op: str  # "input" or a key of OPS
     inputs: list[str]
     conv: Optional[ConvParams] = None
-    bn: Optional[BatchNormParams] = None
+    bn: Optional[BatchNormParams] = None  # a norm's running statistics
+    affine: Optional[AffineParams] = None
     fc: Optional[FCParams] = None
     channels: int = 0  # output channels (D_out for fc)
 
     @property
     def params(self):
-        """The node's parameter object (conv, bn or fc), or None."""
-        return next((p for p in (self.conv, self.bn, self.fc) if p is not None), None)
+        """The node's parameter object (conv, bn, affine or fc), or None."""
+        return next((p for p in (self.conv, self.bn, self.affine, self.fc)
+                     if p is not None), None)
 
 
 @dataclass
@@ -96,15 +108,17 @@ class Op:
     holding all that backward needs; ``backward(node, dy, cache)`` returns
     one gradient per input, then one per ``params`` entry (the kernels' dx,
     dw, db order). ``reads(node)`` names the nodes whose outputs backward
-    reads (a conv's or fc's input, a ``bn_relu``'s own output for its ReLU
-    mask); the cache is then a tuple that starts with those outputs, in that
-    order. ``rebuild(node, cache)``, where set, gives the node's output
+    reads (a conv's or fc's input, a ``norm``'s own normalised output, an
+    ``affine_relu``'s own output for its ReLU mask and its normalised
+    inputs); the cache is then a tuple that starts with those outputs, in
+    that order. ``rebuild(node, cache)``, where set, gives the node's output
     again, bit for bit, from the rest of its cache: a kept forward stores
     None in the output's place in every cache, and backward rebuilds it for
     the first node that reads it. Backward runs every reader before the
-    producer, so a ``bn_relu`` backward consumes the rebuilt output it is
-    handed (it writes its ReLU gradient there) and, in train mode, its
-    cached ``xhat`` (it writes ``dx`` there). ``batch_statistics`` marks an
+    producer, so an ``affine_relu`` backward consumes the rebuilt output it
+    is handed (it writes its gradients there) and, in train mode, a
+    ``norm`` backward consumes its normalised output (it writes ``dx``
+    there) after every consumer has read it. ``batch_statistics`` marks an
     op that normalises by per-channel statistics over N, H and W in train
     mode, which needs N*H*W >= 2.
     ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
@@ -169,17 +183,23 @@ def _flatten_shape(node: Node, shapes: list[Shape]) -> Shape:
     return (node.channels, 1, 1)
 
 
-def _bn_relu_forward(node: Node, xs: list[np.ndarray], mode: str
-                     ) -> tuple[np.ndarray, tuple]:
-    z, bn_cache = layers.batch_norm_forward(xs[0], node.bn, mode=mode)
-    # z is the batch norm's fresh output, so the ReLU may clamp it in place
-    y, _ = layers.relu_forward(z)
-    return y, (y, bn_cache)
+def _affine_relu_forward(node: Node, parts: list[np.ndarray], mode: str
+                         ) -> tuple[np.ndarray, tuple]:
+    # the affine's output is fresh, so the ReLU may clamp it in place
+    y, _ = layers.relu_forward(layers.affine_forward(parts, node.affine, mode))
+    return y, (y, *parts, mode)
 
 
-def _bn_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
-    y, bn_cache = cache
-    return layers.batch_norm_backward(layers.relu_backward(dy, y), bn_cache)
+def _affine_relu_rebuild(node: Node, cache: tuple) -> np.ndarray:
+    *parts, mode = cache[1:]
+    return layers.relu_forward(layers.affine_forward(parts, node.affine, mode))[0]
+
+
+def _affine_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
+    y, *parts, mode = cache
+    dparts, dgamma, dbeta = layers.affine_backward(layers.relu_backward(dy, y), parts,
+                                                   node.affine, mode)
+    return (*dparts, dgamma, dbeta)
 
 
 def _fc_forward(node: Node, xs: list[np.ndarray], *_) -> tuple[np.ndarray, tuple]:
@@ -203,15 +223,21 @@ OPS: dict[str, Op] = {
         params=lambda n: {k: v for k, v in (("weight", n.conv.weights),
                                             ("bias", n.conv.bias)) if v is not None},
         reads=lambda n: n.inputs),
-    "bn_relu": Op(
-        forward=_bn_relu_forward,
-        backward=_bn_relu_backward,
-        params=lambda n: {"gamma": n.bn.gamma, "beta": n.bn.beta},
+    "norm": Op(
+        # the kernel's cache is (output, inv_std)
+        forward=lambda n, xs, mode: layers.batch_norm_forward(xs[0], n.bn, mode),
+        backward=lambda n, dy, cache: (layers.batch_norm_backward(dy, cache),),
         buffers=lambda n: {"running_mean": n.bn.running_mean,
                            "running_var": n.bn.running_var},
         reads=lambda n: [n.name],
-        rebuild=lambda n, cache: layers.batch_norm_relu_recompute(cache[1]),
         batch_statistics=True),
+    "affine_relu": Op(
+        forward=_affine_relu_forward,
+        backward=_affine_relu_backward,
+        shape=_join_shape,
+        params=lambda n: {"gamma": n.affine.gamma, "beta": n.affine.beta},
+        reads=lambda n: [n.name, *n.inputs],
+        rebuild=_affine_relu_rebuild),
     "add": Op(
         forward=lambda n, xs, *_: (tensor.add_elementwise(xs[0], xs[1]), None),
         backward=lambda n, dy, cache: (dy, dy),
@@ -243,6 +269,23 @@ OPS: dict[str, Op] = {
 }
 
 
+@dataclass
+class _Plan:
+    """What :meth:`NetworkGraph.forward` plans from the graph alone, cached
+    on the graph until it changes: per node the outputs its backward reads
+    (``steps``), its last reader, the outputs backward
+    rebuilds and the nodes that take batch statistics; and, filled as they
+    are asked for, the shapes per input H x W and the outputs that die
+    after each step per ``keep`` set."""
+
+    steps: list[tuple[str, Node, list[str]]]
+    last_reader: dict[str, str]
+    rebuildable: frozenset[str]
+    batch_statistics: list[str]
+    shapes: dict[tuple[int, int], dict[str, Shape]]
+    dies_after: dict[frozenset[str], dict[str, list[str]]]
+
+
 class NetworkGraph:
     """Layer DAG plus parameter registry. Construction is single-threaded;
     a built graph is evaluated without mutation (batch-norm running statistics
@@ -252,6 +295,7 @@ class NetworkGraph:
         self.name = name
         self.nodes: dict[str, Node] = {}
         self.order: list[str] = []
+        self._plan: Optional[_Plan] = None
         self.input_name = "input"
         self._add(Node(self.input_name, "input", [], channels=input_channels))
         self.output_name = self.input_name
@@ -267,7 +311,16 @@ class NetworkGraph:
         self.nodes[node.name] = node
         self.order.append(node.name)
         self.output_name = node.name
+        self._plan = None
         return node.name
+
+    def remove_from(self, name: str) -> None:
+        """Remove ``name`` and every node added after it."""
+        cut = self.order.index(name)
+        for dropped in self.order[cut:]:
+            del self.nodes[dropped]
+        del self.order[cut:]
+        self._plan = None
 
     def add_conv(self, name: str, inp: str, params: ConvParams) -> str:
         have = self.nodes[inp].channels
@@ -278,11 +331,25 @@ class NetworkGraph:
         return self._add(Node(name, "conv", [inp], conv=params,
                               channels=params.out_channels))
 
-    def add_bn_relu(self, name: str, inp: str, dtype=DEFAULT_DTYPE) -> str:
-        """Batch norm over ``inp``'s channels (parameters made here), then ReLU."""
-        channels = self.nodes[inp].channels
-        return self._add(Node(name, "bn_relu", [inp], channels=channels,
-                              bn=layers.make_batch_norm(channels, dtype=dtype)))
+    def add_bn_relu(self, name: str, inputs: str | list[str], dtype=DEFAULT_DTYPE) -> str:
+        """Batch norm over the channels of ``inputs`` (one node or several,
+        joined in order), then ReLU, as the node ``name``: an
+        ``affine_relu`` with its own ``gamma`` and ``beta``, reading the
+        ``<input>/norm`` node of each input, which the first pre-activation
+        of that input makes and every later one shares."""
+        if name in self.nodes:  # before any normalisation is made
+            raise ValueError(f"duplicate node name {name!r}")
+        norms = []
+        for inp in [inputs] if isinstance(inputs, str) else inputs:
+            norm = f"{inp}/norm"
+            if norm not in self.nodes:
+                channels = self.nodes[inp].channels
+                self._add(Node(norm, "norm", [inp], channels=channels,
+                               bn=layers.make_batch_norm(channels, dtype=dtype)))
+            norms.append(norm)
+        affine = layers.make_affine(tuple(self.nodes[n].bn for n in norms), dtype=dtype)
+        return self._add(Node(name, "affine_relu", norms, affine=affine,
+                              channels=affine.gamma.size))
 
     def add_add(self, name: str, a: str, b: str) -> str:
         ca, cb = self.nodes[a].channels, self.nodes[b].channels
@@ -333,12 +400,41 @@ class NetworkGraph:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _planned(self, hw: tuple[int, int], keep: frozenset[str]
+                 ) -> tuple[_Plan, dict[str, Shape], dict[str, list[str]]]:
+        """The graph's plan, made once and reused until a node is added or
+        removed, with every node's shape for an input of ``hw`` and the
+        outputs that die after each step when ``keep`` is kept."""
+        plan = self._plan
+        if plan is None:
+            steps = [(name, self.nodes[name], OPS[self.nodes[name].op]) for name in self.order[1:]]
+            last_reader = {name: name for name in self.order}  # unread: dies at once
+            for name in self.order:
+                for inp in self.nodes[name].inputs:
+                    last_reader[inp] = name
+            plan = self._plan = _Plan(
+                steps=[(name, node, op.reads(node)) for name, node, op in steps],
+                last_reader=last_reader,
+                rebuildable=frozenset(name for name, _, op in steps if op.rebuild is not None),
+                batch_statistics=[name for name, _, op in steps if op.batch_statistics],
+                shapes={}, dies_after={})
+        shapes = plan.shapes.get(hw)
+        if shapes is None:
+            shapes = plan.shapes[hw] = self.infer_shapes(hw)
+        dies_after = plan.dies_after.get(keep)
+        if dies_after is None:
+            dies_after = plan.dies_after[keep] = {}
+            for name, reader in plan.last_reader.items():
+                if name not in keep:
+                    dies_after.setdefault(reader, []).append(name)
+        return plan, shapes, dies_after
+
     def forward(self, x: np.ndarray, mode: str = "infer", keep_caches: bool = False,
                 check_finite: bool = False,
                 keep: Optional[Iterable[str]] = None) -> ForwardResult:
         """Evaluate all nodes in topological order. ``mode`` is ``"train"``
-        (batch statistics, folded into each batch norm's running statistics)
-        or ``"infer"`` (running statistics).
+        (batch statistics, folded into each normalisation's running
+        statistics) or ``"infer"`` (running statistics).
         ``x`` must be (N, C, H, W) with the graph's input channels, and every
         node's shape rule (:meth:`infer_shapes`) must accept its H x W, and
         in train mode every op with ``batch_statistics`` must see N*H*W >= 2:
@@ -352,8 +448,8 @@ class NetworkGraph:
         ``keep_caches`` keeps every node's cache for one :meth:`backward`,
         which releases each once used, together with the outputs named by
         each op's ``reads``, except those whose op can ``rebuild`` them:
-        backward rebuilds those, so no ``bn_relu`` output outlives its last
-        forward reader. Without ``keep_caches`` each cache is released
+        backward rebuilds those, so no ``affine_relu`` output outlives its
+        last forward reader. Without ``keep_caches`` each cache is released
         before the next node runs.
         Without ``check_finite`` no value is scanned and NaN/Inf propagate.
         With it, every node's output, parameters and buffers are checked (a
@@ -363,12 +459,13 @@ class NetworkGraph:
         No node changes its inputs. Backward reads the arrays a kept pass
         holds, so until :meth:`backward` has run, callers must not write into
         ``x`` or into a returned output that a conv or fc reads and that no
-        ``bn_relu`` produced (a detection tap, the fc input), nor, in infer
-        mode, into a ``bn_relu``'s input. No cache holds any other output,
-        ``bn_relu`` outputs included."""
+        ``affine_relu`` produced (a detection tap, the fc input), nor, in
+        infer mode, where a ``norm`` passes its input through, into a
+        ``norm``'s input. No cache holds any other output, ``affine_relu``
+        outputs included."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
-        keep = {self.output_name} if keep is None else set(keep)
+        keep = frozenset((self.output_name,) if keep is None else keep)
         unknown = keep - self.nodes.keys()
         if unknown:
             raise ValueError(f"cannot keep unknown nodes {sorted(unknown)}")
@@ -379,43 +476,31 @@ class NetworkGraph:
             raise ShapeError(
                 f"input has {x.shape[1]} channels, graph expects "
                 f"{self.nodes[self.input_name].channels}")
-        shapes = self.infer_shapes(x.shape[2:])
+        plan, shapes, dies_after = self._planned(x.shape[2:], keep)
         if mode == "train":
-            for name in self.order[1:]:
+            for name in plan.batch_statistics:
                 _, h, w = shapes[name]
-                if OPS[self.nodes[name].op].batch_statistics and x.shape[0] * h * w < 2:
+                if x.shape[0] * h * w < 2:
                     raise ShapeError(
                         f"{self.nodes[name].op} {name!r} normalises over N*H*W = "
                         f"{x.shape[0]}*{h}*{w} values per channel in train mode, "
                         "which needs at least 2")
-        rebuildable = {name for name in self.order[1:]
-                       if OPS[self.nodes[name].op].rebuild is not None}
-        last_reader = {name: name for name in self.order}  # unread: dies at once
-        for name in self.order:
-            for inp in self.nodes[name].inputs:
-                last_reader[inp] = name
-        dies_after: dict[str, list[str]] = {}
-        for name, reader in last_reader.items():
-            if name not in keep:
-                dies_after.setdefault(reader, []).append(name)
         outputs: dict[str, np.ndarray] = {self.input_name: x}
         caches: dict[str, tuple] = {}
-        for name in self.order[1:]:
-            node = self.nodes[name]
-            op = OPS[node.op]
+        for name, node, reads in plan.steps:
+            op = OPS[node.op]  # looked up at call time, as the kernels are
             y, cache = op.forward(node, [outputs[i] for i in node.inputs], mode)
             if check_finite and not all(np.all(np.isfinite(a)) for a in (
                     y, *op.params(node).values(), *op.buffers(node).values())):
                 raise NodeNonFiniteError(name)
             outputs[name] = y
             if keep_caches:
-                reads = op.reads(node)
                 if reads:
-                    cache = (*(None if src in rebuildable else a
+                    cache = (*(None if src in plan.rebuildable else a
                                for src, a in zip(reads, cache)),
                              *cache[len(reads):])
                 caches[name] = cache
-            del y, cache  # without keep_caches, a train-mode batch norm's xhat dies here
+            del y, cache  # without keep_caches, a train-mode norm's xhat dies here
             for dead in dies_after.get(name, ()):
                 del outputs[dead]
         return ForwardResult(outputs=outputs, caches=caches)
@@ -425,17 +510,22 @@ class NetworkGraph:
         """Backpropagate from injected output gradients.
 
         ``out_grads`` maps node names to gradients of the scalar objective with
-        respect to those nodes' outputs. ``result`` must come from a forward
+        respect to those nodes' outputs; each must be an output ``result``
+        kept, and match it in shape and dtype (a ValueError naming the node
+        otherwise). ``result`` must come from a forward
         pass with ``keep_caches=True``. Each node's cache is released from
         ``result`` once its backward has run, so peak memory falls as the pass
         proceeds and one forward result supports one backward. An output the
         forward did not keep for backward is rebuilt from its producer's cache
         when the first node that reads it runs, and dropped after the
-        producer's backward, so each is rebuilt once; a ``bn_relu``'s
+        producer's backward, so each is rebuilt once; an ``affine_relu``'s
         backward, which runs after every reader's, consumes its rebuilt
-        output and its train-mode ``xhat`` in place. Returns
-        (parameter gradients, input gradient). Gradients are accumulated
-        without mutating shared arrays.
+        output, and a train-mode ``norm``'s backward, which runs after every
+        consumer's, its normalised output. The gradients of an output read
+        by several nodes are summed before its producer's backward runs, so
+        a ``norm`` read by several pre-activations runs one backward.
+        Returns (parameter gradients, input gradient). Gradients are
+        accumulated without mutating shared arrays.
         """
         acc: dict[str, np.ndarray] = {}
         rebuilt: dict[str, np.ndarray] = {}
@@ -457,6 +547,14 @@ class NetworkGraph:
         for name, g in out_grads.items():
             if name not in self.nodes:
                 raise ValueError(f"unknown node {name!r} in out_grads")
+            if name not in result.outputs:
+                raise ValueError(f"out_grads names node {name!r}, whose output the "
+                                 "forward pass did not keep")
+            y = result.outputs[name]
+            if getattr(g, "dtype", None) != y.dtype or np.shape(g) != y.shape:
+                raise ValueError(
+                    f"out_grads for node {name!r} is {getattr(g, 'dtype', type(g).__name__)} "
+                    f"{np.shape(g)}, but its output is {y.dtype} {y.shape}")
             contribute(name, g)
 
         param_grads: dict[str, np.ndarray] = {}
@@ -475,7 +573,7 @@ class NetworkGraph:
                          *cache[len(reads):])
             del result.caches[name]
             grads = op.backward(node, acc.pop(name), cache)
-            del cache  # a bn_relu's rebuilt output, now its dz, dies on the next line
+            del cache  # an affine_relu's rebuilt output, now its dz, dies on the next line
             rebuilt.pop(name, None)
             k = len(node.inputs)
             # zip stops at the node's entries: a conv without bias has no
@@ -543,13 +641,33 @@ class NetworkGraph:
 # bit for bit.
 # ---------------------------------------------------------------------------
 
+def checkpoint_layout(graph: NetworkGraph) -> dict[str, list[str]]:
+    """Each checkpoint entry's name, in file order, and the registry
+    entries (:meth:`NetworkGraph.state_entries`) whose values it holds,
+    joined in order. Parameters are stored under their own names, then the
+    running statistics per pre-activation, as a fused batch norm held them:
+    ``<affine_relu>/running_mean`` joins those of the ``norm`` nodes it
+    reads. A tensor that feeds k pre-activations is thus stored k times,
+    and files written before normalisations were shared load unchanged."""
+    layout = {name: [name] for name in graph.parameters()}
+    for name in graph.order[1:]:
+        node = graph.nodes[name]
+        if node.op == "affine_relu":
+            for entry in ("running_mean", "running_var"):
+                layout[f"{name}/{entry}"] = [f"{norm}/{entry}" for norm in node.inputs]
+    return layout
+
+
 def save_checkpoint(graph: NetworkGraph, path: str) -> None:
-    """Write ``graph``'s parameters and buffers to ``path`` atomically: the
-    bytes go to a temporary file in the same directory, which then replaces
-    ``path``, so a failed save leaves any previous checkpoint intact."""
+    """Write ``graph``'s parameters and buffers to ``path`` atomically, in
+    the entries of :func:`checkpoint_layout`: the bytes go to a temporary
+    file in the same directory, which then replaces ``path``, so a failed
+    save leaves any previous checkpoint intact."""
     chunks = [CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION])]
-    entries = graph.state_entries()
-    for name, array in entries.items():
+    state = graph.state_entries()
+    layout = checkpoint_layout(graph)
+    for name, sources in layout.items():
+        array = np.concatenate([state[source] for source in sources])
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))
         chunks.append(encoded)
@@ -557,7 +675,7 @@ def save_checkpoint(graph: NetworkGraph, path: str) -> None:
         for dim in array.shape:
             chunks.append(struct.pack("<I", dim))
         chunks.append(np.ascontiguousarray(array, dtype="<f4").tobytes())
-    chunks.append(struct.pack("<Q", len(entries)))
+    chunks.append(struct.pack("<Q", len(layout)))
     tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:  # created with the umask's mode, as path was
@@ -574,7 +692,10 @@ def load_checkpoint(graph: NetworkGraph, path: str) -> None:
     parsed and checked against the graph before any entry is written, so a
     file that does not fit leaves the graph as it was; every fault of the
     file's layout is a ValueError naming the path and, where it has one, the
-    offset, and a NaN or Inf value is a NodeNonFiniteError naming its node."""
+    offset, and a NaN or Inf value is a NodeNonFiniteError naming its node.
+    The copies of one normalisation's running statistics (see
+    :func:`checkpoint_layout`) must agree bit for bit; an entry whose copy
+    differs from an earlier one is a ValueError naming both."""
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -596,7 +717,10 @@ def load_checkpoint(graph: NetworkGraph, path: str) -> None:
         pos += size
         return blob[pos - size:pos]
 
-    entries = graph.state_entries()
+    state = graph.state_entries()
+    layout = checkpoint_layout(graph)
+    shapes = {name: (sum(state[s].shape[0] for s in sources), *state[sources[0]].shape[1:])
+              for name, sources in layout.items()}
     parsed: dict[str, np.ndarray] = {}
     while pos < end:
         start = pos
@@ -605,26 +729,36 @@ def load_checkpoint(graph: NetworkGraph, path: str) -> None:
             name = bytes(take(name_len, "an entry name")).decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: entry name at byte {start + 4} is not UTF-8") from None
-        if name not in entries:
+        if name not in layout:
             raise ValueError(f"{path}: unknown entry {name!r} at byte {start} "
                              f"for graph {graph.name!r}")
         if name in parsed:
             raise ValueError(f"{path}: entry {name!r} at byte {start} appears twice")
         rank = take(1, f"the rank of {name!r}")[0]
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"the dims of {name!r}"))
-        if dims != entries[name].shape:
+        if dims != shapes[name]:
             raise ValueError(f"{path}: entry {name!r} has shape {dims}, "
-                             f"expected {entries[name].shape}")
+                             f"expected {shapes[name]}")
         values = take(4 * math.prod(dims), f"the values of {name!r}")
         parsed[name] = np.frombuffer(values, dtype="<f4").reshape(dims)
     if len(parsed) != declared:
         raise ValueError(
             f"{path}: trailing count says {declared} entries, found {len(parsed)}")
-    if len(parsed) != len(entries):
-        missing = sorted(set(entries) - set(parsed))
+    if len(parsed) != len(layout):
+        missing = sorted(set(layout) - set(parsed))
         raise ValueError(f"{path}: checkpoint is missing entries {missing[:5]}")
     for name, values in parsed.items():
         if not np.all(np.isfinite(values)):
             raise NodeNonFiniteError(name.rsplit("/", 1)[0])
-    for name, values in parsed.items():
-        entries[name][...] = values.astype(entries[name].dtype)
+    loaded: dict[str, tuple[str, np.ndarray]] = {}  # registry entry -> (file entry, values)
+    for name, sources in layout.items():
+        offset = 0
+        for source in sources:
+            values = parsed[name][offset:offset + state[source].shape[0]]
+            offset += state[source].shape[0]
+            first = loaded.setdefault(source, (name, values))
+            if first[1].tobytes() != values.tobytes():
+                raise ValueError(f"{path}: entry {name!r} disagrees with entry {first[0]!r} "
+                                 f"on the running statistics of {source.rsplit('/', 1)[0]!r}")
+    for source, (_, values) in loaded.items():
+        state[source][...] = values.astype(state[source].dtype)

@@ -48,10 +48,7 @@ def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
     :data:`~wrinet.detection.PRIORS_PER_CELL` priors (ratios 1, 2 and 1/2,
     then the extra ratio-1 prior)."""
     if LOGITS in backbone.nodes:  # the earlier head's nodes are the graph's tail
-        cut = backbone.order.index("head/map0/cls")
-        for name in backbone.order[cut:]:
-            del backbone.nodes[name]
-        del backbone.order[cut:]
+        backbone.remove_from("head/map0/cls")
     shapes = backbone.infer_shapes(input_hw)
     grids = tuple(shapes[t][1:] for t in taps)
     rng = np.random.default_rng(seed)

@@ -2,17 +2,27 @@
 
 Every layer is a pair of functions, ``*_forward(x, params) -> (y, cache)``
 and ``*_backward(dy, cache) -> grads``, operating on (N, C, H, W) numpy arrays.
-They read their array arguments without changing them, except for three
-arrays that their caller owns and hands over: ``relu_forward`` clamps its
-input in place (``bn_relu`` gives it the batch norm's fresh output),
+They read their array arguments without changing them, except for arrays
+that their caller owns and hands over: ``relu_forward`` clamps its input in
+place (a pre-activation gives it the affine's fresh output),
 ``relu_backward`` writes its result into the forward output ``y`` it is
-given, and train-mode ``batch_norm_backward`` writes ``dx`` into the cached
-``xhat``, so its cache serves one backward. ``bn_relu``'s backward thus
-allocates nothing of its output's size: the graph hands it an output rebuilt
-for it alone (in-place activated batch norm, Rota Bulo et al. 2018). Train-mode
-batch norm also updates its running statistics, and
-``batch_norm_relu_recompute`` rebuilds a ``bn_relu`` output from the batch
-norm's cache, so a backward pass need not keep it.
+given, ``affine_backward`` writes the gradient of its inputs into the ``dz``
+it is given, and train-mode ``batch_norm_backward`` writes ``dx`` into the
+cached ``xhat``, so its cache serves one backward. A pre-activation's
+backward thus allocates nothing of its output's size: the graph hands it an
+output rebuilt for it alone (in-place activated batch norm, Rota Bulo et al.
+2018).
+Batch norm is split in two (Ioffe & Szegedy 2015). ``batch_norm_forward``
+normalises a tensor by its batch statistics, which it folds into its
+running ones, with no scale or shift; ``affine_forward`` applies one
+consumer's per-channel ``gamma`` and ``beta`` to one or more normalised
+tensors, joined along channels, so a tensor read by several pre-activations
+is normalised once and a concat followed by batch norm copies nothing
+(Pleiss et al. 2017). Per-channel batch norm of a concat is the concat of
+the per-part batch norms, so the split computes what the fused batch norm
+did, with the same float ops in train mode. In infer mode the normalisation
+passes its input through and the affine applies the running statistics
+folded into its scale and shift.
 Convolution lowers to a channel-major patch matrix (im2col) of shape
 (C_in*k*k, N*H_out*W_out), built one tile at a time into one buffer per call
 (Jia et al. 2014): a tile is whole samples while one sample's patch matrix
@@ -80,10 +90,23 @@ class ConvParams:
 
 @dataclass
 class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
+    """A normalisation's running statistics: each train-mode batch's mean
+    and biased variance, folded in with ``BN_MOMENTUM``."""
+
     running_mean: np.ndarray
     running_var: np.ndarray
+
+
+@dataclass
+class AffineParams:
+    """One pre-activation's per-channel scale ``gamma`` and shift ``beta``
+    over the channels of the normalisations it reads, joined in order;
+    ``stats`` are those normalisations' running statistics, which infer
+    mode folds into the scale and shift."""
+
+    gamma: np.ndarray
+    beta: np.ndarray
+    stats: tuple[BatchNormParams, ...]
 
 
 @dataclass
@@ -105,12 +128,15 @@ def make_conv(c_in: int, c_out: int, kernel: int, stride: int = 1,
 
 
 def make_batch_norm(channels: int, dtype=DEFAULT_DTYPE) -> BatchNormParams:
-    return BatchNormParams(
-        gamma=np.ones(channels, dtype=dtype),
-        beta=np.zeros(channels, dtype=dtype),
-        running_mean=np.zeros(channels, dtype=dtype),
-        running_var=np.ones(channels, dtype=dtype),
-    )
+    return BatchNormParams(running_mean=np.zeros(channels, dtype=dtype),
+                           running_var=np.ones(channels, dtype=dtype))
+
+
+def make_affine(stats: tuple[BatchNormParams, ...], dtype=DEFAULT_DTYPE) -> AffineParams:
+    """The identity scale and shift over the channels of ``stats``."""
+    channels = sum(s.running_mean.size for s in stats)
+    return AffineParams(gamma=np.ones(channels, dtype=dtype),
+                        beta=np.zeros(channels, dtype=dtype), stats=tuple(stats))
 
 
 def make_fc(d_in: int, d_out: int, dtype=DEFAULT_DTYPE) -> FCParams:
@@ -304,14 +330,14 @@ BN_MOMENTUM = 0.9  # EMA decay kept on the running statistics
 
 def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train"
                        ) -> tuple[np.ndarray, tuple]:
-    """Normalise ``x`` per channel and apply ``gamma`` and ``beta``. ``x`` is
-    only read; ``y`` is always a fresh array, so a caller may overwrite it
-    in place. Train mode normalises by the batch statistics, which it also
-    folds into the running ones (it never reads them), and centres ``x``
-    once into a fresh ``xhat``, which the cache keeps; infer mode applies
-    the folded scale ``s = gamma * inv_std`` and shift
-    ``t = beta - running_mean * s`` (Ioffe & Szegedy 2015) and caches ``x``
-    itself, building ``xhat`` only if backward asks for it."""
+    """Normalise ``x`` per channel, with no scale or shift (each consumer's
+    :func:`affine_forward` applies its own). Train mode normalises by the
+    batch statistics, which it also folds into ``p``'s running ones (it
+    never reads them): it centres ``x`` once into a fresh ``xhat``, scales
+    it in place and returns it, with the cache ``(xhat, inv_std)``. Infer
+    mode returns ``x`` itself and the cache ``(x, None)``: the affine
+    applies the running statistics, folded into its scale and shift. ``x``
+    is only read."""
     if mode == "train":
         m = x.shape[0] * x.shape[2] * x.shape[3]
         if m < 2:
@@ -323,61 +349,93 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train"
         p.running_var[...] = BN_MOMENTUM * p.running_var + (1 - BN_MOMENTUM) * var
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= inv_std[:, None, None]
-        cache = (xhat, inv_std, p, mode)
-    elif mode == "infer":
-        inv_std = 1.0 / np.sqrt(p.running_var + BN_EPSILON)
-        cache = (x, inv_std, p, mode)
-    else:
-        raise ValueError(f"unknown batch norm mode {mode!r}")
-    return _batch_norm_affine(cache), cache
+        return xhat, (xhat, inv_std)
+    if mode == "infer":
+        return x, (x, None)
+    raise ValueError(f"unknown batch norm mode {mode!r}")
 
 
-def _batch_norm_affine(cache: tuple) -> np.ndarray:
-    """The batch norm's output from its cache, in a fresh array of the
-    input's dtype (``xhat`` keeps it): ``xhat * gamma + beta`` in train mode,
-    ``x * s + t`` with the folded ``s`` and ``t`` in infer mode."""
-    saved, inv_std, p, mode = cache
+def batch_norm_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
+    """The input's gradient from ``dy``, the gradient of the normalised
+    output summed over its consumers (the map is linear in ``dy``). Train
+    mode includes the batch-statistic terms,
+    ``inv_std * (dy - mean(dy) - xhat * mean(dy * xhat))`` per channel, and
+    consumes its cache: ``dx`` is computed in place in ``xhat``, which
+    ``dy`` must match in dtype (as in the graph). Infer mode's forward is
+    the identity, and so is its backward: it returns ``dy``. ``dy`` is only
+    read."""
+    xhat, inv_std = cache
+    if inv_std is None:
+        return dy
+    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    mean_dy = np.einsum("nchw->c", dy) / m
+    mean_dy_xhat = np.einsum("nchw,nchw->c", dy, xhat) / m
+    dx = np.multiply(xhat, -mean_dy_xhat[:, None, None], out=xhat)
+    dx += dy
+    dx -= mean_dy[:, None, None]
+    dx *= inv_std[:, None, None]
+    return dx
+
+
+def _running_inv_std(p: AffineParams) -> np.ndarray:
+    return 1.0 / np.sqrt(np.concatenate([s.running_var for s in p.stats]) + BN_EPSILON)
+
+
+def _scale_shift(p: AffineParams, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma`` and ``beta`` in train mode; in infer mode the folded
+    ``s = gamma * inv_std`` and ``t = beta - running_mean * s`` of the
+    joined running statistics."""
     if mode == "train":
-        scale, shift = p.gamma, p.beta
-    else:
-        scale = p.gamma * inv_std
-        shift = p.beta - p.running_mean * scale
-    y = saved * scale[:, None, None]
-    y += shift[:, None, None]
-    return y.astype(saved.dtype, copy=False)
+        return p.gamma, p.beta
+    scale = p.gamma * _running_inv_std(p)
+    return scale, p.beta - np.concatenate([s.running_mean for s in p.stats]) * scale
 
 
-def batch_norm_relu_recompute(cache: tuple) -> np.ndarray:
-    """``relu(batch_norm_forward(x))`` rebuilt from the batch norm's cache
-    alone, bit for bit: the forward's own float ops in its order, so a
-    caller need not keep the output for the ReLU's backward or the next
-    layer's (recomputation, Chen et al. 2016; Pleiss et al. 2017)."""
-    y = _batch_norm_affine(cache)
-    np.fmax(y, 0, out=y)
+def _channel_slices(parts) -> list[slice]:
+    """Each part's channels in the join."""
+    slices, start = [], 0
+    for part in parts:
+        slices.append(slice(start, start + part.shape[1]))
+        start += part.shape[1]
+    return slices
+
+
+def affine_forward(parts: list[np.ndarray], p: AffineParams, mode: str) -> np.ndarray:
+    """``parts`` joined along channels, times the per-channel scale plus
+    the shift, in one fresh array of the first part's dtype that the
+    caller may clamp in place: ``xhat * gamma + beta`` of the normalised
+    parts in train mode, ``x * s + t`` with the folded ``s`` and ``t`` of
+    the raw parts in infer mode. Each part is written straight into its
+    channels, so the join copies nothing of its own."""
+    scale, shift = _scale_shift(p, mode)
+    n, _, h, w = parts[0].shape
+    y = np.empty((n, scale.size, h, w), dtype=parts[0].dtype)
+    for part, sl in zip(parts, _channel_slices(parts)):
+        np.multiply(part, scale[sl, None, None], out=y[:, sl])
+        y[:, sl] += shift[sl, None, None]
     return y
 
 
-def batch_norm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dgamma, dbeta); train mode includes the batch-statistic
-    terms. ``dy`` is only read. A train-mode cache is consumed: ``dx`` is
-    computed in place in its ``xhat``, which ``dy`` must match in dtype (as
-    in the graph), so the cache serves one backward. An infer-mode cache
-    holds the forward's input, which is only read: it is centred here on the
-    running mean, and ``dx`` is a fresh array."""
-    saved, inv_std, p, mode = cache
-    xhat = saved if mode == "train" else (
-        (saved - p.running_mean[:, None, None]) * inv_std[:, None, None])
-    dbeta = np.einsum("nchw->c", dy)
-    dgamma = np.einsum("nchw,nchw->c", dy, xhat)
-    g = (p.gamma * inv_std)[:, None, None]
-    if mode == "infer":
-        return dy * g, dgamma, dbeta
-    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    dx = np.multiply(xhat, (-dgamma / m)[:, None, None], out=xhat)
-    dx += dy
-    dx -= (dbeta / m)[:, None, None]
-    dx *= g
-    return dx.astype(dy.dtype, copy=False), dgamma, dbeta
+def affine_backward(dz: np.ndarray, parts: list[np.ndarray], p: AffineParams, mode: str
+                    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Gradients (one per part, dgamma, dbeta) of :func:`affine_forward`.
+    ``dz`` is consumed: each part's gradient, ``dz`` times the scale, is
+    written into its channels of ``dz`` and returned as a view of them.
+    The parts are only read; in infer mode, where they are the raw inputs,
+    ``dgamma`` normalises them by the running statistics."""
+    scale, _ = _scale_shift(p, mode)
+    slices = _channel_slices(parts)
+    if mode == "train":
+        xhats = parts
+    else:
+        inv_std = _running_inv_std(p)
+        xhats = [(part - s.running_mean[:, None, None]) * inv_std[sl, None, None]
+                 for part, s, sl in zip(parts, p.stats, slices)]
+    dbeta = np.einsum("nchw->c", dz)
+    dgamma = np.concatenate([np.einsum("nchw,nchw->c", dz[:, sl], xhat)
+                             for xhat, sl in zip(xhats, slices)])
+    dz *= scale[:, None, None]
+    return [dz[:, sl] for sl in slices], dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +445,7 @@ def batch_norm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.nd
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp ``x`` at 0 in place and return ``(y, y)``: the output is its own
     backward cache. NaN maps to 0. Because ``x`` is overwritten, the caller
-    must own it, as ``bn_relu`` owns its batch norm's fresh output; never
+    must own it, as ``affine_relu`` owns its affine's fresh output; never
     pass an array that anything else still reads."""
     np.fmax(x, 0, out=x)
     return x, x
@@ -396,8 +454,8 @@ def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def relu_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``dy`` where the forward output is positive, else 0 (the subgradient
     at exactly 0 is 0), written into ``y`` and returned: ``y`` is consumed,
-    so the caller must own it and match ``dy``'s dtype, as ``bn_relu``'s
-    backward owns its rebuilt output; ``dy`` is only read. The zeroing
+    so the caller must own it and match ``dy``'s dtype, as an
+    ``affine_relu`` backward owns its rebuilt output; ``dy`` is only read. The zeroing
     multiplies, so a non-finite ``dy`` at ``y <= 0`` gives NaN rather than
     being masked: a bad gradient propagates to where it can be localised."""
     return np.multiply(dy, y > 0, out=y)
@@ -471,7 +529,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 def msr_initialize(params, seed=0):
     """Zero-mean normal weights with std sqrt(2 / fan_in); zero biases;
-    identity batch-norm transform. Deterministic given an integer seed."""
+    identity affine; fresh running statistics. Deterministic given an integer seed."""
     rng = _as_rng(seed)
     if isinstance(params, ConvParams):
         c_out, c_in, kh, kw = params.weights.shape
@@ -485,9 +543,10 @@ def msr_initialize(params, seed=0):
         std = np.sqrt(2.0 / fan_in)
         params.weights[...] = rng.normal(0.0, std, size=params.weights.shape)
         params.bias[...] = 0.0
-    elif isinstance(params, BatchNormParams):
+    elif isinstance(params, AffineParams):
         params.gamma[...] = 1.0
         params.beta[...] = 0.0
+    elif isinstance(params, BatchNormParams):
         params.running_mean[...] = 0.0
         params.running_var[...] = 1.0
     else:

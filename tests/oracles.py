@@ -185,7 +185,7 @@ def bn_relu_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                       mode: str = "train"):
     """Batch norm then ReLU as four textbook passes: axis reductions, a
     centred copy per use, a boolean mask and ``np.where`` (the kernels the
-    ``bn_relu`` op ran before its lean rewrite). Nothing passed in is
+    fused ``bn_relu`` op ran before its lean rewrite). Nothing passed in is
     changed. Returns ``(y, running_mean, running_var, backward)``, the
     statistics as new arrays, where ``backward(dy)`` gives
     ``(dx, dgamma, dbeta)``."""

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from wrinet import gradcheck
+from wrinet import gradcheck, layers
 from wrinet.analysis import count_parameters, unit_macs_per_position
 from wrinet.blocks import (UnitSpec, build_standalone_unit,
                            effective_receptive_paths)
-from wrinet.layers import msr_initialize
+from wrinet.layers import batch_norm_forward, make_batch_norm, msr_initialize
 
 
 def conv_weight_count(graph) -> int:
@@ -17,8 +17,8 @@ def zero_residual(graph, shortcut_names=("unit/shortcut",)) -> None:
     for name, node in graph.nodes.items():
         if node.op == "conv" and name not in shortcut_names:
             node.conv.weights[...] = 0.0
-        elif node.op == "bn_relu":
-            msr_initialize(node.bn, 0)
+        elif node.op == "affine_relu":
+            msr_initialize(node.affine, 0)
 
 
 def test_basic_unit_conv_weight_count_at_width_128():
@@ -86,8 +86,8 @@ def test_inception_concat_width_and_projection():
     g, _ = build_standalone_unit(spec)
     proj = g.nodes["unit/proj/conv"]
     assert proj.conv.weights.shape == (128, 320, 1, 1)
-    cat = g.nodes["unit/concat"]
-    assert cat.channels == 320
+    join = g.nodes["unit/proj/bn"]
+    assert join.channels == 320
 
 
 def test_inception_unit_within_6_percent_of_basic():
@@ -98,26 +98,31 @@ def test_inception_unit_within_6_percent_of_basic():
 
 
 def test_concat_branch_order_is_shared_b_c():
+    """The projection's pre-activation joins the branches' normalisations
+    in the order shared, b, c; with the identity affine each block of its
+    output is the ReLU of that branch's normalised output."""
     spec = UnitSpec("inception", 4, (4, 3, 3, 5), 1, 4)
     g, _ = build_standalone_unit(spec, dtype=np.float64)
-    cat = g.nodes["unit/concat"]
-    assert cat.inputs == ["unit/shared", "unit/b/conv", "unit/c/conv2"]
+    branches = ["unit/shared", "unit/b/conv", "unit/c/conv2"]
+    join = g.nodes["unit/proj/bn"]
+    assert join.inputs == [f"{b}/norm" for b in branches]
+    assert [g.nodes[norm].inputs for norm in join.inputs] == [[b] for b in branches]
     rng = np.random.default_rng(2)
     for node in g.nodes.values():
         if node.op == "conv":
             msr_initialize(node.conv, rng)
     x = rng.normal(size=(1, 4, 6, 6))
     result = g.forward(x, mode="train", keep=g.order)
-    out = result.outputs["unit/concat"]
-    assert np.array_equal(out[:, :4], result.outputs["unit/shared"])
-    assert np.array_equal(out[:, 4:7], result.outputs["unit/b/conv"])
-    assert np.array_equal(out[:, 7:], result.outputs["unit/c/conv2"])
+    out = result.outputs["unit/proj/bn"]
+    for norm, channels in zip(join.inputs, (slice(0, 4), slice(4, 7), slice(7, 12))):
+        assert np.array_equal(out[:, channels], np.maximum(result.outputs[norm], 0)), norm
 
 
 def test_bn_relu_never_clamps_its_input():
-    """bn_relu clamps its batch norm's fresh output in place. In an
-    inception unit the input feeds bn1 and the shortcut, and ``shared``
-    feeds two bn_relu nodes and the concat: all must keep their values."""
+    """A pre-activation clamps its affine's fresh output in place. In an
+    inception unit the input feeds bn1 and the shortcut, and ``shared``'s
+    one normalisation feeds three pre-activations (``b/bn``, ``c/bn1`` and
+    ``proj/bn``): all must keep their values."""
     spec = UnitSpec("inception", 4, (4, 3, 3, 4), 1, 4)
     g, _ = build_standalone_unit(spec, dtype=np.float64)
     rng = np.random.default_rng(3)
@@ -127,14 +132,17 @@ def test_bn_relu_never_clamps_its_input():
     x = rng.normal(size=(2, 4, 6, 6))
     x_before = x.copy()
     result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
-    shared = result.outputs["unit/shared"]
+    shared = result.outputs["unit/shared/norm"]
     assert (shared < 0).any()
-    assert np.array_equal(result.outputs["unit/concat"][:, :4], shared)
+    want = batch_norm_forward(result.outputs["unit/shared"], make_batch_norm(4, np.float64))[0]
+    assert np.array_equal(shared, want)
+    assert [n for n, node in g.nodes.items() if "unit/shared/norm" in node.inputs] == [
+        "unit/b/bn", "unit/c/bn1", "unit/proj/bn"]
     assert np.array_equal(x, x_before)
     for name, node in g.nodes.items():
-        if node.op == "bn_relu":
-            assert not np.shares_memory(result.outputs[name],
-                                        result.outputs[node.inputs[0]]), name
+        if node.op == "affine_relu":
+            assert not any(np.shares_memory(result.outputs[name], result.outputs[i])
+                           for i in node.inputs), name
 
 
 def test_receptive_paths_per_variant():
@@ -166,3 +174,25 @@ def test_unit_spec_validation():
 @pytest.mark.parametrize("name", sorted(gradcheck.UNIT_SPECS))
 def test_unit_gradients_match_finite_differences(name):
     assert gradcheck.check_unit(gradcheck.UNIT_SPECS[name], seed=0) < 1e-4
+
+
+def test_inception_unit_normalises_each_tensor_once(monkeypatch):
+    """A train forward of the standalone inception unit runs the
+    normalisation kernel once per distinct tensor it normalises (the
+    input, ``shared`` and the three branch convs), over 512 channels in
+    all; normalising per pre-activation took 768 (``shared`` three times)."""
+    spec = UnitSpec("inception", 128, (128, 64, 64, 128), 1, 128)
+    g, out = build_standalone_unit(spec)
+    normalised = []
+    real = layers.batch_norm_forward
+
+    def counting(x, p, mode):
+        normalised.append((id(x), x.shape[1]))
+        return real(x, p, mode)
+
+    monkeypatch.setattr(layers, "batch_norm_forward", counting)
+    x = np.random.default_rng(0).normal(size=(2, 128, 4, 4)).astype(np.float32)
+    result = g.forward(x, mode="train", keep=g.order)
+    tensors = [g.input_name, "unit/shared", "unit/b/conv", "unit/c/conv1", "unit/c/conv2"]
+    assert sorted(normalised) == sorted((id(result[t]), result[t].shape[1]) for t in tensors)
+    assert sum(c for _, c in normalised) == 512

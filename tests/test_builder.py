@@ -1,8 +1,10 @@
 import builtins
+import dataclasses
 import errno
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,42 @@ def test_backward_without_caches_says_so():
         g.backward(result, {g.output_name: np.ones((2, 4), dtype=np.float32)})
 
 
+@pytest.mark.parametrize("grad", [np.ones((2, 4), dtype=np.float64),
+                                  np.ones((2, 5), dtype=np.float32)], ids=["dtype", "shape"])
+def test_backward_rejects_out_grads_unlike_the_output(grad):
+    """An injected gradient must match its node's output in dtype and
+    shape: float64 gradients into a float32 net would be rounded to float32
+    in the in-place kernels. Nothing is consumed, so the pass can still run
+    backward with a gradient that matches."""
+    g = build_network(miniature_config(), seed=0)
+    result = g.forward(np.ones((2, 3, 8, 8), dtype=np.float32), mode="train", keep_caches=True)
+    with pytest.raises(ValueError, match=re.escape(
+            f"out_grads for node 'head/fc' is {grad.dtype} {grad.shape}, "
+            "but its output is float32 (2, 4)")):
+        g.backward(result, {g.output_name: grad})
+    with pytest.raises(ValueError, match="'head/gap', whose output the forward pass did not keep"):
+        g.backward(result, {"head/gap": np.ones((2, 6, 1, 1), dtype=np.float32)})
+    grads, _ = g.backward(result, {g.output_name: np.ones((2, 4), dtype=np.float32)})
+    assert all(v.dtype == np.float32 for v in grads.values())
+
+
+def test_forward_plan_follows_the_graph_and_the_input_size():
+    """Forward reuses its plan until a node is added, and plans shapes per
+    input size: a node added after a pass runs in the next one, and a size
+    that collapses a conv is still refused after a size that does not."""
+    g = NetworkGraph(3)
+    g.add_conv("a", g.input_name, make_conv(3, 4, 3, padding=0))
+    x = np.ones((2, 3, 5, 5), dtype=np.float32)
+    assert g.forward(x).outputs["a"].shape == (2, 4, 3, 3)
+    g.add_bn_relu("pre", "a")
+    g.add_conv("b", "pre", make_conv(4, 2, 3, padding=0))
+    assert list(g.forward(x, mode="train").outputs) == ["b"]
+    assert g.forward(x)["b"].shape == (2, 2, 1, 1)
+    with pytest.raises(ShapeError, match="'b' output collapses"):
+        g.forward(np.ones((2, 3, 4, 4), dtype=np.float32))
+    assert g.forward(x)["b"].shape == (2, 2, 1, 1)
+
+
 def test_second_backward_on_one_result_says_so():
     """backward releases each node's cache once used: the first backward's
     gradients equal those of a fresh pass, and a second one is refused."""
@@ -209,9 +247,9 @@ def test_train_batch_too_small_for_a_batch_norm_moves_no_buffer():
     x = np.random.default_rng(0).normal(size=(1, 3, 4, 4)).astype(np.float32)
     shapes = g.infer_shapes((4, 4))
     first = next(name for name in g.order
-                 if g.nodes[name].op == "bn_relu" and shapes[name][1:] == (1, 1))
+                 if g.nodes[name].op == "norm" and shapes[name][1:] == (1, 1))
     before = {k: v.tobytes() for k, v in g.buffers().items()}
-    with pytest.raises(ShapeError, match=re.escape(f"bn_relu '{first}' normalises "
+    with pytest.raises(ShapeError, match=re.escape(f"norm '{first}' normalises "
                                                     "over N*H*W = 1*1*1")):
         execute(g, x, mode="train", labels=np.zeros(1, dtype=np.int64))
     assert {k: v.tobytes() for k, v in g.buffers().items()} == before
@@ -221,31 +259,34 @@ def test_train_batch_too_small_for_a_batch_norm_moves_no_buffer():
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_backward_rebuilds_each_bn_relu_output_once_bit_for_bit(monkeypatch, mode):
-    """No kept cache holds a ``bn_relu`` output: backward rebuilds each one
-    once per pass, when its first reader runs, equal bit for bit to the
-    forward's, also one read by two convs (``bn1`` by ``conv1`` and
-    ``shortcut``)."""
+    """No kept cache holds a pre-activation's (``affine_relu``) output:
+    backward rebuilds each one once per pass, when its first reader runs,
+    equal bit for bit to the forward's, also one read by two convs (``bn1``
+    by ``conv1`` and ``shortcut``) and the inception projection's, which
+    joins three normalised branches."""
     g = build_network(miniature_config(), seed=0, dtype=np.float64)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
-    bn_relus = {id(node.bn): name for name, node in g.nodes.items() if node.op == "bn_relu"}
+    affines = [name for name, node in g.nodes.items() if node.op == "affine_relu"]
     readers = {name: sum(name in node.inputs for node in g.nodes.values() if node.op == "conv")
-               for name in bn_relus.values()}
+               for name in affines}
     assert max(readers.values()) == 2
+    assert len(g.nodes["stage2/unit0/proj/bn"].inputs) == 3
     rebuilt = []
-    recompute = layers.batch_norm_relu_recompute
+    op = graph_module.OPS["affine_relu"]
 
-    def counting(cache):
-        y = recompute(cache)
-        rebuilt.append((bn_relus[id(cache[2])], y.tobytes()))
+    def counting(node, cache):
+        y = op.rebuild(node, cache)
+        rebuilt.append((node.name, y.tobytes()))
         return y
 
-    monkeypatch.setattr(layers, "batch_norm_relu_recompute", counting)
+    monkeypatch.setitem(graph_module.OPS, "affine_relu",
+                        dataclasses.replace(op, rebuild=counting))
     for _ in range(2):
         result = g.forward(x, mode=mode, keep_caches=True, keep=g.order)
         assert rebuilt == []
-        forward = {name: result[name].tobytes() for name in bn_relus.values()}
+        forward = {name: result[name].tobytes() for name in affines}
         g.backward(result, {g.output_name: np.ones_like(result[g.output_name])})
-        assert sorted(name for name, _ in rebuilt) == sorted(bn_relus.values())
+        assert sorted(name for name, _ in rebuilt) == sorted(affines)
         assert all(forward[name] == y for name, y in rebuilt)
         rebuilt.clear()
 
@@ -312,10 +353,12 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     monkeypatch.setattr(layers, "conv2d_forward", counting_conv_fwd)
     monkeypatch.setattr(layers, "conv2d_backward", counting_conv_bwd)
     monkeypatch.setattr(tensor, "add_elementwise", counting_add)
-    # bn_relu composes four kernels, the ReLU clamping the batch norm's
-    # output in place; a tracer times each on its own
-    pre_activation = ("batch_norm_forward", "relu_forward",
-                      "relu_backward", "batch_norm_backward")
+    # a pre-activation is a norm node (batch_norm_*) and an affine_relu
+    # node, whose ReLU clamps the affine's output in place and whose output
+    # backward rebuilds once (affine_forward and relu_forward again); a
+    # tracer times each kernel on its own
+    pre_activation = ("batch_norm_forward", "batch_norm_backward", "affine_forward",
+                      "affine_backward", "relu_forward", "relu_backward")
     for kernel in pre_activation:
         seen[kernel] = 0
 
@@ -333,9 +376,12 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     # backward calls no conv2d_forward
     assert sorted(seen["conv_fwd"]) == sorted(convs)
     assert seen["add"] == sum(n.op == "add" for n in g.nodes.values()) > 0
-    pre_activations = sum(n.op == "bn_relu" for n in g.nodes.values())
-    assert pre_activations > 0
-    assert all(seen[kernel] == pre_activations for kernel in pre_activation)
+    norms = sum(n.op == "norm" for n in g.nodes.values())
+    affines = sum(n.op == "affine_relu" for n in g.nodes.values())
+    assert norms > 0 and affines > 0
+    assert seen["batch_norm_forward"] == seen["batch_norm_backward"] == norms
+    assert seen["affine_backward"] == seen["relu_backward"] == affines
+    assert seen["affine_forward"] == seen["relu_forward"] == 2 * affines
 
 
 def test_chaining_violation_reports_stage_index():
@@ -443,6 +489,52 @@ def test_checkpoint_rejects_garbage(tmp_path):
     g = build_network(miniature_config(), seed=0)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(g, str(path))
+
+
+FUSED_CHECKPOINT = Path(__file__).parent / "data" / "miniature-fused-bn.wrin"
+
+
+def test_checkpoint_of_fused_batch_norms_loads_bit_identically(tmp_path):
+    """A checkpoint written when every pre-activation was one fused batch
+    norm (by commit c76dd5f, after three train steps of the miniature net,
+    seed 5) holds each normalised tensor's running statistics once per
+    pre-activation: ``stage2/unit0/shared``'s three times. It loads, gives
+    that code's infer logits bit for bit, and saves back to the same bytes."""
+    g = build_network(miniature_config(), seed=0)
+    layout = graph_module.checkpoint_layout(g)
+    shared = "stage2/unit0/shared/norm/running_mean"
+    assert [name for name, sources in layout.items() if shared in sources] == [
+        "stage2/unit0/b/bn/running_mean", "stage2/unit0/c/bn1/running_mean",
+        "stage2/unit0/proj/bn/running_mean"]
+    load_checkpoint(g, str(FUSED_CHECKPOINT))
+    x = np.random.default_rng(0).normal(size=(4, 3, 8, 8)).astype(np.float32)
+    want = np.load(FUSED_CHECKPOINT.with_name("miniature-fused-bn-logits.npy"))
+    assert execute(g, x, mode="infer").logits.tobytes() == want.tobytes()
+    save_checkpoint(g, str(tmp_path / "again.wrin"))
+    assert (tmp_path / "again.wrin").read_bytes() == FUSED_CHECKPOINT.read_bytes()
+
+
+@pytest.mark.parametrize("entry, first", [
+    ("stage2/unit0/c/bn1/running_mean", "stage2/unit0/b/bn/running_mean"),
+    ("stage2/unit0/proj/bn/running_var", "stage2/unit0/b/bn/running_var"),
+])
+def test_checkpoint_copies_that_disagree_are_rejected(tmp_path, entry, first):
+    """The copies of one normalisation's running statistics must agree: a
+    file where one differs (here in the first channel of ``shared``) is a
+    ValueError naming the file and both entries, and nothing is written."""
+    blob = bytearray(FUSED_CHECKPOINT.read_bytes())
+    # name, then the rank byte and one uint32 dim, then the float32 values
+    values = blob.index(entry.encode() + bytes([1])) + len(entry) + 5
+    blob[values:values + 4] = np.float32(0.625).tobytes()
+    path = tmp_path / "disagrees.wrin"
+    path.write_bytes(bytes(blob))
+    g = build_network(miniature_config(), seed=0)
+    before = {k: v.tobytes() for k, v in g.state_entries().items()}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: entry {entry!r} disagrees with entry {first!r} on the running "
+            "statistics of 'stage2/unit0/shared/norm'")):
+        load_checkpoint(g, str(path))
+    assert {k: v.tobytes() for k, v in g.state_entries().items()} == before
 
 
 def test_checkpoint_rejects_wrong_graph(tmp_path):

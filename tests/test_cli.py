@@ -441,7 +441,7 @@ def test_eval_truncated_train_split_exits_2(cifar_dir, capsys):
 @pytest.mark.parametrize("command", ["eval", "resume"])
 def test_eval_nonfinite_checkpoint_exits_3(tmp_path, cifar_dir, capsys, node, command):
     """A NaN weight is caught when the checkpoint loads, also one ahead of a
-    bn_relu, whose clamp would map it to 0."""
+    pre-activation, whose clamp would map it to 0."""
     net = mini_config_file(tmp_path)
     out_dir = tmp_path / "run"
     code, _, _ = run(capsys, "train", "--net", net, "--data-dir", cifar_dir,

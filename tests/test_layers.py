@@ -10,11 +10,13 @@ from wrinet.builder import build_network, execute
 from wrinet.gradcheck import miniature_config
 from wrinet.graph import OPS, Node
 from wrinet.layers import (BatchNormParams, ConvParams, FCParams,
+                           affine_backward, affine_forward,
                            batch_norm_backward, batch_norm_forward,
                            conv2d_backward, conv2d_forward,
                            fully_connected_backward, fully_connected_forward,
                            global_avg_pool_backward, global_avg_pool_forward,
-                           make_batch_norm, make_conv, make_fc, msr_initialize,
+                           make_affine, make_batch_norm, make_conv, make_fc,
+                           msr_initialize,
                            relu_backward, relu_forward, softmax,
                            softmax_cross_entropy)
 from wrinet.tensor import ShapeError
@@ -238,11 +240,13 @@ def test_batch_norm_two_point_channel():
 
 def test_batch_norm_constant_input_returns_beta():
     p = make_batch_norm(2, dtype=np.float64)
-    p.gamma[...] = [3.0, 0.5]
-    p.beta[...] = [0.25, -1.5]
+    a = make_affine((p,), dtype=np.float64)
+    a.gamma[...] = [3.0, 0.5]
+    a.beta[...] = [0.25, -1.5]
     x = np.ones((2, 2, 3, 3)) * np.array([5.0, -2.0])[None, :, None, None]
-    y, _ = batch_norm_forward(x, p, mode="train")
-    for c, b in enumerate(p.beta):
+    xhat, _ = batch_norm_forward(x, p, mode="train")
+    y = affine_forward([xhat], a, "train")
+    for c, b in enumerate(a.beta):
         assert np.allclose(y[:, c], b, atol=1e-3)
 
 
@@ -266,7 +270,10 @@ def test_batch_norm_running_stats_ema_and_infer():
     expected_var = 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2, 3))
     assert np.allclose(p.running_mean, expected_mean)
     assert np.allclose(p.running_var, expected_var)
-    y_infer, _ = batch_norm_forward(x, p, mode="infer")
+    # infer mode passes x through; the affine applies the folded statistics
+    passed, _ = batch_norm_forward(x, p, mode="infer")
+    assert passed is x
+    y_infer = affine_forward([passed], make_affine((p,), dtype=np.float64), "infer")
     manual = (x - p.running_mean[None, :, None, None]) / np.sqrt(
         p.running_var[None, :, None, None] + layers.BN_EPSILON)
     assert np.allclose(y_infer, manual)
@@ -283,7 +290,7 @@ def test_batch_norm_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# bn_relu pre-activation against the textbook kernels
+# the bn_relu pre-activation (norm, then affine_relu) against the textbook kernels
 # ---------------------------------------------------------------------------
 
 PRE_ACTIVATION_SHAPES = [(4, 64, 32, 32), (4, 128, 16, 16), (4, 320, 16, 16),
@@ -296,15 +303,24 @@ def _scaled_error(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max()))
 
 
-def _bn_relu_op(x, p, mode):
-    """Forward and backward of the graph's ``bn_relu`` op; returns (y, the
-    backward as a function of dy). The backward consumes the output it is
+def _bn_relu_op(x, p, a, mode):
+    """Forward and backward of a pre-activation as the graph runs it, the
+    ``norm`` op with running statistics ``p`` and then the ``affine_relu``
+    op with ``a``; returns (y, the backward as a function of dy, giving
+    (dx, dgamma, dbeta)). The affine's backward consumes the output it is
     handed, so it gets one rebuilt from the cache, as ``graph.backward``
     gives it, and ``y`` keeps its values."""
-    node = Node("bn", "bn_relu", ["input"], bn=p, channels=p.gamma.shape[0])
-    op = OPS["bn_relu"]
-    y, cache = op.forward(node, [x], mode)
-    return y, lambda dy: op.backward(node, dy, (op.rebuild(node, cache), *cache[1:]))
+    norm = Node("bn/norm", "norm", ["input"], bn=p, channels=a.gamma.size)
+    node = Node("bn", "affine_relu", [norm.name], affine=a, channels=a.gamma.size)
+    xhat, norm_cache = OPS["norm"].forward(norm, [x], mode)
+    op = OPS["affine_relu"]
+    y, cache = op.forward(node, [xhat], mode)
+
+    def backward(dy):
+        dxhat, dgamma, dbeta = op.backward(node, dy, (op.rebuild(node, cache), *cache[1:]))
+        return (*OPS["norm"].backward(norm, dxhat, norm_cache), dgamma, dbeta)
+
+    return y, backward
 
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
@@ -316,14 +332,15 @@ def test_bn_relu_matches_textbook_kernels(shape, dtype, tol, mode):
     x = (rng.normal(size=shape) * 1.5 + 0.3).astype(dtype)
     dy = rng.normal(size=shape).astype(dtype)
     p = make_batch_norm(c, dtype=dtype)
-    p.gamma[...] = rng.normal(1.0, 0.2, size=c)
-    p.beta[...] = rng.normal(0.0, 0.2, size=c)
+    a = make_affine((p,), dtype=dtype)
+    a.gamma[...] = rng.normal(1.0, 0.2, size=c)
+    a.beta[...] = rng.normal(0.0, 0.2, size=c)
     p.running_mean[...] = rng.normal(0.3, 0.1, size=c)
     p.running_var[...] = rng.uniform(1.5, 3.0, size=c)
     y_ref, mean_ref, var_ref, backward_ref = bn_relu_reference(
-        x, p.gamma, p.beta, p.running_mean, p.running_var, mode)
+        x, a.gamma, a.beta, p.running_mean, p.running_var, mode)
     x_before, dy_before = x.copy(), dy.copy()
-    y, backward = _bn_relu_op(x, p, mode)
+    y, backward = _bn_relu_op(x, p, a, mode)
     got = (y, p.running_mean, p.running_var, *backward(dy))
     want = (y_ref, mean_ref, var_ref, *backward_ref(dy))
     for name, a, b in zip(("y", "running_mean", "running_var", "dx", "dgamma", "dbeta"),
@@ -331,6 +348,41 @@ def test_bn_relu_matches_textbook_kernels(shape, dtype, tol, mode):
         assert a.dtype == dtype, name
         assert _scaled_error(a, b) <= tol, name
     assert np.array_equal(x, x_before) and np.array_equal(dy, dy_before)
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_affine_of_parts_is_the_affine_of_their_concat(mode):
+    """An affine over several parts gives what it gives over their concat:
+    the same output bit for bit, and the concat's gradients split by part.
+    The parts are only read; ``dz`` is consumed, its channels holding the
+    parts' gradients."""
+    rng = np.random.default_rng(4)
+    parts = [rng.normal(size=(3, c, 5, 4)) for c in (4, 2, 3)]
+    stats = tuple(make_batch_norm(c, dtype=np.float64) for c in (4, 2, 3))
+    for p in stats:
+        p.running_mean[...] = rng.normal(0.3, 0.1, size=p.running_mean.size)
+        p.running_var[...] = rng.uniform(1.5, 3.0, size=p.running_var.size)
+    a = make_affine(stats, dtype=np.float64)
+    a.gamma[...] = rng.normal(1.0, 0.2, size=9)
+    a.beta[...] = rng.normal(0.0, 0.2, size=9)
+    joined = make_batch_norm(9, dtype=np.float64)
+    joined.running_mean[...] = np.concatenate([p.running_mean for p in stats])
+    joined.running_var[...] = np.concatenate([p.running_var for p in stats])
+    b = make_affine((joined,), dtype=np.float64)
+    b.gamma[...], b.beta[...] = a.gamma, a.beta
+    concat = np.concatenate(parts, axis=1)
+    before = [part.tobytes() for part in parts]
+    y = affine_forward(parts, a, mode)
+    assert y.tobytes() == affine_forward([concat], b, mode).tobytes()
+    dz = rng.normal(size=y.shape)
+    consumed = dz.copy()
+    dparts, dgamma, dbeta = affine_backward(consumed, parts, a, mode)
+    (want_dx,), want_dgamma, want_dbeta = affine_backward(dz.copy(), [concat], b, mode)
+    assert all(np.shares_memory(d, consumed) for d in dparts)
+    assert np.array_equal(np.concatenate(dparts, axis=1), want_dx)
+    assert np.allclose(dgamma, want_dgamma, rtol=1e-13, atol=0)
+    assert np.array_equal(dbeta, want_dbeta)
+    assert [part.tobytes() for part in parts] == before
 
 
 @pytest.mark.parametrize("mean,bound", [(0.0, 2e-6), (100.0, 6e-5), (1000.0, 6e-4)])
@@ -343,7 +395,7 @@ def test_bn_relu_float32_error_against_float64(mean, bound):
     p = make_batch_norm(64)
     exact, *_ = bn_relu_reference(x.astype(np.float64), np.ones(64), np.zeros(64),
                                   np.zeros(64), np.ones(64))
-    y, _ = _bn_relu_op(x, p, "train")
+    y, _ = _bn_relu_op(x, p, make_affine((p,)), "train")
     assert float(np.abs(y - exact).max()) <= bound
 
 
@@ -456,7 +508,8 @@ def _read_only_kernel(name, rng, monkeypatch):
     if name.startswith("batch_norm"):
         p = make_batch_norm(4, dtype=np.float64)
         mode = name.split()[1]
-        return x, lambda x: batch_norm_forward(x, p, mode=mode), batch_norm_backward
+        return (x, lambda x: batch_norm_forward(x, p, mode=mode),
+                lambda dy, cache: (batch_norm_backward(dy, cache),))
     if name == "global_avg_pool":
         return x, global_avg_pool_forward, global_avg_pool_backward
     p = make_fc(4 * 7 * 9, 5, dtype=np.float64)
@@ -494,14 +547,14 @@ def test_kernels_only_read_their_arrays(name, monkeypatch):
 
 def test_train_mode_conv_caches_hold_only_their_input():
     """No conv keeps a patch matrix for backward, nor an input that backward
-    rebuilds: a conv reading a ``bn_relu`` output caches no array, and every
+    rebuilds: a conv reading an ``affine_relu`` output caches no array, and every
     other conv caches exactly its input."""
     g = build_network(miniature_config(), seed=0)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
     result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
     convs = [node for node in g.nodes.values() if node.op == "conv"]
     assert any(not layers._is_pointwise(node.conv) for node in convs)
-    rebuilt = [node for node in convs if g.nodes[node.inputs[0]].op == "bn_relu"]
+    rebuilt = [node for node in convs if g.nodes[node.inputs[0]].op == "affine_relu"]
     assert 0 < len(rebuilt) < len(convs)
     for node in convs:
         cached = list(_cached_arrays(result.caches[node.name]))
@@ -513,55 +566,65 @@ def test_train_mode_conv_caches_hold_only_their_input():
 
 
 def test_train_mode_caches_hold_one_full_size_array_per_bn_relu():
-    """After a kept train forward the caches hold, per ``bn_relu``, its
-    normalised input (its output's size) and per-channel ``inv_std``, and
-    the inputs of each conv and fc that no ``bn_relu`` produced; no
-    ``bn_relu`` output itself."""
+    """After a kept train forward the caches hold one full-size array per
+    normalised tensor, not per pre-activation: each ``norm`` node's
+    normalised output and per-channel ``inv_std``, which the pre-activations
+    that read it share, and the inputs of each conv and fc that no
+    ``affine_relu`` produced; no ``affine_relu`` output itself."""
     g = build_network(miniature_config(), seed=0)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
     result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
     cached = {id(a): a for a in _cached_arrays(tuple(result.caches.values()))}
-    bn_relus = [node for node in g.nodes.values() if node.op == "bn_relu"]
+    norms = [node for node in g.nodes.values() if node.op == "norm"]
+    affines = [node for node in g.nodes.values() if node.op == "affine_relu"]
+    assert len(g.nodes["stage2/unit0/shared/norm"].inputs) == 1
+    assert sum("stage2/unit0/shared/norm" in node.inputs for node in affines) == 3
     kept_inputs = {node.inputs[0] for node in g.nodes.values()
-                   if node.op in ("conv", "fc") and g.nodes[node.inputs[0]].op != "bn_relu"}
+                   if node.op in ("conv", "fc") and g.nodes[node.inputs[0]].op != "affine_relu"}
     assert kept_inputs >= {g.input_name}
-    want = sum(result.outputs[node.name].nbytes + node.bn.gamma.nbytes for node in bn_relus)
+    want = sum(result.outputs[node.name].nbytes + node.bn.running_mean.nbytes for node in norms)
     want += sum(result.outputs[name].nbytes for name in kept_inputs)
     assert sum(a.nbytes for a in cached.values()) == want
+    for node in affines:
+        assert all(part is result.outputs[norm]
+                   for part, norm in zip(result.caches[node.name][1:], node.inputs)), node.name
     assert not any(np.shares_memory(a, result.outputs[node.name])
-                   for a in cached.values() for node in bn_relus)
+                   for a in cached.values() for node in affines)
 
 
 def test_bn_relu_backward_allocates_less_than_its_output(monkeypatch):
-    """In a kept float64 train step of the miniature net, each ``bn_relu``
-    backward writes its ReLU gradient into the rebuilt output it is handed
-    and ``dx`` into its ``xhat``: no call allocates as many bytes as its
-    output holds (a one-byte mask, per-channel sums and numpy's 8,192-element
-    ufunc buffers remain, so the input is large enough that the smallest
-    output, 2 channels at 16x16, holds 256 KiB; the largest call allocates
-    0.38x its output)."""
+    """In a kept float64 train step of the miniature net, each
+    ``affine_relu`` backward writes its ReLU gradient and its inputs'
+    gradient into the rebuilt output it is handed, and each ``norm``
+    backward writes ``dx`` into its normalised output: no call allocates as
+    many bytes as its output holds (a one-byte mask, per-channel sums and
+    numpy's 8,192-element ufunc buffers remain, so the input is large
+    enough that the smallest output, 2 channels at 16x16, holds 256 KiB)."""
     g = build_network(miniature_config(), seed=0, dtype=np.float64)
     rng = np.random.default_rng(0)
     x, labels = rng.normal(size=(64, 3, 64, 64)), rng.integers(0, 4, size=64)
-    op = OPS["bn_relu"]
     calls = []
 
-    def measured(node, dy, cache):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        grads = op.backward(node, dy, cache)
-        calls.append((node.name, tracemalloc.get_traced_memory()[1] - before,
-                      cache[0].nbytes))
-        return grads
+    def measured(backward):
+        def run(node, dy, cache):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            grads = backward(node, dy, cache)
+            calls.append((node.name, tracemalloc.get_traced_memory()[1] - before,
+                          cache[0].nbytes))
+            return grads
+        return run
 
-    monkeypatch.setitem(OPS, "bn_relu", dataclasses.replace(op, backward=measured))
+    for kind in ("norm", "affine_relu"):
+        monkeypatch.setitem(OPS, kind, dataclasses.replace(
+            OPS[kind], backward=measured(OPS[kind].backward)))
     tracemalloc.start()
     try:
         execute(g, x, mode="train", labels=labels)
     finally:
         tracemalloc.stop()
     assert sorted(name for name, *_ in calls) == sorted(
-        name for name, node in g.nodes.items() if node.op == "bn_relu")
+        name for name, node in g.nodes.items() if node.op in ("norm", "affine_relu"))
     assert all(peak < nbytes for _, peak, nbytes in calls), calls
 
 
@@ -633,5 +696,10 @@ def test_msr_deterministic_and_zero_bias():
     b = msr_initialize(make_conv(4, 8, 3, bias=True), seed=42)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert np.all(a.bias == 0.0)
-    bn = msr_initialize(make_batch_norm(6), seed=0)
-    assert np.all(bn.gamma == 1.0) and np.all(bn.beta == 0.0)
+    stats = make_batch_norm(6)
+    stats.running_mean[...], stats.running_var[...] = 3.0, 4.0
+    affine = make_affine((stats,))
+    affine.gamma[...], affine.beta[...] = 2.0, 5.0
+    assert msr_initialize(affine, seed=0) is affine and msr_initialize(stats, seed=0) is stats
+    assert np.all(affine.gamma == 1.0) and np.all(affine.beta == 0.0)
+    assert np.all(stats.running_mean == 0.0) and np.all(stats.running_var == 1.0)

@@ -243,11 +243,15 @@ def test_train_mode_diagnosis_leaves_buffers_unchanged(bad, want):
 @pytest.mark.parametrize("entry, mode", [("gamma", "train"), ("running_var", "infer")])
 def test_nonfinite_bn_parameter_is_localized(entry, mode):
     """The ReLU of a pre-activation maps the NaN its batch norm makes to 0;
-    the node that holds the NaN is still the one reported."""
+    the node that holds the NaN is still the one reported: the
+    pre-activation for its ``gamma``, the normalisation of its input for
+    the running statistics."""
+    holder = {"gamma": "stage1/unit0/bn2", "running_var": "stage1/unit0/conv1/norm"}[entry]
     g = build_network(miniature_config(), seed=0)
-    getattr(g.nodes["stage1/unit0/bn2"].bn, entry)[0] = np.nan
+    assert g.nodes["stage1/unit0/bn2"].inputs == ["stage1/unit0/conv1/norm"]
+    getattr(g.nodes[holder].params, entry)[0] = np.nan
     node = first_nonfinite_node(g, tiny_dataset().images[:4], mode=mode)
-    assert node == "stage1/unit0/bn2"
+    assert node == holder
 
 
 def test_checkpoint_cadence_and_log(tmp_path):
