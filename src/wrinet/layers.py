@@ -26,7 +26,10 @@ folded into its scale and shift.
 Convolution lowers to a channel-major patch matrix (im2col) of shape
 (C_in*k*k, N*H_out*W_out), built one tile at a time into one buffer per call
 (Jia et al. 2014): a tile is whole samples while one sample's patch matrix
-fits ``CONV_TILE_BYTES``, else a band of output rows of one sample. The
+fits ``CONV_TILE_BYTES``, else a band of output rows of one sample. Each
+tile copies only the zero-padded input rows its windows read into a second
+reused buffer, so a conv tiled by bands never holds a whole padded sample:
+MEC's saving on the patch matrix (Cho & Brand 2017), made on the copy. The
 forward runs one GEMM per sample of each tile; the cache keeps only the
 input. A pointwise forward (1x1 without padding, at any stride) multiplies
 its input, sampled at the stride, and builds no patch matrix. Backward
@@ -160,9 +163,10 @@ def _is_pointwise(p: ConvParams) -> bool:
 
 
 # Upper bound on the bytes of one tile of a conv's patch matrix. Every tile of
-# a call reuses one buffer, so no conv writes a batch-wide patch matrix to
-# fresh memory; 4 MiB ran infer and detect fastest of 2, 4, 8 and 16 MiB
-# (BENCH_pr9.json).
+# a call reuses one buffer, and one buffer of the padded input rows it reads,
+# so no conv writes a batch-wide patch matrix or, when it tiles by rows, a
+# whole padded sample to fresh memory; 4 MiB ran infer and detect fastest of
+# 2, 4, 8 and 16 MiB (BENCH_pr9.json).
 CONV_TILE_BYTES = 4 << 20
 
 
@@ -181,28 +185,33 @@ def _patch_tiles(x: np.ndarray, k: int, stride: int, lead: int,
     """Yield ``(n0, m, r0, r, cols)`` for each tile of the channel-major patch
     matrix: samples n0..n0+m and output rows r0..r0+r, with ``cols`` of shape
     (C, k, k, m, r, W_out), rows in the (C_in, k, k) order of the weights.
-    Each block of samples is copied into one zero buffer at offset ``lead``
-    in both dimensions; the buffer ends where the last window does, so the
-    trailing zero border is whatever the output size leaves, and input rows
-    and columns no window reads are left out. Each tile is filled with k*k
-    strided block copies into one buffer; both buffers are reused, so
-    ``cols`` is valid until the next tile."""
-    n, c = x.shape[:2]
-    hp, wp = stride * (h_out - 1) + k, stride * (w_out - 1) + k
-    h, w = min(x.shape[2], hp - lead), min(x.shape[3], wp - lead)
-    xp_buf = np.zeros((c, samples, hp, wp), dtype=x.dtype)
+    The input is zero-padded by ``lead`` rows and columns before and by
+    whatever the output size leaves after, so input rows and columns no
+    window reads are left out. Each tile copies the padded rows its windows
+    read, stride*r0 .. stride*(r0+r-1)+k, into one zero buffer of shape
+    (C, samples, stride*(rows-1)+k, W_pad) and zeroes the band rows outside
+    the input; the border columns are never written. A whole-sample tile's
+    band is the whole padded sample. k*k strided block copies then fill the
+    tile; both buffers are reused, so ``cols`` is valid until the next tile."""
+    n, c, h, _ = x.shape
+    wp = stride * (w_out - 1) + k
+    w = min(x.shape[3], wp - lead)
+    xp_buf = np.zeros((c, samples, stride * (rows - 1) + k, wp), dtype=x.dtype)
     cols_buf = np.empty(c * k * k * samples * rows * w_out, dtype=x.dtype)
     for n0 in range(0, n, samples):
         m = min(samples, n - n0)
-        xp = xp_buf[:, :m]
-        xp[:, :, lead:lead + h, lead:lead + w] = x[n0:n0 + m, :, :h, :w].transpose(1, 0, 2, 3)
         for r0 in range(0, h_out, rows):
             r = min(rows, h_out - r0)
+            # band row b is input row top + b; no band starts past row h, so lo <= hi
+            xp, top = xp_buf[:, :m, :stride * (r - 1) + k], stride * r0 - lead
+            lo, hi = max(0, -top), min(xp.shape[2], h - top)
+            xp[:, :, lo:hi, lead:lead + w] = x[n0:n0 + m, :, top + lo:top + hi,
+                                                :w].transpose(1, 0, 2, 3)
+            xp[:, :, :lo] = xp[:, :, hi:] = 0
             cols = cols_buf[:c * k * k * m * r * w_out].reshape(c, k, k, m, r, w_out)
             for i in range(k):
-                top = i + stride * r0
                 for j in range(k):
-                    cols[:, i, j] = xp[:, :, top:top + stride * r:stride,
+                    cols[:, i, j] = xp[:, :, i:i + stride * r:stride,
                                        j:j + stride * w_out:stride]
             yield n0, m, r0, r, cols
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wrinet import layers
 from wrinet.analysis import analyze, count_macs
-from wrinet.builder import StageConfig, NetworkConfig, build_network
+from wrinet.builder import StageConfig, NetworkConfig, build_network, builtin_config
 from wrinet.blocks import UnitSpec
 from wrinet.detection import match_priors
 from wrinet.gradcheck import fd_gradients, relative_error
@@ -225,3 +228,30 @@ def test_head_macs_are_counted_with_the_backbone():
     report = analyze(g, input_hw=(16, 16))
     assert report.total_macs == backbone_macs + head_macs
     assert {n.name for n in report.per_node} >= {"head/logits", "head/offsets"}
+
+
+def test_single_image_detection_holds_three_stage1_maps_and_one_tile():
+    """At N=1 every 3x3 conv past the stem of ``wr-inception`` at 64x208
+    tiles its input by bands of output rows, and copies only the padded
+    rows of each band. So the traced peak of an infer-mode detection
+    forward, with the taps of perfbench's detect-kitti, is at most the
+    three full-size stage-1 maps then live (the unit input the shortcut
+    keeps, the ``bn1`` output and the conv output), one patch-matrix tile,
+    and a quarter of a map for the band buffer and the head. A whole
+    padded copy of a conv input would add a full map."""
+    hw = (64, 208)
+    g = build_network(builtin_config("wr-inception", input_shape=(3, *hw)), seed=0)
+    head = build_detection_head(g, ("stage2/unit1/add", "stage3/unit1/add"), hw,
+                                num_classes=3, seed=0)
+    c, h, w = g.infer_shapes(hw)["stage1/unit0/add"]
+    map_bytes = c * h * w * np.dtype(np.float32).itemsize
+    x = np.random.default_rng(0).normal(size=(1, 3, *hw)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        detection_forward(g, head, x, mode="infer")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = 3 * map_bytes + layers.CONV_TILE_BYTES + map_bytes // 4
+    assert peak <= bound, (peak, bound)

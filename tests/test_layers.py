@@ -81,12 +81,18 @@ TILED_CONV_CASES = [
     (((4, 2, 8, 7), 3, 3, 2, 0, False), ("samples", 3), np.float32),  # blocks 3, 1
     (((2, 3, 11, 5), 2, 3, 1, 0, False), ("rows", 4), np.float64),  # bands 4, 4, 1
     (((2, 2, 6, 9), 3, 5, 1, 2, True), ("rows", 1), np.float32),  # one row per band
+    # stride 2, padding 0: input row 7 is read by no window, so no band copies it
+    (((2, 2, 8, 7), 3, 3, 2, 0, False), ("rows", 1), np.float64),  # bands 1, 1, 1
+    (((2, 3, 9, 8), 3, 5, 2, 2, True), ("rows", 2), np.float32),  # 5x5 s2: bands 2, 2, 1
     # tiles of the backward's patch matrix of dy, over the phase grid
     (((5, 3, 7, 10), 4, 3, 1, 1, True), ("dy samples", 2), np.float64),  # blocks 2, 2, 1
     (((2, 3, 11, 6), 4, 3, 1, 1, False), ("dy rows", 4), np.float32),  # bands 4, 4, 3
     (((5, 2, 9, 7), 3, 3, 2, 1, False), ("dy samples", 2), np.float32),  # blocks 2, 2, 1
     (((2, 2, 11, 8), 3, 3, 2, 1, True), ("dy rows", 4), np.float64),  # grid 6: bands 4, 2
     (((2, 2, 9, 9), 3, 5, 2, 2, False), ("dy rows", 2), np.float64),  # grid 5: bands 2, 2, 1
+    # stride above the kernel: grid row 1 holds input rows no window reads, so
+    # its band's window is only the bottom zero border of dy
+    (((2, 2, 4, 5), 3, 2, 3, 0, False), ("dy rows", 1), np.float64),  # grid 2: bands 1, 1
     # a 1x1 6->2 conv: the copy of x by phase, not dy, sizes the tiles
     (((5, 6, 5, 7), 2, 1, 1, 0, True), ("dy samples", 2), np.float64),  # blocks 2, 2, 1
 ]
@@ -208,6 +214,48 @@ def test_conv_backward_tiles_only_dy(stride, monkeypatch):
     dy = rng.normal(size=y.shape)
     conv2d_backward(dy, cache)
     assert [a is dy for a, _ in calls] == [True]
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes of its traced peak above what was
+    allocated when it was called."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_row_band_conv_copies_less_than_one_padded_sample(stride, monkeypatch):
+    """A conv that tiles one sample by bands of output rows copies into its
+    padded buffer only the rows each band reads. So at N=1 the forward's
+    traced peak, less ``y``, stays below one zero-padded sample of ``x``,
+    and the backward's, less ``dx`` and the weight-sized arrays of ``dw``,
+    below one zero-padded sample of ``dy``, the array it tiles."""
+    rng = np.random.default_rng(0)
+    c, size, k, pad = 8, 64, 3, 1
+    x = rng.normal(size=(1, c, size, size))
+    p = make_conv(c, c, k, stride=stride, padding=pad, dtype=np.float64)
+    msr_initialize(p, rng)
+    monkeypatch.setattr(layers, "CONV_TILE_BYTES", 1 << 14)
+    h_out = layers.conv_output_size(size, k, stride, pad)
+    assert layers._tile_shape(1, c * k * k, h_out, h_out, 8)[1] < h_out
+    padded_x = x[0].nbytes * (stride * (h_out - 1) + k) ** 2 // size ** 2
+    (y, cache), peak = _traced_peak(conv2d_forward, x, p)
+    assert peak - y.nbytes < padded_x, (peak - y.nbytes, padded_x)
+
+    dy = rng.normal(size=y.shape)
+    u = -(-k // stride)
+    grid = (pad + size - 1) // stride - pad // stride + 1
+    assert layers._tile_shape(1, c * u * u, grid, grid, 8)[1] < grid
+    padded_dy = dy[0].nbytes * (grid + u - 1) ** 2 // h_out ** 2
+    # w_pad, its phase matrix, dw by phase, dw_pad and dw
+    dw_bytes = 5 * p.weights.nbytes * (stride * u) ** 2 // k ** 2
+    (dx, dw, _), peak = _traced_peak(conv2d_backward, dy, cache)
+    assert peak - dx.nbytes - dw_bytes < padded_dy, (peak - dx.nbytes - dw_bytes, padded_dy)
 
 
 def test_conv_rejects_bad_inputs():
@@ -490,6 +538,7 @@ READ_ONLY_CONVS = {
     "conv pointwise": (1, 1, 0, None),
     "conv 3x3 s1 p2 row bands": (3, 1, 2, ("rows", 4)),
     "conv 3x3 s2 p0 sample blocks": (3, 2, 0, ("samples", 2)),
+    "conv 3x3 s2 p0 row bands": (3, 2, 0, ("rows", 1)),  # bands 1, 1, 1
     "conv 3x3 s2 p1 dy row bands": (3, 2, 1, ("dy rows", 3)),  # grid 4: bands 3, 1
 }
 
