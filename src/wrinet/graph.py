@@ -24,6 +24,15 @@ backward writes its ReLU gradient and then its inputs' gradient into its
 rebuilt output, and a ``norm`` backward writes its input's gradient into
 its normalised output, so neither allocates an array of its output's size
 (in-place activated batch norm, Rota Bulo et al. 2018).
+
+Forward fuses two steps, so that a value read once is not written out as a
+map of its own. An ``affine_relu`` whose one reader is a conv is applied by
+the conv to the pixels it copies into each tile, and a conv whose one
+reader is an add adds its output, tile by tile, into the add's other input
+when the pass owns that array and nothing reads it after the add, which
+then passes the sum on. So a residual unit's forward holds the unit input
+and one conv's input or output, not a third map. Each pixel takes the
+float ops it took unfused, so every value is bit for bit the same.
 Parameters live in a registry keyed by
 hierarchical names (``stage1/unit0/conv1/weight``) so optimizers, freeze masks,
 and checkpoints all address the same namespace.
@@ -195,6 +204,14 @@ def _affine_relu_rebuild(node: Node, cache: tuple) -> np.ndarray:
     return layers.relu_forward(layers.affine_forward(parts, node.affine, mode))[0]
 
 
+def _preactivation(node: Node, parts: list[np.ndarray], mode: str
+                   ) -> tuple[layers.PreActivation, tuple]:
+    """An ``affine_relu`` forward that its one reader, a conv, applies: the
+    output stands for the map it does not make, and the cache is
+    :func:`_affine_relu_forward`'s with no output in it."""
+    return layers.PreActivation(parts, node.affine, mode), (None, *parts, mode)
+
+
 def _affine_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
     y, *parts, mode = cache
     dparts, dgamma, dbeta = layers.affine_backward(layers.relu_backward(dy, y), parts,
@@ -269,21 +286,40 @@ OPS: dict[str, Op] = {
 }
 
 
+@dataclass(frozen=True)
+class _Fusion:
+    """What one kind of forward pass runs fused (see
+    :meth:`NetworkGraph.forward`): the ``affine_relu`` nodes that their
+    conv applies (``preact``), each conv that adds its output into the
+    other input of the add that reads it (``add_into``: conv -> that
+    input), and each such add, which passes the sum on (``passed``: add ->
+    conv)."""
+
+    preact: frozenset[str]
+    add_into: dict[str, str]
+    passed: dict[str, str]
+
+
+_UNFUSED = _Fusion(frozenset(), {}, {})
+
+
 @dataclass
 class _Plan:
     """What :meth:`NetworkGraph.forward` plans from the graph alone, cached
     on the graph until it changes: per node the outputs its backward reads
-    (``steps``), its last reader, the outputs backward
+    (``steps``), its readers in order, the outputs backward
     rebuilds and the nodes that take batch statistics; and, filled as they
-    are asked for, the shapes per input H x W and the outputs that die
-    after each step per ``keep`` set."""
+    are asked for, the shapes per input H x W, the outputs that die after
+    each step per ``keep`` set and the fusions per ``keep`` set, mode and
+    ``keep_caches``."""
 
     steps: list[tuple[str, Node, list[str]]]
-    last_reader: dict[str, str]
+    readers: dict[str, list[str]]
     rebuildable: frozenset[str]
     batch_statistics: list[str]
     shapes: dict[tuple[int, int], dict[str, Shape]]
     dies_after: dict[frozenset[str], dict[str, list[str]]]
+    fusions: dict[tuple[frozenset[str], str, bool], _Fusion]
 
 
 class NetworkGraph:
@@ -408,26 +444,79 @@ class NetworkGraph:
         plan = self._plan
         if plan is None:
             steps = [(name, self.nodes[name], OPS[self.nodes[name].op]) for name in self.order[1:]]
-            last_reader = {name: name for name in self.order}  # unread: dies at once
+            readers: dict[str, list[str]] = {name: [] for name in self.order}
             for name in self.order:
                 for inp in self.nodes[name].inputs:
-                    last_reader[inp] = name
+                    readers[inp].append(name)
             plan = self._plan = _Plan(
                 steps=[(name, node, op.reads(node)) for name, node, op in steps],
-                last_reader=last_reader,
+                readers=readers,
                 rebuildable=frozenset(name for name, _, op in steps if op.rebuild is not None),
                 batch_statistics=[name for name, _, op in steps if op.batch_statistics],
-                shapes={}, dies_after={})
+                shapes={}, dies_after={}, fusions={})
         shapes = plan.shapes.get(hw)
         if shapes is None:
             shapes = plan.shapes[hw] = self.infer_shapes(hw)
         dies_after = plan.dies_after.get(keep)
         if dies_after is None:
             dies_after = plan.dies_after[keep] = {}
-            for name, reader in plan.last_reader.items():
-                if name not in keep:
-                    dies_after.setdefault(reader, []).append(name)
+            for name, readers in plan.readers.items():
+                if name not in keep:  # an unread output dies at once
+                    dies_after.setdefault(readers[-1] if readers else name, []).append(name)
         return plan, shapes, dies_after
+
+    def _fused(self, plan: _Plan, keep: frozenset[str], mode: str,
+               keep_caches: bool) -> _Fusion:
+        """The fusions :meth:`forward` runs for ``keep``, ``mode`` and
+        ``keep_caches``, found once per graph plan.
+
+        An ``affine_relu`` that is not kept and whose one reader is a conv
+        is applied by that conv. A conv whose one reader is an add, and
+        that is not kept, adds its output into the add's other input when
+        that input is made before the conv by a conv or an add (so the pass
+        owns the array), and no use of the array outlives the add: no
+        output that is the array or reads it later (an infer-mode ``norm``,
+        which passes its input through, a flatten, an applied
+        ``affine_relu``) is kept, every use but the add's runs before the
+        conv, and with ``keep_caches`` no cache holds the array."""
+        key = (keep, mode, keep_caches)
+        fusion = plan.fusions.get(key)
+        if fusion is not None:
+            return fusion
+        nodes, readers = self.nodes, plan.readers
+        at = {name: i for i, name in enumerate(self.order)}
+        preact = frozenset(
+            name for name, node, _ in plan.steps
+            if node.op == "affine_relu" and name not in keep
+            and [nodes[r].op for r in readers[name]] == ["conv"])
+
+        def passes_on(name: str) -> bool:  # its output is its input's array, or reads it later
+            op = nodes[name].op
+            return name in preact or op == "flatten" or (op == "norm" and mode == "infer")
+
+        def uses(name: str):
+            for reader in readers[name]:
+                yield reader
+                if passes_on(reader):
+                    yield from uses(reader)
+
+        add_into, passed = {}, {}
+        for name, node, _ in plan.steps:
+            if node.op != "add":
+                continue
+            into, conv = sorted(node.inputs, key=at.__getitem__)  # add(a, a): a has 2 readers
+            if (nodes[conv].op != "conv" or readers[conv] != [name] or conv in keep
+                    or nodes[into].op not in ("conv", "add")):
+                continue
+            users = list(uses(into))
+            arrays = {into, *(u for u in users if passes_on(u) and u not in preact)}
+            held = keep_caches and any(arrays.intersection(OPS[nodes[u].op].reads(nodes[u]))
+                                       for u in users)
+            if (not arrays & keep and not held
+                    and all(u == name or at[u] < at[conv] for u in users)):
+                add_into[conv], passed[name] = into, conv
+        fusion = plan.fusions[key] = _Fusion(preact, add_into, passed)
+        return fusion
 
     def forward(self, x: np.ndarray, mode: str = "infer", keep_caches: bool = False,
                 check_finite: bool = False,
@@ -455,8 +544,16 @@ class NetworkGraph:
         With it, every node's output, parameters and buffers are checked (a
         ReLU maps NaN to 0) and :class:`NodeNonFiniteError` is raised at the
         first offender: the diagnostic pass of :func:`optim.first_nonfinite_node`.
+        A checked pass fuses nothing (see :meth:`_fused`), so each output it
+        checks is made by its own node, and an ``affine_relu`` whose
+        output overflows is named, not the conv that would apply it.
 
-        No node changes its inputs. Backward reads the arrays a kept pass
+        No node changes ``x``, a returned output, or an array that a cache
+        or a later node reads. The one array a node writes into is an
+        input of an add that the pass made (a conv or add output), that is
+        not kept and that nothing reads after the add: the add's other
+        input, a conv, adds its output into it (see :meth:`_fused`).
+        Backward reads the arrays a kept pass
         holds, so until :meth:`backward` has run, callers must not write into
         ``x`` or into a returned output that a conv or fc reads and that no
         ``affine_relu`` produced (a detection tap, the fc input), nor, in
@@ -485,11 +582,21 @@ class NetworkGraph:
                         f"{self.nodes[name].op} {name!r} normalises over N*H*W = "
                         f"{x.shape[0]}*{h}*{w} values per channel in train mode, "
                         "which needs at least 2")
+        fusion = _UNFUSED if check_finite else self._fused(plan, keep, mode, keep_caches)
         outputs: dict[str, np.ndarray] = {self.input_name: x}
         caches: dict[str, tuple] = {}
         for name, node, reads in plan.steps:
             op = OPS[node.op]  # looked up at call time, as the kernels are
-            y, cache = op.forward(node, [outputs[i] for i in node.inputs], mode)
+            xs = [outputs[i] for i in node.inputs]
+            if name in fusion.preact:
+                y, cache = _preactivation(node, xs, mode)
+            elif name in fusion.add_into:
+                y, cache = layers.conv2d_forward(xs[0], node.conv,
+                                                 add_to=outputs[fusion.add_into[name]])
+            elif name in fusion.passed:
+                y, cache = outputs[fusion.passed[name]], None
+            else:
+                y, cache = op.forward(node, xs, mode)
             if check_finite and not all(np.all(np.isfinite(a)) for a in (
                     y, *op.params(node).values(), *op.buffers(node).values())):
                 raise NodeNonFiniteError(name)
@@ -500,7 +607,7 @@ class NetworkGraph:
                                for src, a in zip(reads, cache)),
                              *cache[len(reads):])
                 caches[name] = cache
-            del y, cache  # without keep_caches, a train-mode norm's xhat dies here
+            del xs, y, cache  # without keep_caches, a train-mode norm's xhat dies here
             for dead in dies_after.get(name, ()):
                 del outputs[dead]
         return ForwardResult(outputs=outputs, caches=caches)

@@ -1,7 +1,9 @@
 """Independent reference implementations the test suite checks against.
 
 These deliberately use naive loops and stay decoupled from the package's
-vectorized paths.
+vectorized paths. The reference executor is the exception: it runs the
+package's own ops, but without any of the executor's liveness, rebuilds,
+fusions or writes into owned arrays.
 """
 
 from __future__ import annotations
@@ -222,3 +224,55 @@ def bn_relu_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         return dx.astype(dy.dtype, copy=False), dgamma, dbeta
 
     return y, running_mean, running_var, backward
+
+
+def reference_forward(graph, x: np.ndarray, mode: str) -> tuple[dict, dict]:
+    """Every node's output and cache, keyed by node: each node runs its
+    op's own forward, unfused, on copies of its inputs, so no node can
+    change another's output, and everything is kept. Copies keep their
+    array's memory order (``order="K"``), so reductions over them round as
+    over the original."""
+    from wrinet.graph import OPS
+
+    outputs, caches = {graph.input_name: x.copy()}, {}
+    for name in graph.order[1:]:
+        node = graph.nodes[name]
+        outputs[name], caches[name] = OPS[node.op].forward(
+            node, [outputs[i].copy(order="K") for i in node.inputs], mode)
+    return outputs, caches
+
+
+def reference_backward(graph, caches: dict, out_grads: dict
+                       ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """(parameter gradients, input gradient) from the caches of
+    :func:`reference_forward`: each node's op backward runs on copies of
+    its cache and of its output's gradient, and the gradients of an output
+    read by several nodes are summed into a fresh array per reader, in the
+    order ``NetworkGraph.backward`` sums them (``out_grads`` first, then
+    the readers in reverse topological order), so the sums round alike."""
+    from wrinet.graph import OPS
+
+    acc: dict[str, np.ndarray] = {}
+
+    def contribute(name, g):
+        acc[name] = acc[name] + g if name in acc else g
+
+    for name, g in out_grads.items():
+        contribute(name, g)
+    param_grads = {}
+    for name in reversed(graph.order[1:]):
+        if name not in acc:
+            continue
+        node = graph.nodes[name]
+        op = OPS[node.op]
+        cache = caches[name]
+        if isinstance(cache, tuple):
+            cache = tuple(a.copy(order="K") if isinstance(a, np.ndarray) else a
+                          for a in cache)
+        grads = op.backward(node, acc.pop(name).copy(order="K"), cache)
+        k = len(node.inputs)
+        for entry, grad in zip(op.params(node), grads[k:]):
+            param_grads[f"{name}/{entry}"] = grad
+        for inp, grad in zip(node.inputs, grads[:k]):
+            contribute(inp, grad)
+    return param_grads, acc.get(graph.input_name)

@@ -355,8 +355,10 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     monkeypatch.setattr(tensor, "add_elementwise", counting_add)
     # a pre-activation is a norm node (batch_norm_*) and an affine_relu
     # node, whose ReLU clamps the affine's output in place and whose output
-    # backward rebuilds once (affine_forward and relu_forward again); a
-    # tracer times each kernel on its own
+    # backward rebuilds once (affine_forward and relu_forward again), unless
+    # its one reader is a conv, which applies it to the pixels it copies
+    # (no affine_forward or relu_forward in forward); a tracer times each
+    # kernel on its own
     pre_activation = ("batch_norm_forward", "batch_norm_backward", "affine_forward",
                       "affine_backward", "relu_forward", "relu_backward")
     for kernel in pre_activation:
@@ -375,13 +377,27 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     assert seen["conv_bwd"] == len(convs)
     # backward calls no conv2d_forward
     assert sorted(seen["conv_fwd"]) == sorted(convs)
-    assert seen["add"] == sum(n.op == "add" for n in g.nodes.values()) > 0
-    norms = sum(n.op == "norm" for n in g.nodes.values())
-    affines = sum(n.op == "affine_relu" for n in g.nodes.values())
-    assert norms > 0 and affines > 0
+    ops = {name: node.op for name, node in g.nodes.items()}
+    readers = {name: [r for r, node in g.nodes.items() if name in node.inputs]
+               for name in g.nodes}
+    # an add runs no kernel when its later input, a conv that only the add
+    # reads, adds its output into the other, a conv or add output that only
+    # norms (which, in train mode, do not pass it through) read besides
+    adds = {name: sorted(node.inputs, key=g.order.index)
+            for name, node in g.nodes.items() if node.op == "add"}
+    passed = [name for name, (into, conv) in adds.items()
+              if ops[conv] == "conv" and readers[conv] == [name]
+              and ops[into] in ("conv", "add")
+              and all(r == name or ops[r] == "norm" for r in readers[into])]
+    assert len(adds) > 0 and len(passed) > 0
+    assert seen["add"] == len(adds) - len(passed)
+    norms = sum(op == "norm" for op in ops.values())
+    affines = [name for name, op in ops.items() if op == "affine_relu"]
+    applied = [name for name in affines if [ops[r] for r in readers[name]] == ["conv"]]
+    assert norms > 0 and 0 < len(applied) < len(affines)
     assert seen["batch_norm_forward"] == seen["batch_norm_backward"] == norms
-    assert seen["affine_backward"] == seen["relu_backward"] == affines
-    assert seen["affine_forward"] == seen["relu_forward"] == 2 * affines
+    assert seen["affine_backward"] == seen["relu_backward"] == len(affines)
+    assert seen["affine_forward"] == seen["relu_forward"] == 2 * len(affines) - len(applied)
 
 
 def test_chaining_violation_reports_stage_index():

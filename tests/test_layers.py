@@ -201,6 +201,45 @@ def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias,
         assert tiling in [args for a, args in calls if a is tiled]
 
 
+@pytest.mark.parametrize("k, stride, tile", [(3, 1, None), (3, 1, 1 << 12), (3, 2, 1 << 12),
+                                             (5, 1, 1 << 12), (1, 1, None), (1, 2, 1 << 9)])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_conv_applies_a_preactivation_and_adds_into_add_to(k, stride, tile, mode,
+                                                          monkeypatch):
+    """A conv handed a ``PreActivation`` of two parts gives, byte for byte,
+    the conv of ``relu(affine_forward(parts))``, and one handed ``add_to``
+    gives ``add_to + y`` in ``add_to``'s own memory, by whole samples and
+    (at a small tile budget) by bands of rows that share input rows; the
+    parts are only read."""
+    if tile is not None:
+        monkeypatch.setattr(layers, "CONV_TILE_BYTES", tile)
+    rng = np.random.default_rng(k * 10 + stride)
+    parts = [rng.normal(size=(2, c, 9, 11)).astype(np.float32) for c in (3, 2)]
+    before = [part.tobytes() for part in parts]
+    stats = (make_batch_norm(3), make_batch_norm(2))
+    for bn in stats:
+        bn.running_mean[...] = rng.normal(size=bn.running_mean.shape)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+    affine = make_affine(stats)
+    affine.gamma[...] = rng.normal(size=5)
+    affine.beta[...] = rng.normal(size=5)
+    p = make_conv(5, 4, k, stride=stride, bias=True)
+    msr_initialize(p, rng)
+    p.bias[...] = rng.normal(size=4)
+    z = relu_forward(affine_forward(parts, affine, mode))[0]
+    pre = layers.PreActivation(parts, affine, mode)
+    assert pre.shape == z.shape and pre.dtype == z.dtype
+    y, _ = conv2d_forward(z, p)
+    assert conv2d_forward(pre, p)[0].tobytes() == y.tobytes()
+    into = rng.normal(size=y.shape).astype(np.float32)
+    expected = (into + y).tobytes()
+    for x in (z, pre):
+        acc = into.copy()
+        out, _ = conv2d_forward(x, p, add_to=acc)
+        assert out.tobytes() == expected and np.shares_memory(out, acc)
+    assert [part.tobytes() for part in parts] == before
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv_backward_tiles_only_dy(stride, monkeypatch):
     """One conv backward builds one patch matrix, of ``dy``: ``_patch_tiles``

@@ -254,6 +254,26 @@ def test_nonfinite_bn_parameter_is_localized(entry, mode):
     assert node == holder
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_overflowing_preactivation_is_charged_to_it_not_its_conv(mode):
+    """A finite but huge ``gamma`` and ``beta`` make the affine of
+    ``stage1/unit0/bn2`` overflow to +Inf, which its ReLU keeps. A forward
+    lets ``conv2``, its one reader, apply that pre-activation as it copies
+    its input, so no map of it is made and the Inf first shows in the
+    conv's output; the diagnostic pass still names the pre-activation."""
+    g = build_network(miniature_config(), seed=0)
+    readers = [name for name, node in g.nodes.items() if "stage1/unit0/bn2" in node.inputs]
+    assert readers == ["stage1/unit0/conv2"]
+    affine = g.nodes["stage1/unit0/bn2"].affine
+    affine.gamma[...] = affine.beta[...] = np.finfo(np.float32).max / 2
+    x = tiny_dataset().images[:4]
+    conv2 = g.forward(x, mode=mode, keep=readers)[readers[0]]
+    assert not np.all(np.isfinite(conv2))
+    assert first_nonfinite_node(g, x, mode=mode) == "stage1/unit0/bn2"
+
+
 def test_checkpoint_cadence_and_log(tmp_path):
     g = build_network(miniature_config(), seed=4)
     out = tmp_path / "run"
