@@ -19,11 +19,16 @@ Szegedy 2015; Pleiss et al. 2017). A kept pass holds one full-size array
 per ``norm``, its normalised output, which its consumers' backward read.
 An ``affine_relu`` output is not kept for backward: it is rebuilt once from
 its inputs, when backward first reads it, and dropped after its producer's
-backward (the recompute half of Chen et al. 2016). An ``affine_relu``
-backward writes its ReLU gradient and then its inputs' gradient into its
-rebuilt output, and a ``norm`` backward writes its input's gradient into
-its normalised output, so neither allocates an array of its output's size
-(in-place activated batch norm, Rota Bulo et al. 2018).
+backward (the recompute half of Chen et al. 2016). The first conv to read
+an ``affine_relu`` output, if its kernel is at least its stride, runs the
+last backward of its readers; it writes the output's ReLU gradient, with
+what the other readers sent, into the rebuilt output, so no conv ``dx``,
+ReLU pass or sum of that size is made. Where no such conv does, the
+``affine_relu`` backward writes its ReLU gradient into its rebuilt output
+itself; either way it then writes its inputs' gradient there, and a
+``norm`` backward writes its input's gradient into its normalised output,
+so neither allocates an array of its output's size (in-place activated
+batch norm, Rota Bulo et al. 2018).
 
 Forward fuses two steps, so that a value read once is not written out as a
 map of its own. An ``affine_relu`` whose one reader is a conv is applied by
@@ -125,9 +130,11 @@ class Op:
     None in the output's place in every cache, and backward rebuilds it for
     the first node that reads it. Backward runs every reader before the
     producer, so an ``affine_relu`` backward consumes the rebuilt output it
-    is handed (it writes its gradients there) and, in train mode, a
-    ``norm`` backward consumes its normalised output (it writes ``dx``
-    there) after every consumer has read it. ``batch_statistics`` marks an
+    is handed (it writes its gradients there; a ``dy`` that is that
+    output already holds the ReLU's gradient, which a conv that read it
+    wrote there) and, in train mode, a ``norm`` backward consumes its
+    normalised output (it writes ``dx`` there) after every consumer has
+    read it. ``batch_statistics`` marks an
     op that normalises by per-channel statistics over N, H and W in train
     mode, which needs N*H*W >= 2.
     ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
@@ -214,8 +221,9 @@ def _preactivation(node: Node, parts: list[np.ndarray], mode: str
 
 def _affine_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
     y, *parts, mode = cache
-    dparts, dgamma, dbeta = layers.affine_backward(layers.relu_backward(dy, y), parts,
-                                                   node.affine, mode)
+    # a conv that read y last wrote the ReLU's gradient into y (see backward)
+    dz = dy if dy is y else layers.relu_backward(dy, y)
+    dparts, dgamma, dbeta = layers.affine_backward(dz, parts, node.affine, mode)
     return (*dparts, dgamma, dbeta)
 
 
@@ -308,7 +316,9 @@ class _Plan:
     """What :meth:`NetworkGraph.forward` plans from the graph alone, cached
     on the graph until it changes: per node the outputs its backward reads
     (``steps``), its readers in order, the outputs backward
-    rebuilds and the nodes that take batch statistics; and, filled as they
+    rebuilds, the convs whose backward writes their input's ReLU gradient
+    into it (``relu_into_x``, see :meth:`NetworkGraph.backward`) and the
+    nodes that take batch statistics; and, filled as they
     are asked for, the shapes per input H x W, the outputs that die after
     each step per ``keep`` set and the fusions per ``keep`` set, mode and
     ``keep_caches``."""
@@ -316,6 +326,7 @@ class _Plan:
     steps: list[tuple[str, Node, list[str]]]
     readers: dict[str, list[str]]
     rebuildable: frozenset[str]
+    relu_into_x: frozenset[str]
     batch_statistics: list[str]
     shapes: dict[tuple[int, int], dict[str, Shape]]
     dies_after: dict[frozenset[str], dict[str, list[str]]]
@@ -436,24 +447,36 @@ class NetworkGraph:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _planned(self, hw: tuple[int, int], keep: frozenset[str]
-                 ) -> tuple[_Plan, dict[str, Shape], dict[str, list[str]]]:
+    def _graph_plan(self) -> _Plan:
         """The graph's plan, made once and reused until a node is added or
-        removed, with every node's shape for an input of ``hw`` and the
-        outputs that die after each step when ``keep`` is kept."""
-        plan = self._plan
-        if plan is None:
-            steps = [(name, self.nodes[name], OPS[self.nodes[name].op]) for name in self.order[1:]]
+        removed."""
+        if self._plan is None:
+            nodes = self.nodes
+            steps = [(name, nodes[name], OPS[nodes[name].op]) for name in self.order[1:]]
             readers: dict[str, list[str]] = {name: [] for name in self.order}
             for name in self.order:
-                for inp in self.nodes[name].inputs:
+                for inp in nodes[name].inputs:
                     readers[inp].append(name)
-            plan = self._plan = _Plan(
+            # each affine_relu's first reader, if a conv whose kernel is at
+            # least its stride (see conv2d_backward's relu_into_x)
+            first = (readers[name][0] for name, node, _ in steps
+                     if node.op == "affine_relu" and readers[name])
+            relu_into_x = frozenset(r for r in first if nodes[r].op == "conv"
+                                    and nodes[r].conv.kernel[0] >= nodes[r].conv.stride)
+            self._plan = _Plan(
                 steps=[(name, node, op.reads(node)) for name, node, op in steps],
                 readers=readers,
                 rebuildable=frozenset(name for name, _, op in steps if op.rebuild is not None),
+                relu_into_x=relu_into_x,
                 batch_statistics=[name for name, _, op in steps if op.batch_statistics],
                 shapes={}, dies_after={}, fusions={})
+        return self._plan
+
+    def _planned(self, hw: tuple[int, int], keep: frozenset[str]
+                 ) -> tuple[_Plan, dict[str, Shape], dict[str, list[str]]]:
+        """The graph's plan, with every node's shape for an input of ``hw``
+        and the outputs that die after each step when ``keep`` is kept."""
+        plan = self._graph_plan()
         shapes = plan.shapes.get(hw)
         if shapes is None:
             shapes = plan.shapes[hw] = self.infer_shapes(hw)
@@ -630,9 +653,16 @@ class NetworkGraph:
         output, and a train-mode ``norm``'s backward, which runs after every
         consumer's, its normalised output. The gradients of an output read
         by several nodes are summed before its producer's backward runs, so
-        a ``norm`` read by several pre-activations runs one backward.
-        Returns (parameter gradients, input gradient). Gradients are
-        accumulated without mutating shared arrays.
+        a ``norm`` read by several pre-activations runs one backward. The
+        first conv to read an ``affine_relu`` output, if its kernel is at
+        least its stride, runs after every other reader; its backward
+        (``conv2d_backward(relu_into_x=True)``) writes the ReLU gradient of
+        the output's summed gradient into the rebuilt output, tile by tile,
+        and hands that array to the ``affine_relu``, which skips its ReLU.
+        Returns (parameter gradients, input gradient). Backward writes only
+        into arrays the passes made: rebuilt outputs, train-mode normalised
+        outputs (kept ones too, which then hold ``dx``) and its own sums;
+        ``out_grads`` are only read.
         """
         acc: dict[str, np.ndarray] = {}
         rebuilt: dict[str, np.ndarray] = {}
@@ -664,6 +694,7 @@ class NetworkGraph:
                     f"{np.shape(g)}, but its output is {y.dtype} {y.shape}")
             contribute(name, g)
 
+        relu_into_x = self._graph_plan().relu_into_x
         param_grads: dict[str, np.ndarray] = {}
         for name in reversed(self.order[1:]):
             if name not in acc:
@@ -679,7 +710,13 @@ class NetworkGraph:
                 cache = (*(output(src, a) for src, a in zip(reads, cache)),
                          *cache[len(reads):])
             del result.caches[name]
-            grads = op.backward(node, acc.pop(name), cache)
+            if name in relu_into_x:
+                # the last of its input's readers to run: it writes the
+                # input's ReLU gradient, with what the others sent, into it
+                grads = layers.conv2d_backward(acc.pop(name), cache, relu_into_x=True,
+                                               pending=acc.pop(node.inputs[0], None))
+            else:
+                grads = op.backward(node, acc.pop(name), cache)
             del cache  # an affine_relu's rebuilt output, now its dz, dies on the next line
             rebuilt.pop(name, None)
             k = len(node.inputs)

@@ -7,12 +7,14 @@ that their caller owns and hands over: ``conv2d_forward`` adds its output
 into the ``add_to`` it is given, ``relu_forward`` clamps its input in
 place (a pre-activation gives it the affine's fresh output),
 ``relu_backward`` writes its result into the forward output ``y`` it is
-given, ``affine_backward`` writes the gradient of its inputs into the ``dz``
-it is given, and train-mode ``batch_norm_backward`` writes ``dx`` into the
-cached ``xhat``, so its cache serves one backward. A pre-activation's
-backward thus allocates nothing of its output's size: the graph hands it an
-output rebuilt for it alone (in-place activated batch norm, Rota Bulo et al.
-2018).
+given, ``conv2d_backward`` with ``relu_into_x`` writes the ReLU gradient
+of its input, a ReLU's output, into that input, ``affine_backward``
+writes the gradient of its inputs into the ``dz`` it is given, and
+train-mode ``batch_norm_backward`` writes ``dx`` into the cached ``xhat``,
+so its cache serves one backward. A pre-activation's backward, and the
+backward of the conv that read it first, thus allocate nothing of its
+output's size: the graph hands them an output rebuilt for them alone
+(in-place activated batch norm, Rota Bulo et al. 2018).
 Batch norm is split in two (Ioffe & Szegedy 2015). ``batch_norm_forward``
 normalises a tensor by its batch statistics, which it folds into its
 running ones, with no scale or shift; ``affine_forward`` applies one
@@ -369,7 +371,9 @@ def conv2d_forward(x: np.ndarray | PreActivation, p: ConvParams, add_to: Optiona
     return y.reshape(n, c_out, h_out, w_out), (x, p)
 
 
-def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+def conv2d_backward(dy: np.ndarray, cache: tuple, relu_into_x: bool = False,
+                    pending: Optional[np.ndarray] = None
+                    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Exact gradients (dx, dw, db) of the forward map, by one path for every
     kernel, stride and padding, from one channel-major patch matrix of the
     zero-bordered ``dy`` and no patch matrix of ``x``.
@@ -392,7 +396,17 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
     skipped. Padding below the kernel size, which ``ConvParams`` holds to, makes
     every output window touch the input; that is what keeps both zero
     borders of ``dy`` nonnegative. ``dx`` is a fresh
-    C-contiguous NCHW array."""
+    C-contiguous NCHW array, unless ``relu_into_x``.
+
+    With ``relu_into_x``, ``x`` is a ReLU's output that the caller owns and
+    that nothing reads after this call, and ``pending`` the gradient, if
+    any, that x's other readers already sent: ``dx`` is then
+    ``relu_backward(pending + dx, x)``, by the same float ops, written into
+    ``x`` tile by tile and returned as ``x``, so no array of x's size is
+    made. Each pixel of ``x`` is copied by phase before its gradient is
+    written there, and no later tile reads it; that needs ``k >= s``, which
+    gives every pixel a phase with taps and so a gradient. ``pending`` is
+    only read."""
     x, p = cache
     n, c_in, h, w = x.shape
     c_out, _, k, _ = p.weights.shape
@@ -412,11 +426,16 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
     w_pad = np.zeros((c_out, c_in, s * u, s * u), dtype=p.weights.dtype)
     w_pad[:, :, :k, :k] = p.weights
     w_ph = w_pad.reshape(c_out, c_in, u, s, u, s)[taps].transpose(order).reshape(rows_x, rows_dy)
+    del w_pad
     samples, rows = _tile_shape(n, max(rows_dy, rows_x), grid_h, grid_w, dy.dtype.itemsize)
-    dx = (np.empty if phases == s else np.zeros)(x.shape, dtype=np.result_type(w_ph, dy))
+    dtype = np.result_type(w_ph, dy)
+    if relu_into_x:
+        dx = x
+    else:
+        dx = (np.empty if phases == s else np.zeros)(x.shape, dtype=dtype)
     dw_ph = np.zeros((rows_dy, rows_x), dtype=np.result_type(dy, x))
     xs_buf = np.empty(rows_x * samples * rows * grid_w, dtype=x.dtype)
-    dxs_buf = np.empty(xs_buf.size, dtype=dx.dtype)
+    dxs_buf = np.empty(xs_buf.size, dtype=dtype)
     cols_w = _phase_slices(s, phases, offset, w, 0, grid_w)
     for n0, m, r0, r, cols in _patch_tiles(dy, u, 1, u - 1 - q0, grid_h, grid_w, samples, rows):
         cols = cols.reshape(rows_dy, -1)
@@ -426,11 +445,17 @@ def conv2d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarra
         dxs = dxs_buf[:size].reshape(xs.shape)
         for i, (gh, xh) in enumerate(_phase_slices(s, phases, offset, h, r0, r)):
             for j, (gw, xw) in enumerate(cols_w):
-                xs_ij = xs[i, j]
-                xs_ij[:, :, gh, gw] = x[n0:n0 + m, :, xh, xw].transpose(1, 0, 2, 3)
+                xs_ij, x_ij = xs[i, j], x[n0:n0 + m, :, xh, xw]
+                xs_ij[:, :, gh, gw] = x_ij.transpose(1, 0, 2, 3)
                 xs_ij[:, :, :gh.start] = xs_ij[:, :, gh.stop:] = 0
                 xs_ij[..., :gw.start] = xs_ij[..., gw.stop:] = 0
-                dx[n0:n0 + m, :, xh, xw] = dxs[i, j, :, :, gh, gw].transpose(1, 0, 2, 3)
+                dx_ij = dxs[i, j, :, :, gh, gw].transpose(1, 0, 2, 3)
+                if not relu_into_x:
+                    dx[n0:n0 + m, :, xh, xw] = dx_ij
+                    continue
+                if pending is not None:
+                    dx_ij = pending[n0:n0 + m, :, xh, xw] + dx_ij
+                np.multiply(dx_ij, x_ij > 0, out=x_ij)  # x_ij is copied in xs_ij
         dw_ph += cols @ xs.reshape(rows_x, -1).T
     dw_pad = np.zeros((c_out, c_in, s * u, s * u), dtype=dw_ph.dtype)
     dw_pad.reshape(c_out, c_in, u, s, u, s)[taps] = dw_ph.T.reshape(

@@ -342,9 +342,9 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
         seen["conv_fwd"].append(id(p))
         return conv_fwd(x, p, **kwargs)
 
-    def counting_conv_bwd(dy, cache):
+    def counting_conv_bwd(dy, cache, **kwargs):
         seen["conv_bwd"] += 1
-        return conv_bwd(dy, cache)
+        return conv_bwd(dy, cache, **kwargs)
 
     def counting_add(a, b):
         seen["add"] += 1
@@ -396,7 +396,13 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     applied = [name for name in affines if [ops[r] for r in readers[name]] == ["conv"]]
     assert norms > 0 and 0 < len(applied) < len(affines)
     assert seen["batch_norm_forward"] == seen["batch_norm_backward"] == norms
-    assert seen["affine_backward"] == seen["relu_backward"] == len(affines)
+    assert seen["affine_backward"] == len(affines)
+    # the first conv to read an affine (kernel at least its stride) runs the
+    # last backward of its readers and applies the ReLU's backward itself
+    first = [g.nodes[readers[name][0]] for name in affines]
+    fused = [r for r in first if r.op == "conv" and r.conv.kernel[0] >= r.conv.stride]
+    assert 0 < len(fused) < len(affines)
+    assert seen["relu_backward"] == len(affines) - len(fused)
     assert seen["affine_forward"] == seen["relu_forward"] == 2 * len(affines) - len(applied)
 
 

@@ -3,7 +3,8 @@
 ``NetworkGraph.forward`` drops outputs after their last reader, lets a conv
 apply the pre-activation it reads and add its output into the input of the
 add that reads it, and ``backward`` rebuilds outputs and writes into arrays
-it owns. None of that may change a value: every output, running statistic
+it owns: the first conv to read a pre-activation writes, in its backward,
+the pre-activation's ReLU gradient into its rebuilt output. None of that may change a value: every output, running statistic
 and gradient must equal, bit for bit, what running each node's op on its
 own, on copies, gives (``oracles.reference_forward``/``reference_backward``).
 """
@@ -26,15 +27,22 @@ def _graph(name: str):
     float32, with random scales, shifts and running statistics, so that
     neither mode's pre-activation is the identity. The keep sets name an
     output an add accumulates into when it is not kept, and a
-    pre-activation a conv applies when it is not kept."""
+    pre-activation a conv applies when it is not kept. In the projection
+    unit, ``bn1`` is read by ``conv1``, whose backward runs last and takes
+    the shortcut's gradient, and, when kept, an output gradient too; a kept
+    ``bn2``, read by ``conv2`` alone, takes only its output gradient."""
     rng = np.random.default_rng(0)
-    if name == "inception-unit":
-        g, _ = build_standalone_unit(UnitSpec("inception", 8, (8, 4, 4, 8), 2, 16))
+    if name in ("inception-unit", "projection-unit"):
+        if name == "inception-unit":
+            g, _ = build_standalone_unit(UnitSpec("inception", 8, (8, 4, 4, 8), 2, 16))
+            keeps = [None, ("unit/add", "unit/proj/conv", "unit/proj/bn")]
+        else:
+            g, _ = build_standalone_unit(UnitSpec("basic", 8, (16, 16), 2, 16))
+            keeps = [None, ("unit/add", "unit/bn1"), ("unit/add", "unit/bn2")]
         for node in g.nodes.values():
             if node.conv is not None:
                 layers.msr_initialize(node.conv, rng)
         x = rng.normal(size=(2, 8, 8, 8))
-        keeps = [None, ("unit/add", "unit/proj/conv", "unit/proj/bn")]
     elif name == "detect":
         g = build_network(builtin_config("wr-inception", input_shape=(3, *DETECT_HW)), seed=0)
         build_detection_head(g, TAPS, DETECT_HW, num_classes=3, seed=0)
@@ -57,7 +65,7 @@ def _bytes(arrays: dict) -> dict:
 
 
 @pytest.mark.parametrize("name", ["wr-inception", "wrn-16-4", "preact-resnet-164",
-                                  "inception-unit", "detect"])
+                                  "inception-unit", "projection-unit", "detect"])
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_executor_matches_the_unfused_reference(name, mode, monkeypatch):
     """Per keep set, with and without caches: the kept outputs and the
@@ -65,14 +73,15 @@ def test_executor_matches_the_unfused_reference(name, mode, monkeypatch):
     gradients of a backward from random output gradients, equal the
     reference's byte for byte; ``x`` and the kept outputs are unchanged by
     both passes. The default keep set runs fused: fewer adds and affines
-    run than the graph has."""
+    run than the graph has, and every backward runs fewer ReLU backwards."""
     g, x, keeps = _graph(name)
     start = _bytes(g.buffers())
     ref_outputs, ref_caches = reference_forward(g, x, mode)
     ref_buffers = _bytes(g.buffers())
     x_bytes = x.tobytes()
-    calls = {"add_elementwise": 0, "affine_forward": 0}
-    for module, kernel in ((tensor, "add_elementwise"), (layers, "affine_forward")):
+    calls = {"add_elementwise": 0, "affine_forward": 0, "relu_backward": 0}
+    for module, kernel in ((tensor, "add_elementwise"), (layers, "affine_forward"),
+                           (layers, "relu_backward")):
         def counting(*args, kernel=kernel, real=getattr(module, kernel)):
             calls[kernel] += 1
             return real(*args)
@@ -87,14 +96,16 @@ def test_executor_matches_the_unfused_reference(name, mode, monkeypatch):
             kept = _bytes(result.outputs)
             assert kept == _bytes({k: ref_outputs[k] for k in result.outputs})
             assert _bytes(g.buffers()) == ref_buffers
+            nodes = [n.op for n in g.nodes.values()]
             if i == 0 and not keep_caches:
-                nodes = [n.op for n in g.nodes.values()]
                 assert calls["add_elementwise"] < nodes.count("add")
                 assert calls["affine_forward"] < nodes.count("affine_relu")
             if keep_caches:
                 out_grads = {k: rng.normal(size=v.shape).astype(v.dtype)
                              for k, v in sorted(result.outputs.items())}
+                calls["relu_backward"] = 0
                 grads, dx = g.backward(result, {k: v.copy() for k, v in out_grads.items()})
+                assert calls["relu_backward"] < nodes.count("affine_relu")
                 ref_grads, ref_dx = reference_backward(g, ref_caches, out_grads)
                 assert _bytes(grads) == _bytes(ref_grads)
                 assert _bytes({"x": dx}) == _bytes({"x": ref_dx})

@@ -255,6 +255,68 @@ def test_conv_backward_tiles_only_dy(stride, monkeypatch):
     assert [a is dy for a, _ in calls] == [True]
 
 
+# (k, stride, padding), each kernel at least its stride; stride 2 without
+# padding leaves an input row that no window reads
+RELU_INTO_X_CASES = [(1, 1, 0), (3, 1, 1), (3, 2, 1), (3, 2, 0)]
+
+
+def _relu_conv_case(k, stride, pad, dtype, seed):
+    """A ReLU output ``x`` (with exact zeros), a biased conv of it and
+    ``(dy, cache, other readers' gradient)``."""
+    rng = np.random.default_rng(seed)
+    x = relu_forward(rng.normal(size=(3, 4, 9, 11)).astype(dtype))[0]
+    p = make_conv(4, 5, k, stride=stride, padding=pad, bias=True, dtype=dtype)
+    msr_initialize(p, rng)
+    p.bias[...] = rng.normal(size=5)
+    y, cache = conv2d_forward(x, p)
+    return rng.normal(size=y.shape).astype(dtype), cache, rng.normal(size=x.shape).astype(dtype)
+
+
+@pytest.mark.parametrize("k, stride, pad", RELU_INTO_X_CASES)
+@pytest.mark.parametrize("tile", [None, 1 << 9])
+@pytest.mark.parametrize("with_pending", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_backward_writes_its_inputs_relu_gradient_into_it(k, stride, pad, tile,
+                                                               with_pending, dtype,
+                                                               monkeypatch):
+    """With ``relu_into_x`` the backward returns ``x`` holding, byte for
+    byte, ``relu_backward(pending + dx, x)`` of the plain backward's ``dx``
+    (``relu_backward(dx, x)`` without ``pending``), by whole samples and by
+    bands of rows; ``dw`` and ``db`` are the plain backward's and
+    ``pending`` is only read."""
+    calls = _record_patch_tiles(monkeypatch)
+    if tile is not None:
+        monkeypatch.setattr(layers, "CONV_TILE_BYTES", tile)
+    dy, (x, p), other = _relu_conv_case(k, stride, pad, dtype, seed=k * 10 + stride + pad)
+    pending = other if with_pending else None
+    dx, dw, db = conv2d_backward(dy, (x, p))
+    expected = relu_backward(dx if pending is None else pending + dx, x.copy()).tobytes()
+    other_bytes = other.tobytes()
+    got, dw_fused, db_fused = conv2d_backward(dy, (x, p), relu_into_x=True, pending=pending)
+    assert got is x and x.tobytes() == expected
+    assert dw_fused.tobytes() == dw.tobytes() and db_fused.tobytes() == db.tobytes()
+    assert other.tobytes() == other_bytes
+    _, grid_h, _, _, rows = calls[-1][1]
+    assert (rows < grid_h) == (tile is not None)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_conv_backward_relu_into_x_propagates_non_finite_gradients():
+    """As ``relu_backward`` documents, a NaN gradient where ``x <= 0`` gives
+    NaN, not 0: from ``pending`` at one pixel, and from ``dy`` over the
+    input window of one output pixel."""
+    dy, (x, p), pending = _relu_conv_case(3, 1, 1, np.float64, seed=0)
+    zero = tuple(np.argwhere(x[:, :, 2:-2, 2:-2] == 0)[0] + (0, 0, 2, 2))
+    pending[zero] = np.nan
+    dy[zero[0], 0, zero[2], zero[3]] = np.nan
+    dx = conv2d_backward(dy, (x, p))[0]
+    expected = relu_backward(pending + dx, x.copy())
+    got = conv2d_backward(dy, (x, p), relu_into_x=True, pending=pending)[0]
+    assert np.array_equal(got, expected, equal_nan=True)
+    window = got[zero[0], :, zero[2] - 1:zero[2] + 2, zero[3] - 1:zero[3] + 2]
+    assert np.isnan(got[zero]) and np.isnan(window).all()
+
+
 def _traced_peak(fn, *args):
     """``fn(*args)`` and the bytes of its traced peak above what was
     allocated when it was called."""
@@ -713,6 +775,47 @@ def test_bn_relu_backward_allocates_less_than_its_output(monkeypatch):
         tracemalloc.stop()
     assert sorted(name for name, *_ in calls) == sorted(
         name for name, node in g.nodes.items() if node.op in ("norm", "affine_relu"))
+    assert all(peak < nbytes for _, peak, nbytes in calls), calls
+
+
+def test_relu_into_x_conv_backward_allocates_less_than_its_input(monkeypatch):
+    """In a kept float64 train step of the miniature net, the first conv to
+    read each ``affine_relu`` output (when its kernel is at least its
+    stride) runs the last backward of that output's readers, and writes the
+    output's ReLU gradient into the rebuilt output it is handed: it returns
+    that array as ``dx`` and allocates fewer bytes than it holds. The tile
+    budget is cut to 16 KiB, so that the tiles' buffers, which do not scale
+    with the input, are small beside the smallest input, 2 channels at
+    16x16 (256 KiB)."""
+    g = build_network(miniature_config(), seed=0, dtype=np.float64)
+    rng = np.random.default_rng(0)
+    x, labels = rng.normal(size=(64, 3, 64, 64)), rng.integers(0, 4, size=64)
+    monkeypatch.setattr(layers, "CONV_TILE_BYTES", 1 << 14)
+    conv_of = {id(node.conv): name for name, node in g.nodes.items() if node.op == "conv"}
+    calls, real = [], layers.conv2d_backward
+
+    def measured(dy, cache, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        grads = real(dy, cache, **kwargs)
+        if kwargs.get("relu_into_x"):
+            assert grads[0] is cache[0]
+            calls.append((conv_of[id(cache[1])],
+                          tracemalloc.get_traced_memory()[1] - before, cache[0].nbytes))
+        return grads
+
+    monkeypatch.setattr(layers, "conv2d_backward", measured)
+    tracemalloc.start()
+    try:
+        execute(g, x, mode="train", labels=labels)
+    finally:
+        tracemalloc.stop()
+    readers = {name: [r for r in g.order if name in g.nodes[r].inputs] for name in g.order}
+    first = [readers[name][0] for name, node in g.nodes.items() if node.op == "affine_relu"]
+    fused = [r for r in first if g.nodes[r].op == "conv"
+             and g.nodes[r].conv.kernel[0] >= g.nodes[r].conv.stride]
+    assert 0 < len(fused) < len(first)
+    assert sorted(name for name, *_ in calls) == sorted(fused)
     assert all(peak < nbytes for _, peak, nbytes in calls), calls
 
 

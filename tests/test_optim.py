@@ -200,8 +200,8 @@ def test_nonfinite_gradient_of_finite_forward_names_its_node(monkeypatch):
     bad = g.nodes["stage2/unit0/b/conv"].conv
     real = layers.conv2d_backward
 
-    def nan_dw(dy, cache):
-        dx, dw, db = real(dy, cache)
+    def nan_dw(dy, cache, **kwargs):
+        dx, dw, db = real(dy, cache, **kwargs)
         if cache[1] is bad:
             dw = np.full_like(dw, np.nan)
         return dx, dw, db
