@@ -17,34 +17,35 @@ three pre-activations is normalised once, and the inception unit's
 projection reads its three normalised branches without a concat (Ioffe &
 Szegedy 2015; Pleiss et al. 2017). A kept pass holds one full-size array
 per ``norm``, its normalised output, which its consumers' backward read.
-An ``affine_relu`` output is not kept for backward: it is rebuilt once from
-its inputs, when backward first reads it, and dropped after its producer's
+No cache holds an ``affine_relu`` output: it holds the output's
+:class:`layers.PreActivation`, from which backward makes the map once per
+backward, when its first reader runs, and drops it after its producer's
 backward (the recompute half of Chen et al. 2016). The first conv to read
-an ``affine_relu`` output, if its kernel is at least its stride, runs the
-last backward of its readers; it writes the output's ReLU gradient, with
-what the other readers sent, into the rebuilt output, so no conv ``dx``,
-ReLU pass or sum of that size is made. Where no such conv does, the
-``affine_relu`` backward writes its ReLU gradient into its rebuilt output
-itself; either way it then writes its inputs' gradient there, and a
-``norm`` backward writes its input's gradient into its normalised output,
-so neither allocates an array of its output's size (in-place activated
-batch norm, Rota Bulo et al. 2018).
+an ``affine_relu`` output that its readers apply, if its kernel is at
+least its stride, runs the last backward of its readers; it writes the
+output's ReLU gradient, with what the other readers sent, into the map
+made for backward, so no conv ``dx``, ReLU pass or sum of that size is
+made. Where no such conv does, the ``affine_relu`` backward writes its
+ReLU gradient into that map itself; either way it then writes its inputs'
+gradient there, and a ``norm`` backward writes its input's gradient into
+its normalised output, so neither allocates an array of its output's
+size (in-place activated batch norm, Rota Bulo et al. 2018).
 
 Forward fuses two steps, so that a value read once is not written out as a
-map of its own. An ``affine_relu`` whose one reader is a conv is applied by
-the conv to the pixels it copies into each tile, and a conv whose one
+map of its own. An ``affine_relu`` whose readers are all convs is applied
+by each of them to the pixels it copies into each tile, and a conv whose one
 reader is an add adds its output, tile by tile, into the add's other input
 when the pass owns that array and nothing reads it after the add, which
 then passes the sum on. So a residual unit's forward holds the unit input
 and one conv's input or output, not a third map. Each pixel takes the
 float ops it took unfused, so every value is bit for bit the same.
-Parameters live in a registry keyed by
-hierarchical names (``stage1/unit0/conv1/weight``) so optimizers, freeze masks,
-and checkpoints all address the same namespace.
 
-Each node kind is defined once, as an :class:`Op` in the table :data:`OPS`;
-evaluation, shape and receptive-field inference, the registry and cost
-analysis all read that table.
+Parameters live in a registry keyed by hierarchical names
+(``stage1/unit0/conv1/weight``) so optimizers, freeze masks, and
+checkpoints all address the same namespace. Each node kind is defined
+once, as an :class:`Op` in the table :data:`OPS`; evaluation, shape and
+receptive-field inference, the registry and cost analysis all read that
+table.
 """
 
 from __future__ import annotations
@@ -101,8 +102,10 @@ class Node:
 class ForwardResult:
     """What one :meth:`NetworkGraph.forward` leaves: the outputs it was asked
     to keep (every other output was dropped after its last reader ran), and
-    with ``keep_caches`` each node's backward cache, holding None in place
-    of each output that backward rebuilds (see :class:`Op`)."""
+    with ``keep_caches`` each node's backward cache. An ``affine_relu``'s
+    cache, and that of each conv that applied it, holds its
+    :class:`layers.PreActivation` in place of its output, and backward
+    makes the map once from it (see :class:`Op`)."""
 
     outputs: dict[str, np.ndarray]
     caches: dict[str, tuple]
@@ -125,16 +128,15 @@ class Op:
     reads (a conv's or fc's input, a ``norm``'s own normalised output, an
     ``affine_relu``'s own output for its ReLU mask and its normalised
     inputs); the cache is then a tuple that starts with those outputs, in
-    that order. ``rebuild(node, cache)``, where set, gives the node's output
-    again, bit for bit, from the rest of its cache: a kept forward stores
-    None in the output's place in every cache, and backward rebuilds it for
-    the first node that reads it. Backward runs every reader before the
-    producer, so an ``affine_relu`` backward consumes the rebuilt output it
-    is handed (it writes its gradients there; a ``dy`` that is that
-    output already holds the ReLU's gradient, which a conv that read it
-    wrote there) and, in train mode, a ``norm`` backward consumes its
-    normalised output (it writes ``dx`` there) after every consumer has
-    read it. ``batch_statistics`` marks an
+    that order. An ``affine_relu``'s cache starts with the output's
+    :class:`layers.PreActivation`, not the map, and so does a conv's that
+    applied it; backward hands each a map made once per backward from it.
+    Backward runs every reader before the producer, so an ``affine_relu``
+    backward consumes the map it is handed (it writes its gradients there;
+    a ``dy`` that is that map already holds the ReLU's gradient, which a
+    conv that applied it wrote there) and, in train mode, a ``norm``
+    backward consumes its normalised output, or a copy where that is kept
+    (it writes ``dx`` there), after every consumer has read it. ``batch_statistics`` marks an
     op that normalises by per-channel statistics over N, H and W in train
     mode, which needs N*H*W >= 2.
     ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
@@ -158,7 +160,6 @@ class Op:
     params: Callable[[Node], dict[str, np.ndarray]] = lambda node: {}
     buffers: Callable[[Node], dict[str, np.ndarray]] = lambda node: {}
     reads: Callable[[Node], list[str]] = lambda node: []
-    rebuild: Optional[Callable[[Node, object], np.ndarray]] = None
     batch_statistics: bool = False
 
 
@@ -201,27 +202,13 @@ def _flatten_shape(node: Node, shapes: list[Shape]) -> Shape:
 
 def _affine_relu_forward(node: Node, parts: list[np.ndarray], mode: str
                          ) -> tuple[np.ndarray, tuple]:
-    # the affine's output is fresh, so the ReLU may clamp it in place
-    y, _ = layers.relu_forward(layers.affine_forward(parts, node.affine, mode))
-    return y, (y, *parts, mode)
-
-
-def _affine_relu_rebuild(node: Node, cache: tuple) -> np.ndarray:
-    *parts, mode = cache[1:]
-    return layers.relu_forward(layers.affine_forward(parts, node.affine, mode))[0]
-
-
-def _preactivation(node: Node, parts: list[np.ndarray], mode: str
-                   ) -> tuple[layers.PreActivation, tuple]:
-    """An ``affine_relu`` forward that its one reader, a conv, applies: the
-    output stands for the map it does not make, and the cache is
-    :func:`_affine_relu_forward`'s with no output in it."""
-    return layers.PreActivation(parts, node.affine, mode), (None, *parts, mode)
+    pre = layers.PreActivation(parts, node.affine, mode)
+    return pre.array(), (pre, *parts, mode)
 
 
 def _affine_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
-    y, *parts, mode = cache
-    # a conv that read y last wrote the ReLU's gradient into y (see backward)
+    y, *parts, mode = cache  # y: the map backward made from the PreActivation
+    # a conv that applied y last wrote the ReLU's gradient into y (see backward)
     dz = dy if dy is y else layers.relu_backward(dy, y)
     dparts, dgamma, dbeta = layers.affine_backward(dz, parts, node.affine, mode)
     return (*dparts, dgamma, dbeta)
@@ -261,8 +248,7 @@ OPS: dict[str, Op] = {
         backward=_affine_relu_backward,
         shape=_join_shape,
         params=lambda n: {"gamma": n.affine.gamma, "beta": n.affine.beta},
-        reads=lambda n: [n.name, *n.inputs],
-        rebuild=_affine_relu_rebuild),
+        reads=lambda n: [n.name, *n.inputs]),
     "add": Op(
         forward=lambda n, xs, *_: (tensor.add_elementwise(xs[0], xs[1]), None),
         backward=lambda n, dy, cache: (dy, dy),
@@ -298,7 +284,7 @@ OPS: dict[str, Op] = {
 class _Fusion:
     """What one kind of forward pass runs fused (see
     :meth:`NetworkGraph.forward`): the ``affine_relu`` nodes that their
-    conv applies (``preact``), each conv that adds its output into the
+    convs apply (``preact``), each conv that adds its output into the
     other input of the add that reads it (``add_into``: conv -> that
     input), and each such add, which passes the sum on (``passed``: add ->
     conv)."""
@@ -314,18 +300,16 @@ _UNFUSED = _Fusion(frozenset(), {}, {})
 @dataclass
 class _Plan:
     """What :meth:`NetworkGraph.forward` plans from the graph alone, cached
-    on the graph until it changes: per node the outputs its backward reads
-    (``steps``), its readers in order, the outputs backward
-    rebuilds, the convs whose backward writes their input's ReLU gradient
-    into it (``relu_into_x``, see :meth:`NetworkGraph.backward`) and the
-    nodes that take batch statistics; and, filled as they
-    are asked for, the shapes per input H x W, the outputs that die after
-    each step per ``keep`` set and the fusions per ``keep`` set, mode and
-    ``keep_caches``."""
+    on the graph until it changes: the nodes in order (``steps``), each
+    output's readers in order, the convs whose backward writes their
+    input's ReLU gradient into it when they applied it (``relu_into_x``,
+    see :meth:`NetworkGraph.backward`) and the nodes that take batch
+    statistics; and, filled as they are asked for, the shapes per input
+    H x W, the outputs that die after each step per ``keep`` set and the
+    fusions per ``keep`` set, mode and ``keep_caches``."""
 
-    steps: list[tuple[str, Node, list[str]]]
+    steps: list[tuple[str, Node]]
     readers: dict[str, list[str]]
-    rebuildable: frozenset[str]
     relu_into_x: frozenset[str]
     batch_statistics: list[str]
     shapes: dict[tuple[int, int], dict[str, Shape]]
@@ -452,23 +436,23 @@ class NetworkGraph:
         removed."""
         if self._plan is None:
             nodes = self.nodes
-            steps = [(name, nodes[name], OPS[nodes[name].op]) for name in self.order[1:]]
+            steps = [(name, nodes[name]) for name in self.order[1:]]
             readers: dict[str, list[str]] = {name: [] for name in self.order}
             for name in self.order:
                 for inp in nodes[name].inputs:
                     readers[inp].append(name)
             # each affine_relu's first reader, if a conv whose kernel is at
             # least its stride (see conv2d_backward's relu_into_x)
-            first = (readers[name][0] for name, node, _ in steps
+            first = (readers[name][0] for name, node in steps
                      if node.op == "affine_relu" and readers[name])
             relu_into_x = frozenset(r for r in first if nodes[r].op == "conv"
                                     and nodes[r].conv.kernel[0] >= nodes[r].conv.stride)
             self._plan = _Plan(
-                steps=[(name, node, op.reads(node)) for name, node, op in steps],
+                steps=steps,
                 readers=readers,
-                rebuildable=frozenset(name for name, _, op in steps if op.rebuild is not None),
                 relu_into_x=relu_into_x,
-                batch_statistics=[name for name, _, op in steps if op.batch_statistics],
+                batch_statistics=[name for name, node in steps
+                                  if OPS[node.op].batch_statistics],
                 shapes={}, dies_after={}, fusions={})
         return self._plan
 
@@ -493,8 +477,8 @@ class NetworkGraph:
         """The fusions :meth:`forward` runs for ``keep``, ``mode`` and
         ``keep_caches``, found once per graph plan.
 
-        An ``affine_relu`` that is not kept and whose one reader is a conv
-        is applied by that conv. A conv whose one reader is an add, and
+        An ``affine_relu`` that is not kept and whose readers are all convs
+        is applied by each of them. A conv whose one reader is an add, and
         that is not kept, adds its output into the add's other input when
         that input is made before the conv by a conv or an add (so the pass
         owns the array), and no use of the array outlives the add: no
@@ -509,9 +493,9 @@ class NetworkGraph:
         nodes, readers = self.nodes, plan.readers
         at = {name: i for i, name in enumerate(self.order)}
         preact = frozenset(
-            name for name, node, _ in plan.steps
-            if node.op == "affine_relu" and name not in keep
-            and [nodes[r].op for r in readers[name]] == ["conv"])
+            name for name, node in plan.steps
+            if node.op == "affine_relu" and name not in keep and readers[name]
+            and all(nodes[r].op == "conv" for r in readers[name]))
 
         def passes_on(name: str) -> bool:  # its output is its input's array, or reads it later
             op = nodes[name].op
@@ -524,7 +508,7 @@ class NetworkGraph:
                     yield from uses(reader)
 
         add_into, passed = {}, {}
-        for name, node, _ in plan.steps:
+        for name, node in plan.steps:
             if node.op != "add":
                 continue
             into, conv = sorted(node.inputs, key=at.__getitem__)  # add(a, a): a has 2 readers
@@ -559,10 +543,12 @@ class NetworkGraph:
         or at once if none does, so the pass holds only live outputs.
         ``keep_caches`` keeps every node's cache for one :meth:`backward`,
         which releases each once used, together with the outputs named by
-        each op's ``reads``, except those whose op can ``rebuild`` them:
-        backward rebuilds those, so no ``affine_relu`` output outlives its
-        last forward reader. Without ``keep_caches`` each cache is released
-        before the next node runs.
+        each op's ``reads``. An ``affine_relu``'s cache holds its output's
+        :class:`layers.PreActivation`, not the map, and so does each conv
+        that applied it. Forward makes the map only where the output is
+        kept or a reader is not a conv, and then its conv readers cache
+        the map. Without ``keep_caches`` each cache is released before the
+        next node runs.
         Without ``check_finite`` no value is scanned and NaN/Inf propagate.
         With it, every node's output, parameters and buffers are checked (a
         ReLU maps NaN to 0) and :class:`NodeNonFiniteError` is raised at the
@@ -578,11 +564,10 @@ class NetworkGraph:
         input, a conv, adds its output into it (see :meth:`_fused`).
         Backward reads the arrays a kept pass
         holds, so until :meth:`backward` has run, callers must not write into
-        ``x`` or into a returned output that a conv or fc reads and that no
-        ``affine_relu`` produced (a detection tap, the fc input), nor, in
-        infer mode, where a ``norm`` passes its input through, into a
-        ``norm``'s input. No cache holds any other output, ``affine_relu``
-        outputs included."""
+        ``x`` or into a returned output that a conv or fc reads (a detection
+        tap, the fc input, a kept ``affine_relu`` output), nor, in infer
+        mode, where a ``norm`` passes its input through, into a ``norm``'s
+        input. No cache holds any other output."""
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}; expected 'train' or 'infer'")
         keep = frozenset((self.output_name,) if keep is None else keep)
@@ -608,11 +593,12 @@ class NetworkGraph:
         fusion = _UNFUSED if check_finite else self._fused(plan, keep, mode, keep_caches)
         outputs: dict[str, np.ndarray] = {self.input_name: x}
         caches: dict[str, tuple] = {}
-        for name, node, reads in plan.steps:
+        for name, node in plan.steps:
             op = OPS[node.op]  # looked up at call time, as the kernels are
             xs = [outputs[i] for i in node.inputs]
-            if name in fusion.preact:
-                y, cache = _preactivation(node, xs, mode)
+            if name in fusion.preact:  # its convs apply it
+                y = layers.PreActivation(xs, node.affine, mode)
+                cache = (y, *xs, mode)
             elif name in fusion.add_into:
                 y, cache = layers.conv2d_forward(xs[0], node.conv,
                                                  add_to=outputs[fusion.add_into[name]])
@@ -625,10 +611,6 @@ class NetworkGraph:
                 raise NodeNonFiniteError(name)
             outputs[name] = y
             if keep_caches:
-                if reads:
-                    cache = (*(None if src in plan.rebuildable else a
-                               for src, a in zip(reads, cache)),
-                             *cache[len(reads):])
                 caches[name] = cache
             del xs, y, cache  # without keep_caches, a train-mode norm's xhat dies here
             for dead in dies_after.get(name, ()):
@@ -645,41 +627,34 @@ class NetworkGraph:
         otherwise). ``result`` must come from a forward
         pass with ``keep_caches=True``. Each node's cache is released from
         ``result`` once its backward has run, so peak memory falls as the pass
-        proceeds and one forward result supports one backward. An output the
-        forward did not keep for backward is rebuilt from its producer's cache
-        when the first node that reads it runs, and dropped after the
-        producer's backward, so each is rebuilt once; an ``affine_relu``'s
-        backward, which runs after every reader's, consumes its rebuilt
-        output, and a train-mode ``norm``'s backward, which runs after every
-        consumer's, its normalised output. The gradients of an output read
-        by several nodes are summed before its producer's backward runs, so
-        a ``norm`` read by several pre-activations runs one backward. The
-        first conv to read an ``affine_relu`` output, if its kernel is at
+        proceeds and one forward result supports one backward. Each
+        ``affine_relu`` output is made once per backward from its
+        :class:`layers.PreActivation`, when the first node whose cache holds
+        that runs, and dropped after the producer's backward. An
+        ``affine_relu``'s backward, which runs after every reader's, consumes
+        that map, and a train-mode ``norm``'s backward, which runs after
+        every consumer's, its normalised output, or a copy of it where that
+        output is kept. The gradients of an output read by several nodes are
+        summed before its producer's backward runs, so a ``norm`` read by
+        several pre-activations runs one backward. The first conv to read an
+        ``affine_relu`` output that its readers applied, if its kernel is at
         least its stride, runs after every other reader; its backward
         (``conv2d_backward(relu_into_x=True)``) writes the ReLU gradient of
-        the output's summed gradient into the rebuilt output, tile by tile,
-        and hands that array to the ``affine_relu``, which skips its ReLU.
-        Returns (parameter gradients, input gradient). Backward writes only
-        into arrays the passes made: rebuilt outputs, train-mode normalised
-        outputs (kept ones too, which then hold ``dx``) and its own sums;
-        ``out_grads`` are only read.
+        the output's summed gradient into the map made for backward, tile by
+        tile, and hands that array to the ``affine_relu``, which skips its
+        ReLU. Returns (parameter gradients, input gradient). Backward writes
+        only into the maps it makes, the normalised outputs of train-mode
+        ``norm`` nodes that are not kept, copies of those that are, and its
+        own sums: no kept output changes, and ``out_grads`` are only read.
         """
         acc: dict[str, np.ndarray] = {}
-        rebuilt: dict[str, np.ndarray] = {}
+        made: dict[str, np.ndarray] = {}  # by the affine_relu whose map it is
 
         def contribute(name: str, g: np.ndarray) -> None:
             if name in acc:
                 acc[name] = acc[name] + g
             else:
                 acc[name] = g
-
-        def output(name: str, stored: Optional[np.ndarray]) -> np.ndarray:
-            if stored is not None:
-                return stored
-            if name not in rebuilt:
-                node = self.nodes[name]
-                rebuilt[name] = OPS[node.op].rebuild(node, result.caches[name])
-            return rebuilt[name]
 
         for name, g in out_grads.items():
             if name not in self.nodes:
@@ -704,21 +679,25 @@ class NetworkGraph:
                                  "pass made with keep_caches=True and runs once per pass")
             node = self.nodes[name]
             op = OPS[node.op]
-            cache = result.caches[name]
+            cache = result.caches.pop(name)
             reads = op.reads(node)
-            if reads:
-                cache = (*(output(src, a) for src, a in zip(reads, cache)),
-                         *cache[len(reads):])
-            del result.caches[name]
-            if name in relu_into_x:
+            applied = bool(reads) and isinstance(cache[0], layers.PreActivation)
+            if applied:
+                if reads[0] not in made:
+                    made[reads[0]] = cache[0].array()
+                cache = (made[reads[0]], *cache[1:])
+            elif reads and reads[0] == name and cache[0] is result.outputs.get(name):
+                # a norm's backward writes dx into its output, which is kept
+                cache = (cache[0].copy(), *cache[1:])
+            if applied and name in relu_into_x:
                 # the last of its input's readers to run: it writes the
                 # input's ReLU gradient, with what the others sent, into it
                 grads = layers.conv2d_backward(acc.pop(name), cache, relu_into_x=True,
                                                pending=acc.pop(node.inputs[0], None))
             else:
                 grads = op.backward(node, acc.pop(name), cache)
-            del cache  # an affine_relu's rebuilt output, now its dz, dies on the next line
-            rebuilt.pop(name, None)
+            del cache  # an affine_relu's map, now its dz, dies on the next line
+            made.pop(name, None)
             k = len(node.inputs)
             # zip stops at the node's entries: a conv without bias has no
             # "bias" entry and its kernel returns db=None.

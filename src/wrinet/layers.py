@@ -13,8 +13,9 @@ writes the gradient of its inputs into the ``dz`` it is given, and
 train-mode ``batch_norm_backward`` writes ``dx`` into the cached ``xhat``,
 so its cache serves one backward. A pre-activation's backward, and the
 backward of the conv that read it first, thus allocate nothing of its
-output's size: the graph hands them an output rebuilt for them alone
-(in-place activated batch norm, Rota Bulo et al. 2018).
+output's size: the graph hands them a map made once per backward from its
+:class:`PreActivation`, for them alone (in-place activated batch norm,
+Rota Bulo et al. 2018).
 Batch norm is split in two (Ioffe & Szegedy 2015). ``batch_norm_forward``
 normalises a tensor by its batch statistics, which it folds into its
 running ones, with no scale or shift; ``affine_forward`` applies one
@@ -192,8 +193,10 @@ def _tile_shape(n: int, k: int, h_out: int, w_out: int, itemsize: int) -> tuple[
 class PreActivation:
     """``relu(affine_forward(parts, p, mode))``, not computed: a conv given
     one as its input applies the affine and the ReLU to each block of
-    pixels as it copies it into a tile, so the pre-activated map is never
-    made. ``shape`` and ``dtype`` are those of the map it stands for."""
+    pixels as it copies it into a tile, so forward never makes the
+    pre-activated map, and a backward cache holds it in the map's place.
+    :meth:`array` makes the map, as backward does once per backward.
+    ``shape`` and ``dtype`` are those of the map it stands for."""
 
     parts: list[np.ndarray]
     p: AffineParams
@@ -212,6 +215,10 @@ class PreActivation:
     @property
     def dtype(self) -> np.dtype:
         return self.parts[0].dtype
+
+    def array(self) -> np.ndarray:
+        """The map, in a fresh array: ``relu_forward(affine_forward(...))``."""
+        return relu_forward(affine_forward(self.parts, self.p, self.mode))[0]
 
 
 def _take(x: np.ndarray | PreActivation, out: np.ndarray, n: slice, rows: slice, cols: slice) -> None:
@@ -588,8 +595,8 @@ def affine_backward(dz: np.ndarray, parts: list[np.ndarray], p: AffineParams, mo
 def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp ``x`` at 0 in place and return ``(y, y)``: the output is its own
     backward cache. NaN maps to 0. Because ``x`` is overwritten, the caller
-    must own it, as ``affine_relu`` owns its affine's fresh output; never
-    pass an array that anything else still reads."""
+    must own it, as :meth:`PreActivation.array` owns its affine's fresh
+    output; never pass an array that anything else still reads."""
     np.fmax(x, 0, out=x)
     return x, x
 
@@ -598,7 +605,7 @@ def relu_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``dy`` where the forward output is positive, else 0 (the subgradient
     at exactly 0 is 0), written into ``y`` and returned: ``y`` is consumed,
     so the caller must own it and match ``dy``'s dtype, as an
-    ``affine_relu`` backward owns its rebuilt output; ``dy`` is only read. The zeroing
+    ``affine_relu`` backward owns the map made for it; ``dy`` is only read. The zeroing
     multiplies, so a non-finite ``dy`` at ``y <= 0`` gives NaN rather than
     being masked: a bad gradient propagates to where it can be localised."""
     return np.multiply(dy, y > 0, out=y)

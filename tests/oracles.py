@@ -2,8 +2,8 @@
 
 These deliberately use naive loops and stay decoupled from the package's
 vectorized paths. The reference executor is the exception: it runs the
-package's own ops, but without any of the executor's liveness, rebuilds,
-fusions or writes into owned arrays.
+package's own ops, but without any of the executor's liveness, fusions or
+writes into owned arrays.
 """
 
 from __future__ import annotations
@@ -226,19 +226,31 @@ def bn_relu_reference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return y, running_mean, running_var, backward
 
 
+def _copy(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with ``a``'s strides, so that reductions over it
+    round as over ``a``: numpy's ``einsum`` can round a strided view (one
+    part's channels of a pre-activation's gradient) and its compact copy
+    differently."""
+    if a.flags.c_contiguous or a.flags.f_contiguous or min(a.strides) < 0:
+        return a.copy(order="K")
+    span = sum((n - 1) * s for n, s in zip(a.shape, a.strides)) + a.itemsize
+    out = np.ndarray(a.shape, a.dtype, buffer=np.empty(span, np.uint8), strides=a.strides)
+    out[...] = a
+    return out
+
+
 def reference_forward(graph, x: np.ndarray, mode: str) -> tuple[dict, dict]:
     """Every node's output and cache, keyed by node: each node runs its
     op's own forward, unfused, on copies of its inputs, so no node can
     change another's output, and everything is kept. Copies keep their
-    array's memory order (``order="K"``), so reductions over them round as
-    over the original."""
+    array's strides (:func:`_copy`)."""
     from wrinet.graph import OPS
 
     outputs, caches = {graph.input_name: x.copy()}, {}
     for name in graph.order[1:]:
         node = graph.nodes[name]
         outputs[name], caches[name] = OPS[node.op].forward(
-            node, [outputs[i].copy(order="K") for i in node.inputs], mode)
+            node, [_copy(outputs[i]) for i in node.inputs], mode)
     return outputs, caches
 
 
@@ -246,11 +258,14 @@ def reference_backward(graph, caches: dict, out_grads: dict
                        ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """(parameter gradients, input gradient) from the caches of
     :func:`reference_forward`: each node's op backward runs on copies of
-    its cache and of its output's gradient, and the gradients of an output
-    read by several nodes are summed into a fresh array per reader, in the
-    order ``NetworkGraph.backward`` sums them (``out_grads`` first, then
-    the readers in reverse topological order), so the sums round alike."""
+    its cache and of its output's gradient (an ``affine_relu``'s cached
+    ``PreActivation`` becomes the map it makes), and the gradients of an
+    output read by several nodes are summed into a fresh array per reader,
+    in the order ``NetworkGraph.backward`` sums them (``out_grads`` first,
+    then the readers in reverse topological order), so the sums round
+    alike."""
     from wrinet.graph import OPS
+    from wrinet.layers import PreActivation
 
     acc: dict[str, np.ndarray] = {}
 
@@ -267,9 +282,10 @@ def reference_backward(graph, caches: dict, out_grads: dict
         op = OPS[node.op]
         cache = caches[name]
         if isinstance(cache, tuple):
-            cache = tuple(a.copy(order="K") if isinstance(a, np.ndarray) else a
+            cache = tuple(_copy(a) if isinstance(a, np.ndarray)
+                          else a.array() if isinstance(a, PreActivation) else a
                           for a in cache)
-        grads = op.backward(node, acc.pop(name).copy(order="K"), cache)
+        grads = op.backward(node, _copy(acc.pop(name)), cache)
         k = len(node.inputs)
         for entry, grad in zip(op.params(node), grads[k:]):
             param_grads[f"{name}/{entry}"] = grad

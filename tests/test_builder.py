@@ -1,5 +1,4 @@
 import builtins
-import dataclasses
 import errno
 import json
 import re
@@ -259,36 +258,39 @@ def test_train_batch_too_small_for_a_batch_norm_moves_no_buffer():
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_backward_rebuilds_each_bn_relu_output_once_bit_for_bit(monkeypatch, mode):
-    """No kept cache holds a pre-activation's (``affine_relu``) output:
-    backward rebuilds each one once per pass, when its first reader runs,
-    equal bit for bit to the forward's, also one read by two convs (``bn1``
-    by ``conv1`` and ``shortcut``) and the inception projection's, which
-    joins three normalised branches."""
+    """No cache holds a pre-activation's (``affine_relu``) output, only its
+    ``PreActivation``: backward makes each map once per pass
+    (``PreActivation.array``), equal bit for bit to the kept forward
+    output, whether the forward kept every output or its convs applied the
+    pre-activations, also one read by two convs (``bn1`` by ``conv1`` and
+    ``shortcut``) and the inception projection's, which joins three
+    normalised branches. No kept output changes."""
     g = build_network(miniature_config(), seed=0, dtype=np.float64)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
-    affines = [name for name, node in g.nodes.items() if node.op == "affine_relu"]
+    affines = {id(node.affine): name for name, node in g.nodes.items()
+               if node.op == "affine_relu"}
     readers = {name: sum(name in node.inputs for node in g.nodes.values() if node.op == "conv")
-               for name in affines}
+               for name in affines.values()}
     assert max(readers.values()) == 2
     assert len(g.nodes["stage2/unit0/proj/bn"].inputs) == 3
-    rebuilt = []
-    op = graph_module.OPS["affine_relu"]
+    made = []
+    real = layers.PreActivation.array
 
-    def counting(node, cache):
-        y = op.rebuild(node, cache)
-        rebuilt.append((node.name, y.tobytes()))
+    def counting(pre):
+        y = real(pre)
+        made.append((affines[id(pre.p)], y.tobytes()))
         return y
 
-    monkeypatch.setitem(graph_module.OPS, "affine_relu",
-                        dataclasses.replace(op, rebuild=counting))
-    for _ in range(2):
-        result = g.forward(x, mode=mode, keep_caches=True, keep=g.order)
-        assert rebuilt == []
-        forward = {name: result[name].tobytes() for name in affines}
+    monkeypatch.setattr(layers.PreActivation, "array", counting)
+    for keep in (g.order, None):
+        kept = g.forward(x, mode=mode, keep=g.order)
+        want = sorted((name, kept[name].tobytes()) for name in affines.values())
+        result = g.forward(x, mode=mode, keep_caches=True, keep=keep)
+        outputs = {name: y.tobytes() for name, y in result.outputs.items()}
+        made.clear()
         g.backward(result, {g.output_name: np.ones_like(result[g.output_name])})
-        assert sorted(name for name, _ in rebuilt) == sorted(affines)
-        assert all(forward[name] == y for name, y in rebuilt)
-        rebuilt.clear()
+        assert sorted(made) == want
+        assert {name: y.tobytes() for name, y in result.outputs.items()} == outputs
 
 
 def _strided_join(g: NetworkGraph) -> None:
@@ -354,10 +356,10 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     monkeypatch.setattr(layers, "conv2d_backward", counting_conv_bwd)
     monkeypatch.setattr(tensor, "add_elementwise", counting_add)
     # a pre-activation is a norm node (batch_norm_*) and an affine_relu
-    # node, whose ReLU clamps the affine's output in place and whose output
-    # backward rebuilds once (affine_forward and relu_forward again), unless
-    # its one reader is a conv, which applies it to the pixels it copies
-    # (no affine_forward or relu_forward in forward); a tracer times each
+    # node, whose ReLU clamps the affine's output in place and whose map
+    # backward makes once (affine_forward and relu_forward again); forward
+    # makes it too, unless its readers are all convs, which apply it to the
+    # pixels they copy, as bn1's conv1 and shortcut do; a tracer times each
     # kernel on its own
     pre_activation = ("batch_norm_forward", "batch_norm_backward", "affine_forward",
                       "affine_backward", "relu_forward", "relu_backward")
@@ -393,13 +395,15 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     assert seen["add"] == len(adds) - len(passed)
     norms = sum(op == "norm" for op in ops.values())
     affines = [name for name, op in ops.items() if op == "affine_relu"]
-    applied = [name for name in affines if [ops[r] for r in readers[name]] == ["conv"]]
+    applied = [name for name in affines
+               if readers[name] and all(ops[r] == "conv" for r in readers[name])]
     assert norms > 0 and 0 < len(applied) < len(affines)
+    assert "stage2/unit0/bn1" in applied and len(readers["stage2/unit0/bn1"]) == 2
     assert seen["batch_norm_forward"] == seen["batch_norm_backward"] == norms
     assert seen["affine_backward"] == len(affines)
-    # the first conv to read an affine (kernel at least its stride) runs the
-    # last backward of its readers and applies the ReLU's backward itself
-    first = [g.nodes[readers[name][0]] for name in affines]
+    # the first conv to apply an affine (kernel at least its stride) runs
+    # the last backward of its readers and applies the ReLU's backward itself
+    first = [g.nodes[readers[name][0]] for name in applied]
     fused = [r for r in first if r.op == "conv" and r.conv.kernel[0] >= r.conv.stride]
     assert 0 < len(fused) < len(affines)
     assert seen["relu_backward"] == len(affines) - len(fused)

@@ -456,9 +456,9 @@ def _bn_relu_op(x, p, a, mode):
     """Forward and backward of a pre-activation as the graph runs it, the
     ``norm`` op with running statistics ``p`` and then the ``affine_relu``
     op with ``a``; returns (y, the backward as a function of dy, giving
-    (dx, dgamma, dbeta)). The affine's backward consumes the output it is
-    handed, so it gets one rebuilt from the cache, as ``graph.backward``
-    gives it, and ``y`` keeps its values."""
+    (dx, dgamma, dbeta)). The affine's backward consumes the map it is
+    handed, so it gets one made from the cached ``PreActivation``, as
+    ``graph.backward`` gives it, and ``y`` keeps its values."""
     norm = Node("bn/norm", "norm", ["input"], bn=p, channels=a.gamma.size)
     node = Node("bn", "affine_relu", [norm.name], affine=a, channels=a.gamma.size)
     xhat, norm_cache = OPS["norm"].forward(norm, [x], mode)
@@ -466,7 +466,7 @@ def _bn_relu_op(x, p, a, mode):
     y, cache = op.forward(node, [xhat], mode)
 
     def backward(dy):
-        dxhat, dgamma, dbeta = op.backward(node, dy, (op.rebuild(node, cache), *cache[1:]))
+        dxhat, dgamma, dbeta = op.backward(node, dy, (cache[0].array(), *cache[1:]))
         return (*OPS["norm"].backward(norm, dxhat, norm_cache), dgamma, dbeta)
 
     return y, backward
@@ -696,20 +696,25 @@ def test_kernels_only_read_their_arrays(name, monkeypatch):
 
 
 def test_train_mode_conv_caches_hold_only_their_input():
-    """No conv keeps a patch matrix for backward, nor an input that backward
-    rebuilds: a conv reading an ``affine_relu`` output caches no array, and every
+    """No conv keeps a patch matrix for backward, nor a pre-activated input
+    it applied: a conv that reads an ``affine_relu`` output that is not
+    kept caches that output's ``PreActivation`` and no array, and every
     other conv caches exactly its input."""
     g = build_network(miniature_config(), seed=0)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
-    result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
+    result = g.forward(x, mode="train", keep_caches=True,
+                       keep=[name for name in g.order if g.nodes[name].op != "affine_relu"])
     convs = [node for node in g.nodes.values() if node.op == "conv"]
     assert any(not layers._is_pointwise(node.conv) for node in convs)
-    rebuilt = [node for node in convs if g.nodes[node.inputs[0]].op == "affine_relu"]
-    assert 0 < len(rebuilt) < len(convs)
+    applied = [node for node in convs if g.nodes[node.inputs[0]].op == "affine_relu"]
+    assert 0 < len(applied) < len(convs)
     for node in convs:
-        cached = list(_cached_arrays(result.caches[node.name]))
-        if node in rebuilt:
+        cache = result.caches[node.name]
+        cached = list(_cached_arrays(cache))
+        if node in applied:
             assert cached == [], node.name
+            assert cache[0] is result.caches[node.inputs[0]][0], node.name
+            assert isinstance(cache[0], layers.PreActivation), node.name
         else:
             assert [a.nbytes for a in cached] == [result.outputs[node.inputs[0]].nbytes]
             assert cached[0] is result.outputs[node.inputs[0]], node.name
@@ -718,28 +723,29 @@ def test_train_mode_conv_caches_hold_only_their_input():
 def test_train_mode_caches_hold_one_full_size_array_per_bn_relu():
     """After a kept train forward the caches hold one full-size array per
     normalised tensor, not per pre-activation: each ``norm`` node's
-    normalised output and per-channel ``inv_std``, which the pre-activations
-    that read it share, and the inputs of each conv and fc that no
-    ``affine_relu`` produced; no ``affine_relu`` output itself."""
+    normalised output and per-channel ``inv_std``, which the
+    pre-activations that read it share, and the inputs of each conv and fc
+    that no ``affine_relu`` produced; no ``affine_relu`` output itself,
+    only its ``PreActivation``, whose parts are the normalised outputs."""
     g = build_network(miniature_config(), seed=0)
     x = np.random.default_rng(0).normal(size=(2, 3, 8, 8)).astype(np.float32)
-    result = g.forward(x, mode="train", keep_caches=True, keep=g.order)
+    result = g.forward(x, mode="train", keep_caches=True)
     cached = {id(a): a for a in _cached_arrays(tuple(result.caches.values()))}
     norms = [node for node in g.nodes.values() if node.op == "norm"]
     affines = [node for node in g.nodes.values() if node.op == "affine_relu"]
     assert len(g.nodes["stage2/unit0/shared/norm"].inputs) == 1
     assert sum("stage2/unit0/shared/norm" in node.inputs for node in affines) == 3
-    kept_inputs = {node.inputs[0] for node in g.nodes.values()
-                   if node.op in ("conv", "fc") and g.nodes[node.inputs[0]].op != "affine_relu"}
-    assert kept_inputs >= {g.input_name}
-    want = sum(result.outputs[node.name].nbytes + node.bn.running_mean.nbytes for node in norms)
-    want += sum(result.outputs[name].nbytes for name in kept_inputs)
+    xhats = {node.name: result.caches[node.name][0] for node in norms}
+    inputs = {id(a): a for a in (result.caches[node.name][0] for node in g.nodes.values()
+                                 if node.op in ("conv", "fc")) if isinstance(a, np.ndarray)}
+    assert any(a is x for a in inputs.values())
+    want = sum(xhats[node.name].nbytes + node.bn.running_mean.nbytes for node in norms)
+    want += sum(a.nbytes for a in inputs.values())
     assert sum(a.nbytes for a in cached.values()) == want
     for node in affines:
-        assert all(part is result.outputs[norm]
-                   for part, norm in zip(result.caches[node.name][1:], node.inputs)), node.name
-    assert not any(np.shares_memory(a, result.outputs[node.name])
-                   for a in cached.values() for node in affines)
+        pre, *parts, _ = result.caches[node.name]
+        assert isinstance(pre, layers.PreActivation), node.name
+        assert all(a is b is xhats[norm] for a, b, norm in zip(pre.parts, parts, node.inputs))
 
 
 def test_bn_relu_backward_allocates_less_than_its_output(monkeypatch):
