@@ -10,35 +10,38 @@ gradients from the caches and the outputs each op's backward reads.
 A pre-activation (batch norm, then ReLU) is two kinds of node. A ``norm``
 node normalises one tensor by its batch statistics and owns its running
 statistics; it is made once per tensor, by the first pre-activation that
-reads the tensor, and named ``<tensor>/norm``. An ``affine_relu`` node,
-one per consumer, applies its own ``gamma`` and ``beta`` and a ReLU to one
-or more normalised tensors joined along channels. So a tensor that feeds
-three pre-activations is normalised once, and the inception unit's
-projection reads its three normalised branches without a concat (Ioffe &
-Szegedy 2015; Pleiss et al. 2017). A kept pass holds one full-size array
-per ``norm``, its normalised output, which its consumers' backward read.
-No cache holds an ``affine_relu`` output: it holds the output's
-:class:`layers.PreActivation`, from which backward makes the map once per
-backward, when its first reader runs, and drops it after its producer's
-backward (the recompute half of Chen et al. 2016). The first conv to read
-an ``affine_relu`` output that its readers apply, if its kernel is at
-least its stride, runs the last backward of its readers; it writes the
-output's ReLU gradient, with what the other readers sent, into the map
-made for backward, so no conv ``dx``, ReLU pass or sum of that size is
-made. Where no such conv does, the ``affine_relu`` backward writes its
-ReLU gradient into that map itself; either way it then writes its inputs'
-gradient there, and a ``norm`` backward writes its input's gradient into
-its normalised output, so neither allocates an array of its output's
-size (in-place activated batch norm, Rota Bulo et al. 2018).
+reads the tensor, and named ``<tensor>/norm``. An ``affine_relu`` node, one
+per consumer, applies its own ``gamma`` and ``beta`` and a ReLU to one or
+more normalised tensors joined along channels. So a tensor that feeds three
+pre-activations is normalised once, and the inception unit's projection
+reads its three normalised branches without a concat (Ioffe & Szegedy 2015;
+Pleiss et al. 2017). A kept pass holds one full-size array per ``norm``,
+its normalised output, which its consumers' backward read. An
+``affine_relu``'s cache holds its output, a :class:`layers.PreActivation`
+and not the map, from which backward makes the map once per backward, when
+its first reader runs, and drops it after its producer's backward (the
+recompute half of Chen et al. 2016). The first conv to read an
+``affine_relu`` output that it applied, if its kernel is at least its
+stride, runs the last backward of its readers; it writes the output's ReLU
+gradient, with what the other readers sent, into the map made for backward,
+so no conv ``dx``, ReLU pass or sum of that size is made. Where no such
+conv does, the ``affine_relu`` backward writes its ReLU gradient into that
+map itself; either way it then writes its inputs' gradient there, and a
+``norm`` backward writes its input's gradient into its normalised output,
+so neither allocates an array of its output's size (in-place activated
+batch norm, Rota Bulo et al. 2018).
 
 Forward fuses two steps, so that a value read once is not written out as a
-map of its own. An ``affine_relu`` whose readers are all convs is applied
-by each of them to the pixels it copies into each tile, and a conv whose one
-reader is an add adds its output, tile by tile, into the add's other input
-when the pass owns that array and nothing reads it after the add, which
-then passes the sum on. So a residual unit's forward holds the unit input
-and one conv's input or output, not a third map. Each pixel takes the
-float ops it took unfused, so every value is bit for bit the same.
+map of its own. An ``affine_relu``'s output is its
+:class:`layers.PreActivation`, which each conv that reads it applies to the
+pixels it copies into each tile and caches; forward makes the map only
+where the output is kept or the pass is checked (its convs then read the
+map), and for each reader that is not a conv. A conv whose one reader is an
+add adds its output, tile by tile, into the add's other input when the pass
+owns that array and nothing reads it after the add, which then passes the
+sum on. So a residual unit's forward holds the unit input and one conv's
+input or output, not a third map. Each pixel takes the float ops it took
+unfused, so every value is bit for bit the same.
 
 Parameters live in a registry keyed by hierarchical names
 (``stage1/unit0/conv1/weight``) so optimizers, freeze masks, and
@@ -102,9 +105,9 @@ class Node:
 class ForwardResult:
     """What one :meth:`NetworkGraph.forward` leaves: the outputs it was asked
     to keep (every other output was dropped after its last reader ran), and
-    with ``keep_caches`` each node's backward cache. An ``affine_relu``'s
-    cache, and that of each conv that applied it, holds its
-    :class:`layers.PreActivation` in place of its output, and backward
+    with ``keep_caches`` each node's backward cache. Kept outputs are
+    arrays. An ``affine_relu``'s cache, and that of each conv that applied
+    it, holds its output, a :class:`layers.PreActivation`, and backward
     makes the map once from it (see :class:`Op`)."""
 
     outputs: dict[str, np.ndarray]
@@ -122,23 +125,24 @@ class Op:
     """What one node kind means.
 
     ``forward(node, inputs, mode)`` returns ``(y, cache)``, the cache
-    holding all that backward needs; ``backward(node, dy, cache)`` returns
-    one gradient per input, then one per ``params`` entry (the kernels' dx,
-    dw, db order). ``reads(node)`` names the nodes whose outputs backward
-    reads (a conv's or fc's input, a ``norm``'s own normalised output, an
-    ``affine_relu``'s own output for its ReLU mask and its normalised
-    inputs); the cache is then a tuple that starts with those outputs, in
-    that order. An ``affine_relu``'s cache starts with the output's
-    :class:`layers.PreActivation`, not the map, and so does a conv's that
-    applied it; backward hands each a map made once per backward from it.
-    Backward runs every reader before the producer, so an ``affine_relu``
-    backward consumes the map it is handed (it writes its gradients there;
-    a ``dy`` that is that map already holds the ReLU's gradient, which a
-    conv that applied it wrote there) and, in train mode, a ``norm``
-    backward consumes its normalised output, or a copy where that is kept
-    (it writes ``dx`` there), after every consumer has read it. ``batch_statistics`` marks an
-    op that normalises by per-channel statistics over N, H and W in train
-    mode, which needs N*H*W >= 2.
+    holding all that backward needs (an ``affine_relu``'s ``y`` is a
+    :class:`layers.PreActivation`, see :meth:`NetworkGraph.forward`);
+    ``backward(node, dy, cache)`` returns one gradient per input, then one
+    per ``params`` entry (the kernels' dx, dw, db order). ``reads(node)``
+    names the nodes whose outputs backward reads (a conv's or fc's input, a
+    ``norm``'s own normalised output, an ``affine_relu``'s own output for
+    its ReLU mask and its normalised inputs); the cache is then a tuple that
+    starts with those outputs, in that order. An ``affine_relu``'s cache
+    starts with the output's :class:`layers.PreActivation`, not the map, and
+    so does a conv's that applied it; backward hands each a map made once
+    per backward from it. Backward runs every reader before the producer, so
+    an ``affine_relu`` backward consumes the map it is handed (it writes its
+    gradients there; a ``dy`` that is that map already holds the ReLU's
+    gradient, which a conv that applied it wrote there) and, in train mode,
+    a ``norm`` backward consumes its normalised output, or a copy where that
+    is kept (it writes ``dx`` there), after every consumer has read it.
+    ``batch_statistics`` marks an op that normalises by per-channel
+    statistics over N, H and W in train mode, which needs N*H*W >= 2.
     ``shape(node, input shapes)`` gives the per-sample (C, H, W) and raises
     ShapeError naming the node; ``NetworkGraph.forward`` applies it to every
     node before any node runs. ``window(node, input shape)`` gives the
@@ -201,9 +205,9 @@ def _flatten_shape(node: Node, shapes: list[Shape]) -> Shape:
 
 
 def _affine_relu_forward(node: Node, parts: list[np.ndarray], mode: str
-                         ) -> tuple[np.ndarray, tuple]:
+                         ) -> tuple[layers.PreActivation, tuple]:
     pre = layers.PreActivation(parts, node.affine, mode)
-    return pre.array(), (pre, *parts, mode)
+    return pre, (pre, *parts, mode)
 
 
 def _affine_relu_backward(node: Node, dy: np.ndarray, cache: tuple) -> tuple:
@@ -281,40 +285,27 @@ OPS: dict[str, Op] = {
 
 
 @dataclass(frozen=True)
-class _Fusion:
-    """What one kind of forward pass runs fused (see
-    :meth:`NetworkGraph.forward`): the ``affine_relu`` nodes that their
-    convs apply (``preact``), each conv that adds its output into the
-    other input of the add that reads it (``add_into``: conv -> that
-    input), and each such add, which passes the sum on (``passed``: add ->
-    conv)."""
-
-    preact: frozenset[str]
-    add_into: dict[str, str]
-    passed: dict[str, str]
-
-
-_UNFUSED = _Fusion(frozenset(), {}, {})
-
-
-@dataclass
-class _Plan:
-    """What :meth:`NetworkGraph.forward` plans from the graph alone, cached
-    on the graph until it changes: the nodes in order (``steps``), each
-    output's readers in order, the convs whose backward writes their
-    input's ReLU gradient into it when they applied it (``relu_into_x``,
-    see :meth:`NetworkGraph.backward`) and the nodes that take batch
-    statistics; and, filled as they are asked for, the shapes per input
-    H x W, the outputs that die after each step per ``keep`` set and the
-    fusions per ``keep`` set, mode and ``keep_caches``."""
+class _Pass:
+    """What :meth:`NetworkGraph.forward` plans for one kind of pass (input
+    H x W, ``keep``, mode, ``keep_caches``, ``check_finite``), made once
+    and reused until a node is added or removed: the nodes in order
+    (``steps``), every node's shape, the nodes whose batch statistics a
+    train pass takes (none in infer mode), the outputs that die after each
+    step (``dies_after``), each conv that adds its output into the other
+    input of the add that reads it (``add_into``: conv -> that input) and
+    each such add, which passes the sum on (``passed``: add -> conv), and
+    the nodes that are not convs and read the ``PreActivation`` of an
+    ``affine_relu`` that is not kept, each of which makes its map
+    (``makes_maps``). A checked pass makes each ``affine_relu``'s map at
+    the node and adds into nothing."""
 
     steps: list[tuple[str, Node]]
-    readers: dict[str, list[str]]
-    relu_into_x: frozenset[str]
+    shapes: dict[str, Shape]
     batch_statistics: list[str]
-    shapes: dict[tuple[int, int], dict[str, Shape]]
-    dies_after: dict[frozenset[str], dict[str, list[str]]]
-    fusions: dict[tuple[frozenset[str], str, bool], _Fusion]
+    dies_after: dict[str, list[str]]
+    add_into: dict[str, str]
+    passed: dict[str, str]
+    makes_maps: frozenset[str]
 
 
 class NetworkGraph:
@@ -326,7 +317,7 @@ class NetworkGraph:
         self.name = name
         self.nodes: dict[str, Node] = {}
         self.order: list[str] = []
-        self._plan: Optional[_Plan] = None
+        self._passes: dict[tuple, _Pass] = {}
         self.input_name = "input"
         self._add(Node(self.input_name, "input", [], channels=input_channels))
         self.output_name = self.input_name
@@ -342,7 +333,7 @@ class NetworkGraph:
         self.nodes[node.name] = node
         self.order.append(node.name)
         self.output_name = node.name
-        self._plan = None
+        self._passes.clear()
         return node.name
 
     def remove_from(self, name: str) -> None:
@@ -351,7 +342,7 @@ class NetworkGraph:
         for dropped in self.order[cut:]:
             del self.nodes[dropped]
         del self.order[cut:]
-        self._plan = None
+        self._passes.clear()
 
     def add_conv(self, name: str, inp: str, params: ConvParams) -> str:
         have = self.nodes[inp].channels
@@ -431,99 +422,75 @@ class NetworkGraph:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _graph_plan(self) -> _Plan:
-        """The graph's plan, made once and reused until a node is added or
-        removed."""
-        if self._plan is None:
-            nodes = self.nodes
-            steps = [(name, nodes[name]) for name in self.order[1:]]
-            readers: dict[str, list[str]] = {name: [] for name in self.order}
-            for name in self.order:
-                for inp in nodes[name].inputs:
-                    readers[inp].append(name)
-            # each affine_relu's first reader, if a conv whose kernel is at
-            # least its stride (see conv2d_backward's relu_into_x)
-            first = (readers[name][0] for name, node in steps
-                     if node.op == "affine_relu" and readers[name])
-            relu_into_x = frozenset(r for r in first if nodes[r].op == "conv"
-                                    and nodes[r].conv.kernel[0] >= nodes[r].conv.stride)
-            self._plan = _Plan(
-                steps=steps,
-                readers=readers,
-                relu_into_x=relu_into_x,
-                batch_statistics=[name for name, node in steps
-                                  if OPS[node.op].batch_statistics],
-                shapes={}, dies_after={}, fusions={})
-        return self._plan
+    def _plan(self, hw: tuple[int, int], keep: frozenset[str], mode: str,
+              keep_caches: bool, check_finite: bool) -> _Pass:
+        """The :class:`_Pass` for these arguments of :meth:`forward`, made
+        on first use.
 
-    def _planned(self, hw: tuple[int, int], keep: frozenset[str]
-                 ) -> tuple[_Plan, dict[str, Shape], dict[str, list[str]]]:
-        """The graph's plan, with every node's shape for an input of ``hw``
-        and the outputs that die after each step when ``keep`` is kept."""
-        plan = self._graph_plan()
-        shapes = plan.shapes.get(hw)
-        if shapes is None:
-            shapes = plan.shapes[hw] = self.infer_shapes(hw)
-        dies_after = plan.dies_after.get(keep)
-        if dies_after is None:
-            dies_after = plan.dies_after[keep] = {}
-            for name, readers in plan.readers.items():
-                if name not in keep:  # an unread output dies at once
-                    dies_after.setdefault(readers[-1] if readers else name, []).append(name)
-        return plan, shapes, dies_after
-
-    def _fused(self, plan: _Plan, keep: frozenset[str], mode: str,
-               keep_caches: bool) -> _Fusion:
-        """The fusions :meth:`forward` runs for ``keep``, ``mode`` and
-        ``keep_caches``, found once per graph plan.
-
-        An ``affine_relu`` that is not kept and whose readers are all convs
-        is applied by each of them. A conv whose one reader is an add, and
-        that is not kept, adds its output into the add's other input when
-        that input is made before the conv by a conv or an add (so the pass
-        owns the array), and no use of the array outlives the add: no
-        output that is the array or reads it later (an infer-mode ``norm``,
-        which passes its input through, a flatten, an applied
-        ``affine_relu``) is kept, every use but the add's runs before the
-        conv, and with ``keep_caches`` no cache holds the array."""
-        key = (keep, mode, keep_caches)
-        fusion = plan.fusions.get(key)
-        if fusion is not None:
-            return fusion
-        nodes, readers = self.nodes, plan.readers
+        A conv whose one reader is an add, and that is not kept, adds its
+        output into the add's other input when that input is made before
+        the conv by a conv or an add (so the pass owns the array), and no
+        use of the array outlives the add: no output that is the array or
+        reads it later (an infer-mode ``norm``, which passes its input
+        through, a flatten, an ``affine_relu`` that is not kept, whose
+        ``PreActivation`` its readers apply) is kept, every use but the
+        add's runs before the conv, and with ``keep_caches`` no cache holds
+        the array."""
+        key = (hw, keep, mode, keep_caches, check_finite)
+        plan = self._passes.get(key)
+        if plan is not None:
+            return plan
+        nodes = self.nodes
+        shapes = self.infer_shapes(hw)
+        steps = [(name, nodes[name]) for name in self.order[1:]]
+        readers: dict[str, list[str]] = {name: [] for name in self.order}
+        for name, node in steps:
+            for inp in node.inputs:
+                readers[inp].append(name)
+        dies_after: dict[str, list[str]] = {}
+        for name, its_readers in readers.items():
+            if name not in keep:  # an unread output dies at once
+                dies_after.setdefault(its_readers[-1] if its_readers else name, []).append(name)
         at = {name: i for i, name in enumerate(self.order)}
-        preact = frozenset(
-            name for name, node in plan.steps
-            if node.op == "affine_relu" and name not in keep and readers[name]
-            and all(nodes[r].op == "conv" for r in readers[name]))
+        # the affine_relu outputs that stay a PreActivation
+        unmade = set() if check_finite else {name for name, node in steps
+                                             if node.op == "affine_relu" and name not in keep}
 
-        def passes_on(name: str) -> bool:  # its output is its input's array, or reads it later
-            op = nodes[name].op
-            return name in preact or op == "flatten" or (op == "norm" and mode == "infer")
+        def passes_on(name: str) -> bool:  # its output is its input's array
+            return nodes[name].op == "flatten" or (nodes[name].op == "norm" and mode == "infer")
 
-        def uses(name: str):
+        def uses(name: str):  # with the uses of each output that is the array or reads it later
             for reader in readers[name]:
                 yield reader
-                if passes_on(reader):
+                if passes_on(reader) or reader in unmade:
                     yield from uses(reader)
 
         add_into, passed = {}, {}
-        for name, node in plan.steps:
-            if node.op != "add":
+        for name, node in steps:
+            if node.op != "add" or check_finite:
                 continue
             into, conv = sorted(node.inputs, key=at.__getitem__)  # add(a, a): a has 2 readers
             if (nodes[conv].op != "conv" or readers[conv] != [name] or conv in keep
                     or nodes[into].op not in ("conv", "add")):
                 continue
             users = list(uses(into))
-            arrays = {into, *(u for u in users if passes_on(u) and u not in preact)}
+            arrays = {into, *filter(passes_on, users)}
             held = keep_caches and any(arrays.intersection(OPS[nodes[u].op].reads(nodes[u]))
                                        for u in users)
             if (not arrays & keep and not held
                     and all(u == name or at[u] < at[conv] for u in users)):
                 add_into[conv], passed[name] = into, conv
-        fusion = plan.fusions[key] = _Fusion(preact, add_into, passed)
-        return fusion
+        plan = self._passes[key] = _Pass(
+            steps=steps,
+            shapes=shapes,
+            batch_statistics=[name for name, node in steps
+                              if mode == "train" and OPS[node.op].batch_statistics],
+            dies_after=dies_after,
+            add_into=add_into,
+            passed=passed,
+            makes_maps=frozenset(r for name in unmade for r in readers[name]
+                                 if nodes[r].op != "conv"))
+        return plan
 
     def forward(self, x: np.ndarray, mode: str = "infer", keep_caches: bool = False,
                 check_finite: bool = False,
@@ -543,25 +510,26 @@ class NetworkGraph:
         or at once if none does, so the pass holds only live outputs.
         ``keep_caches`` keeps every node's cache for one :meth:`backward`,
         which releases each once used, together with the outputs named by
-        each op's ``reads``. An ``affine_relu``'s cache holds its output's
-        :class:`layers.PreActivation`, not the map, and so does each conv
-        that applied it. Forward makes the map only where the output is
-        kept or a reader is not a conv, and then its conv readers cache
-        the map. Without ``keep_caches`` each cache is released before the
-        next node runs.
+        each op's ``reads``. An ``affine_relu``'s output is its
+        :class:`layers.PreActivation`, which its cache holds. Forward makes
+        the map only where the output is kept or the pass is checked (its
+        conv readers then read and cache the map), and for each reader that
+        is not a conv; otherwise each conv reader applies the
+        ``PreActivation`` and caches it. Without ``keep_caches`` each cache
+        is released before the next node runs.
         Without ``check_finite`` no value is scanned and NaN/Inf propagate.
         With it, every node's output, parameters and buffers are checked (a
         ReLU maps NaN to 0) and :class:`NodeNonFiniteError` is raised at the
         first offender: the diagnostic pass of :func:`optim.first_nonfinite_node`.
-        A checked pass fuses nothing (see :meth:`_fused`), so each output it
-        checks is made by its own node, and an ``affine_relu`` whose
-        output overflows is named, not the conv that would apply it.
+        A checked pass fuses nothing, so each output it checks is made by
+        its own node, and an ``affine_relu`` whose output overflows is
+        named, not the conv that would apply it.
 
         No node changes ``x``, a returned output, or an array that a cache
         or a later node reads. The one array a node writes into is an
         input of an add that the pass made (a conv or add output), that is
         not kept and that nothing reads after the add: the add's other
-        input, a conv, adds its output into it (see :meth:`_fused`).
+        input, a conv, adds its output into it (see :meth:`_plan`).
         Backward reads the arrays a kept pass
         holds, so until :meth:`backward` has run, callers must not write into
         ``x`` or into a returned output that a conv or fc reads (a detection
@@ -581,31 +549,30 @@ class NetworkGraph:
             raise ShapeError(
                 f"input has {x.shape[1]} channels, graph expects "
                 f"{self.nodes[self.input_name].channels}")
-        plan, shapes, dies_after = self._planned(x.shape[2:], keep)
-        if mode == "train":
-            for name in plan.batch_statistics:
-                _, h, w = shapes[name]
-                if x.shape[0] * h * w < 2:
-                    raise ShapeError(
-                        f"{self.nodes[name].op} {name!r} normalises over N*H*W = "
-                        f"{x.shape[0]}*{h}*{w} values per channel in train mode, "
-                        "which needs at least 2")
-        fusion = _UNFUSED if check_finite else self._fused(plan, keep, mode, keep_caches)
-        outputs: dict[str, np.ndarray] = {self.input_name: x}
+        plan = self._plan(x.shape[2:], keep, mode, keep_caches, check_finite)
+        for name in plan.batch_statistics:
+            _, h, w = plan.shapes[name]
+            if x.shape[0] * h * w < 2:
+                raise ShapeError(
+                    f"{self.nodes[name].op} {name!r} normalises over N*H*W = "
+                    f"{x.shape[0]}*{h}*{w} values per channel in train mode, "
+                    "which needs at least 2")
+        outputs: dict[str, np.ndarray | layers.PreActivation] = {self.input_name: x}
         caches: dict[str, tuple] = {}
         for name, node in plan.steps:
             op = OPS[node.op]  # looked up at call time, as the kernels are
             xs = [outputs[i] for i in node.inputs]
-            if name in fusion.preact:  # its convs apply it
-                y = layers.PreActivation(xs, node.affine, mode)
-                cache = (y, *xs, mode)
-            elif name in fusion.add_into:
+            if name in plan.makes_maps:  # a conv applies a PreActivation; others read its map
+                xs = [a.array() if isinstance(a, layers.PreActivation) else a for a in xs]
+            if name in plan.add_into:
                 y, cache = layers.conv2d_forward(xs[0], node.conv,
-                                                 add_to=outputs[fusion.add_into[name]])
-            elif name in fusion.passed:
-                y, cache = outputs[fusion.passed[name]], None
+                                                 add_to=outputs[plan.add_into[name]])
+            elif name in plan.passed:
+                y, cache = outputs[plan.passed[name]], None
             else:
                 y, cache = op.forward(node, xs, mode)
+                if (check_finite or name in keep) and node.op == "affine_relu":
+                    y = y.array()
             if check_finite and not all(np.all(np.isfinite(a)) for a in (
                     y, *op.params(node).values(), *op.buffers(node).values())):
                 raise NodeNonFiniteError(name)
@@ -613,7 +580,7 @@ class NetworkGraph:
             if keep_caches:
                 caches[name] = cache
             del xs, y, cache  # without keep_caches, a train-mode norm's xhat dies here
-            for dead in dies_after.get(name, ()):
+            for dead in plan.dies_after.get(name, ()):
                 del outputs[dead]
         return ForwardResult(outputs=outputs, caches=caches)
 
@@ -637,8 +604,8 @@ class NetworkGraph:
         output is kept. The gradients of an output read by several nodes are
         summed before its producer's backward runs, so a ``norm`` read by
         several pre-activations runs one backward. The first conv to read an
-        ``affine_relu`` output that its readers applied, if its kernel is at
-        least its stride, runs after every other reader; its backward
+        ``affine_relu`` output that it applied, if its kernel is at least
+        its stride, runs after every other reader; its backward
         (``conv2d_backward(relu_into_x=True)``) writes the ReLU gradient of
         the output's summed gradient into the map made for backward, tile by
         tile, and hands that array to the ``affine_relu``, which skips its
@@ -669,7 +636,15 @@ class NetworkGraph:
                     f"{np.shape(g)}, but its output is {y.dtype} {y.shape}")
             contribute(name, g)
 
-        relu_into_x = self._graph_plan().relu_into_x
+        # each output's first reader, if a conv whose kernel is at least its
+        # stride: one that applied its input runs the last of its readers'
+        # backward (see conv2d_backward's relu_into_x)
+        first: dict[str, str] = {}
+        for name in self.order:
+            for inp in self.nodes[name].inputs:
+                first.setdefault(inp, name)
+        relu_into_x = {r for r in first.values() if self.nodes[r].op == "conv"
+                       and self.nodes[r].conv.kernel[0] >= self.nodes[r].conv.stride}
         param_grads: dict[str, np.ndarray] = {}
         for name in reversed(self.order[1:]):
             if name not in acc:

@@ -191,12 +191,14 @@ def _tile_shape(n: int, k: int, h_out: int, w_out: int, itemsize: int) -> tuple[
 
 @dataclass
 class PreActivation:
-    """``relu(affine_forward(parts, p, mode))``, not computed: a conv given
-    one as its input applies the affine and the ReLU to each block of
-    pixels as it copies it into a tile, so forward never makes the
-    pre-activated map, and a backward cache holds it in the map's place.
-    :meth:`array` makes the map, as backward does once per backward.
-    ``shape`` and ``dtype`` are those of the map it stands for."""
+    """``relu(affine_forward(parts, p, mode))``, not computed: the output
+    of a graph's ``affine_relu`` node. A conv given one as its input
+    applies the affine and the ReLU to each block of pixels as it copies
+    it into a tile, so no conv's forward makes the pre-activated map, and
+    a backward cache holds it in the map's place. :meth:`array` makes the
+    map, as forward does where the output is kept or the pass is checked,
+    and for each reader that is not a conv, and as backward does once per
+    backward. ``shape`` and ``dtype`` are those of the map it stands for."""
 
     parts: list[np.ndarray]
     p: AffineParams

@@ -1,4 +1,6 @@
-"""Dense NCHW tensors and the two structural ops used by the block builders.
+"""Dense NCHW tensors and the kernels of the graph's two structural ops,
+``add`` and ``concat``, which :data:`~wrinet.graph.OPS` looks up here at
+call time, so a tracer that replaces them on this module sees every call.
 
 Tensors are plain ``numpy.ndarray`` objects with a fixed row-major (N, C, H, W)
 layout, float32 by default and float64 when tight gradient-check tolerances are

@@ -243,14 +243,17 @@ def reference_forward(graph, x: np.ndarray, mode: str) -> tuple[dict, dict]:
     """Every node's output and cache, keyed by node: each node runs its
     op's own forward, unfused, on copies of its inputs, so no node can
     change another's output, and everything is kept. Copies keep their
-    array's strides (:func:`_copy`)."""
+    array's strides (:func:`_copy`). An ``affine_relu``'s output, its
+    ``PreActivation``, is kept as the map it makes."""
     from wrinet.graph import OPS
+    from wrinet.layers import PreActivation
 
     outputs, caches = {graph.input_name: x.copy()}, {}
     for name in graph.order[1:]:
         node = graph.nodes[name]
-        outputs[name], caches[name] = OPS[node.op].forward(
+        y, caches[name] = OPS[node.op].forward(
             node, [_copy(outputs[i]) for i in node.inputs], mode)
+        outputs[name] = y.array() if isinstance(y, PreActivation) else y
     return outputs, caches
 
 

@@ -132,14 +132,34 @@ def test_backward_rejects_out_grads_unlike_the_output(grad):
     assert all(v.dtype == np.float32 for v in grads.values())
 
 
-def test_forward_plan_follows_the_graph_and_the_input_size():
-    """Forward reuses its plan until a node is added, and plans shapes per
-    input size: a node added after a pass runs in the next one, and a size
+def test_forward_plan_follows_the_graph_and_the_input_size(monkeypatch):
+    """Forward plans once per kind of pass (input H x W, keep set, mode,
+    ``keep_caches``, ``check_finite``), counted by the ``infer_shapes``
+    call each plan makes, and reuses that plan until a node is added or
+    removed: a node added after a pass runs in the next one, and a size
     that collapses a conv is still refused after a size that does not."""
+    planned = []
+    infer_shapes = NetworkGraph.infer_shapes
+
+    def counting(self, hw):
+        planned.append(hw)
+        return infer_shapes(self, hw)
+
+    def plans(x, **kwargs) -> list[int]:
+        """The plans each of two identical forwards made."""
+        counts = []
+        for _ in range(2):
+            before = len(planned)
+            g.forward(x, **kwargs)
+            counts.append(len(planned) - before)
+        return counts
+
+    monkeypatch.setattr(NetworkGraph, "infer_shapes", counting)
     g = NetworkGraph(3)
     g.add_conv("a", g.input_name, make_conv(3, 4, 3, padding=0))
     x = np.ones((2, 3, 5, 5), dtype=np.float32)
     assert g.forward(x).outputs["a"].shape == (2, 4, 3, 3)
+    assert plans(x) == [0, 0]
     g.add_bn_relu("pre", "a")
     g.add_conv("b", "pre", make_conv(4, 2, 3, padding=0))
     assert list(g.forward(x, mode="train").outputs) == ["b"]
@@ -147,6 +167,16 @@ def test_forward_plan_follows_the_graph_and_the_input_size():
     with pytest.raises(ShapeError, match="'b' output collapses"):
         g.forward(np.ones((2, 3, 4, 4), dtype=np.float32))
     assert g.forward(x)["b"].shape == (2, 2, 1, 1)
+    assert plans(x) == plans(x, mode="train") == [0, 0]
+    assert plans(x, keep=["b"]) == [0, 0]  # the default keep set
+    for kind in ({"x": np.ones((2, 3, 6, 6), dtype=np.float32)}, {"keep": ["a", "b"]},
+                 {"keep": ["a", "b"], "mode": "train"}, {"keep_caches": True},
+                 {"check_finite": True}):
+        assert plans(**{"x": x, **kind}) == [1, 0], kind
+    g.add_conv("c", "b", make_conv(2, 2, 1))
+    assert plans(x, keep=["b"]) == [1, 0]
+    g.remove_from("c")
+    assert plans(x, keep=["b"]) == [1, 0]
 
 
 def test_second_backward_on_one_result_says_so():
@@ -358,9 +388,10 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     # a pre-activation is a norm node (batch_norm_*) and an affine_relu
     # node, whose ReLU clamps the affine's output in place and whose map
     # backward makes once (affine_forward and relu_forward again); forward
-    # makes it too, unless its readers are all convs, which apply it to the
-    # pixels they copy, as bn1's conv1 and shortcut do; a tracer times each
-    # kernel on its own
+    # makes it too where it is kept or for each reader that is not a conv
+    # (head/gap reads head/bn), and every other conv reader applies it to
+    # the pixels it copies, as bn1's conv1 and shortcut do; a tracer times
+    # each kernel on its own
     pre_activation = ("batch_norm_forward", "batch_norm_backward", "affine_forward",
                       "affine_backward", "relu_forward", "relu_backward")
     for kernel in pre_activation:
@@ -396,14 +427,15 @@ def test_graph_looks_kernels_up_at_call_time(monkeypatch):
     norms = sum(op == "norm" for op in ops.values())
     affines = [name for name, op in ops.items() if op == "affine_relu"]
     applied = [name for name in affines
-               if readers[name] and all(ops[r] == "conv" for r in readers[name])]
+               if name != g.output_name and all(ops[r] == "conv" for r in readers[name])]
     assert norms > 0 and 0 < len(applied) < len(affines)
     assert "stage2/unit0/bn1" in applied and len(readers["stage2/unit0/bn1"]) == 2
     assert seen["batch_norm_forward"] == seen["batch_norm_backward"] == norms
     assert seen["affine_backward"] == len(affines)
     # the first conv to apply an affine (kernel at least its stride) runs
     # the last backward of its readers and applies the ReLU's backward itself
-    first = [g.nodes[readers[name][0]] for name in applied]
+    first = [g.nodes[readers[name][0]] for name in affines
+             if name != g.output_name and readers[name]]
     fused = [r for r in first if r.op == "conv" and r.conv.kernel[0] >= r.conv.stride]
     assert 0 < len(fused) < len(affines)
     assert seen["relu_backward"] == len(affines) - len(fused)

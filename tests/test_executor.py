@@ -12,6 +12,7 @@ running each node's op on its own, on copies, gives
 graphs and on small random ones.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -257,9 +258,11 @@ def test_random_dags_match_the_unfused_reference(dag, data):
     """On a random float64 graph, in both modes, with and without caches,
     for the graph output and a random keep set: the kept outputs, running
     statistics and every gradient equal the reference's bit for bit; ``x``
-    and the kept outputs are unchanged; no backward makes a pre-activated
-    map (``PreActivation.array``) twice; and, on an instance whose ReLU
-    inputs all clear ``gradcheck.KINK_MARGIN`` in train mode, the
+    and the kept outputs are unchanged; every conv that reads an
+    ``affine_relu`` output that is not kept caches that affine's own
+    ``PreActivation``, whatever else reads it; no backward makes a
+    pre-activated map (``PreActivation.array``) twice; and, on an instance
+    whose ReLU inputs all clear ``gradcheck.KINK_MARGIN`` in train mode, the
     train-mode gradients of a few random coordinates agree with central
     differences within ``gradcheck.DEFAULT_TOLERANCE``."""
     g = _dag(*dag)
@@ -297,6 +300,10 @@ def test_random_dags_match_the_unfused_reference(dag, data):
                     assert kept == _bytes({k: ref_outputs[k] for k in result.outputs})
                     assert _bytes(g.buffers()) == ref_buffers
                     if keep_caches:
+                        for name, node in g.nodes.items():
+                            if (node.op == "conv" and node.inputs[0] not in result.outputs
+                                    and g.nodes[node.inputs[0]].op == "affine_relu"):
+                                assert result.caches[name][0] is result.caches[node.inputs[0]][0]
                         out_grads = {k: rng.normal(size=v.shape)
                                      for k, v in sorted(result.outputs.items())}
                         made.clear()
@@ -324,3 +331,26 @@ def test_random_dags_match_the_unfused_reference(dag, data):
         analytic = grads[name].reshape(-1)[i] if name in grads else 0.0
         numeric = gradcheck.fd_gradients(loss, [flat[i:i + 1]])[0][0]
         assert gradcheck.relative_error(analytic, numeric) < gradcheck.DEFAULT_TOLERANCE, name
+
+
+def test_a_pre_activation_read_by_a_conv_and_a_concat_is_held_by_no_cache_as_a_map():
+    """An ``affine_relu`` that is not kept, read by a 3x3 conv and by a
+    concat, is made as a map for the concat alone: the conv applies its
+    ``PreActivation`` and caches that. So a kept float32 train forward at
+    N=16, 16x32x32 (1 MiB a map) holds the norm's output, the concat's
+    (2 MiB) and the four convs' after it, 7 MiB, and not the map too."""
+    g = NetworkGraph(16)
+    pre = g.add_bn_relu("pre", g.input_name)
+    conv = g.add_conv("conv", pre, layers.make_conv(16, 16, 3))
+    name = g.add_concat("concat", [pre, conv])
+    for i in range(4):
+        name = g.add_conv(f"conv{i}", name, layers.make_conv(g.nodes[name].channels, 16, 3))
+    x = np.random.default_rng(0).normal(size=(16, 16, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        result = g.forward(x, mode="train", keep_caches=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 7.5 * 2**20
+    assert result.caches[conv][0] is result.caches[pre][0]

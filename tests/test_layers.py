@@ -463,7 +463,8 @@ def _bn_relu_op(x, p, a, mode):
     node = Node("bn", "affine_relu", [norm.name], affine=a, channels=a.gamma.size)
     xhat, norm_cache = OPS["norm"].forward(norm, [x], mode)
     op = OPS["affine_relu"]
-    y, cache = op.forward(node, [xhat], mode)
+    pre, cache = op.forward(node, [xhat], mode)
+    y = pre.array()
 
     def backward(dy):
         dxhat, dgamma, dbeta = op.backward(node, dy, (cache[0].array(), *cache[1:]))
