@@ -337,11 +337,14 @@ class NetworkGraph:
         return node.name
 
     def remove_from(self, name: str) -> None:
-        """Remove ``name`` and every node added after it."""
+        """Remove ``name`` and every node added after it. If that removes
+        the graph output, the last node left becomes the output."""
         cut = self.order.index(name)
         for dropped in self.order[cut:]:
             del self.nodes[dropped]
         del self.order[cut:]
+        if self.output_name not in self.nodes:
+            self.output_name = self.order[-1]
         self._passes.clear()
 
     def add_conv(self, name: str, inp: str, params: ConvParams) -> str:
@@ -515,8 +518,10 @@ class NetworkGraph:
         the map only where the output is kept or the pass is checked (its
         conv readers then read and cache the map), and for each reader that
         is not a conv; otherwise each conv reader applies the
-        ``PreActivation`` and caches it. Without ``keep_caches`` each cache
-        is released before the next node runs.
+        ``PreActivation`` and caches it. Each reader that is not a conv
+        makes its own map of an ``affine_relu`` output that is not kept, so
+        one read by k such readers is made k times in the pass. Without
+        ``keep_caches`` each cache is released before the next node runs.
         Without ``check_finite`` no value is scanned and NaN/Inf propagate.
         With it, every node's output, parameters and buffers are checked (a
         ReLU maps NaN to 0) and :class:`NodeNonFiniteError` is raised at the

@@ -33,20 +33,22 @@ Convolution lowers to a channel-major patch matrix (im2col) of shape
 fits ``CONV_TILE_BYTES``, else a band of output rows of one sample. Each
 tile copies only the zero-padded input rows its windows read into a second
 reused buffer, so a conv tiled by bands never holds a whole padded sample:
-MEC's saving on the patch matrix (Cho & Brand 2017), made on the copy. The
-forward runs one GEMM per sample of each tile; the cache keeps only the
-input. A pointwise forward (1x1 without padding, at any stride) copies
-its input, sampled at the stride, by tiles of the same size, and builds no
-patch matrix. The forward may be handed a :class:`PreActivation` in place
-of its input, whose affine and ReLU it applies to the pixels it copies
-(the zero border stays zero), and an array that it adds each output tile
-into, so neither the pre-activated input nor the conv's own output is
-ever made in full. Backward
-builds one patch matrix, of the zero-bordered ``dy`` over the stride-phase
-grid, with a window of ceil(k/s) taps a side (k x k at stride 1, 2 x 2 for a
-3x3 kernel at stride 2), and takes both ``dx`` and ``dw`` from each of its
-tiles; ``x`` is only copied by phase, never expanded into patches, and the
-tiles are sized by the larger of the two per-tile matrices.
+MEC's saving on the patch matrix (Cho & Brand 2017), made on the copy. A
+window of one tap that reads no zero border, as a 1x1 conv's, needs no
+such buffer: its tile is the input sampled at the stride, copied straight
+into the patch buffer, in the same channel-major layout. The forward runs
+one GEMM per sample of each tile; the cache keeps only the input. The
+forward may be handed a :class:`PreActivation` in place of its input,
+whose affine and ReLU it applies to the pixels it copies (the zero border
+stays zero), and an array that it adds each output tile into, so neither
+the pre-activated input nor the conv's own output is ever made in full.
+Backward builds one patch matrix, of the zero-bordered ``dy`` over the
+stride-phase grid, with a window of ceil(k/s) taps a side (k x k at
+stride 1, 2 x 2 for a 3x3 kernel at stride 2, one tap for a kernel at most
+its stride, which reads no zero border where ``dy`` covers the grid), and
+takes both ``dx`` and ``dw`` from each of its tiles; ``x`` is only copied
+by phase, never expanded into patches, and the tiles are sized by the
+larger of the two per-tile matrices.
 :class:`ConvParams` holds the conv's own invariants and refuses to be built
 without them: a stride of at least 1, a square kernel, and padding in
 [0, k), so that every output window touches the input, which the backward's
@@ -164,13 +166,6 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # Convolution (cross-correlation, zero padding)
 # ---------------------------------------------------------------------------
 
-def _is_pointwise(p: ConvParams) -> bool:
-    """A 1x1 kernel (padding 0, as padding must be below the kernel size)
-    reads one input pixel per output: the input sampled at the stride is its
-    own patch matrix."""
-    return p.kernel == (1, 1)
-
-
 # Upper bound on the bytes of one tile of a conv's patch matrix. Every tile of
 # a call reuses one buffer, and one buffer of the padded input rows it reads,
 # so no conv writes a batch-wide patch matrix or, when it tiles by rows, a
@@ -227,9 +222,12 @@ def _take(x: np.ndarray | PreActivation, out: np.ndarray, n: slice, rows: slice,
     """Copy ``x[n, :, rows, cols]`` into ``out``, an (m, C, r, w) array;
     of a :class:`PreActivation`, its parts' pixels, then pre-activated in
     place by the float ops of ``affine_forward`` and ``relu_forward``, so
-    each pixel equals theirs bit for bit. The in-place passes run faster
-    when ``out`` is contiguous: 1.6x, against a band's padded rows, for a
-    64-channel band of 4 rows by 416 on a 2-core x86_64 host."""
+    each pixel equals theirs bit for bit. ``out`` is a band of the padded
+    buffer, a contiguous block of the patch buffer, or a one-tap tile: the
+    channel-major (C, m, r, w) block of the patch buffer, viewed as
+    (m, C, r, w). The in-place passes run faster when ``out`` spans one
+    contiguous block, as the last two do: 1.6x, against a band's padded
+    rows, for a 64-channel band of 4 rows by 416 on a 2-core x86_64 host."""
     if isinstance(x, PreActivation):
         for part, sl in zip(x.parts, _channel_slices(x.parts)):
             out[:, sl] = part[n, :, rows, cols]
@@ -240,24 +238,6 @@ def _take(x: np.ndarray | PreActivation, out: np.ndarray, n: slice, rows: slice,
         out[...] = x[n, :, rows, cols]
 
 
-def _pointwise_tiles(x: np.ndarray | PreActivation, stride: int, h_out: int, w_out: int, samples: int, rows: int):
-    """Yield ``(n0, m, r0, r, tile)`` for each tile of a 1x1 conv: samples
-    n0..n0+m and output rows r0..r0+r of ``x`` sampled at the stride, in
-    one reused buffer of shape (m, C, r, W_out), so each sample's
-    (C, r*W_out) block is its own patch matrix; ``tile`` is valid until the
-    next tile."""
-    n, c = x.shape[:2]
-    buf = np.empty(samples * c * rows * w_out, dtype=x.dtype)
-    for n0 in range(0, n, samples):
-        m = min(samples, n - n0)
-        for r0 in range(0, h_out, rows):
-            r = min(rows, h_out - r0)
-            tile = buf[:m * c * r * w_out].reshape(m, c, r, w_out)
-            _take(x, tile, slice(n0, n0 + m), slice(stride * r0, stride * (r0 + r), stride),
-                  slice(0, stride * w_out, stride))
-            yield n0, m, r0, r, tile
-
-
 def _patch_tiles(x: np.ndarray | PreActivation, k: int, stride: int, lead: int,
                  h_out: int, w_out: int, samples: int, rows: int):
     """Yield ``(n0, m, r0, r, cols)`` for each tile of the channel-major patch
@@ -265,28 +245,38 @@ def _patch_tiles(x: np.ndarray | PreActivation, k: int, stride: int, lead: int,
     (C, k, k, m, r, W_out), rows in the (C_in, k, k) order of the weights.
     The input is zero-padded by ``lead`` rows and columns before and by
     whatever the output size leaves after, so input rows and columns no
-    window reads are left out. Each tile copies the padded rows its windows
-    read, stride*r0 .. stride*(r0+r-1)+k, into one zero buffer of shape
-    (C, samples, stride*(rows-1)+k, W_pad), and zeroes the band rows
-    outside the input; the rows the previous band of the same samples read
-    as well are moved up within the buffer, not copied again, and the
-    border columns are never written. A :class:`PreActivation` ``x`` is
-    pre-activated (see ``_take``) as one contiguous block in the patch
-    buffer, then copied into the band. A whole-sample tile's
-    band is the whole padded sample. k*k strided block copies then fill the
-    tile; both buffers are reused, so ``cols`` is valid until the next tile."""
-    n, c, h, _ = x.shape
+    window reads are left out. A one-tap window that reads no zero border
+    (``k == 1``, ``lead == 0`` and the last window inside the input both
+    ways) makes each tile ``x`` sampled at the stride, copied (see
+    ``_take``) straight into the patch buffer. Any other tile copies the
+    padded rows its windows read, stride*r0 .. stride*(r0+r-1)+k, into one
+    zero buffer of shape (C, samples, stride*(rows-1)+k, W_pad), and zeroes
+    the band rows outside the input; the rows the previous band of the same
+    samples read as well are moved up within the buffer, not copied again,
+    and the border columns are never written. A :class:`PreActivation`
+    ``x`` is pre-activated (see ``_take``) as one contiguous block in the
+    patch buffer, then copied into the band. A whole-sample tile's band is
+    the whole padded sample. k*k strided block copies then fill the tile;
+    both buffers are reused, so ``cols`` is valid until the next tile."""
+    n, c, h, width = x.shape
     wp = stride * (w_out - 1) + k
-    w = min(x.shape[3], wp - lead)
-    xp_buf = np.zeros((c, samples, stride * (rows - 1) + k, wp), dtype=x.dtype)
+    w = min(width, wp - lead)
+    direct = k == 1 and lead == 0 and stride * (h_out - 1) < h and stride * (w_out - 1) < width
+    band_rows = 0 if direct else stride * (rows - 1) + k
+    xp_buf = np.zeros((c, samples, band_rows, wp), dtype=x.dtype)
     # also the contiguous block a PreActivation's band is made in
-    cols_buf = np.empty(c * samples * max(k * k * rows * w_out, xp_buf.shape[2] * w),
-                        dtype=x.dtype)
+    cols_buf = np.empty(c * samples * max(k * k * rows * w_out, band_rows * w), dtype=x.dtype)
     for n0 in range(0, n, samples):
         m = min(samples, n - n0)
         held = 0  # the input rows the buffer holds end here (none at r0 = 0)
         for r0 in range(0, h_out, rows):
             r = min(rows, h_out - r0)
+            cols = cols_buf[:c * k * k * m * r * w_out].reshape(c, k, k, m, r, w_out)
+            if direct:
+                _take(x, cols[:, 0, 0].transpose(1, 0, 2, 3), slice(n0, n0 + m),
+                      slice(stride * r0, stride * (r0 + r), stride), slice(0, wp, stride))
+                yield n0, m, r0, r, cols
+                continue
             # band row b is input row top + b; no band starts past row h, so lo <= hi
             xp, top = xp_buf[:, :m, :stride * (r - 1) + k], stride * r0 - lead
             lo, hi = max(0, -top), min(xp.shape[2], h - top)
@@ -301,7 +291,6 @@ def _patch_tiles(x: np.ndarray | PreActivation, k: int, stride: int, lead: int,
                 band[...] = dst
             xp[:, :, :lo] = xp[:, :, hi:] = 0
             held = top + hi
-            cols = cols_buf[:c * k * k * m * r * w_out].reshape(c, k, k, m, r, w_out)
             for i in range(k):
                 for j in range(k):
                     cols[:, i, j] = xp[:, :, i:i + stride * r:stride,
@@ -327,10 +316,9 @@ def conv2d_forward(x: np.ndarray | PreActivation, p: ConvParams, add_to: Optiona
     """Cross-correlate ``x`` with the filters; ``y`` is a fresh C-contiguous
     (N, C_out, H_out, W_out) array and the cache ``(x, p)``
     holds no patch matrix. The channel-major patch matrix is built one tile
-    at a time (see ``_patch_tiles``), and each tile's per-sample GEMMs write
-    straight into ``y``; a pointwise conv (1x1 without padding) builds
-    none, but copies ``x``, sampled at the stride, by tiles
-    (``_pointwise_tiles``). ``x`` must have
+    at a time (see ``_patch_tiles``; a 1x1 conv's tile is ``x`` sampled at
+    the stride), and each tile's per-sample GEMMs write straight into
+    ``y``. ``x`` must have
     ``p.in_channels`` channels and give an output of at least 1x1, which
     the graph's shape rules guarantee; ``p`` guarantees the rest.
 
@@ -346,16 +334,10 @@ def conv2d_forward(x: np.ndarray | PreActivation, p: ConvParams, add_to: Optiona
     h_out, w_out = (conv_output_size(size, p.kernel[0], p.stride, p.padding)
                     for size in (h, w))
     w_mat = p.weights.reshape(c_out, -1)
-    pointwise = _is_pointwise(p)
     k = w_mat.shape[1]
     # an output tile made apart from y fits the budget too
     samples, rows = _tile_shape(n, k if add_to is None else max(k, c_out), h_out, w_out,
                                 x.dtype.itemsize)
-    if pointwise:
-        tiles = _pointwise_tiles(x, p.stride, h_out, w_out, samples, rows)
-    else:
-        tiles = _patch_tiles(x, p.kernel[0], p.stride, p.padding, h_out, w_out,
-                             samples, rows)
     dtype = np.result_type(w_mat, x.dtype)
     if add_to is None:
         # y is allocated contiguous, so each slice below is a view that
@@ -364,9 +346,9 @@ def conv2d_forward(x: np.ndarray | PreActivation, p: ConvParams, add_to: Optiona
     else:
         y = add_to.reshape(n, c_out, h_out * w_out)
         out_buf = np.empty(samples * c_out * rows * w_out, dtype=dtype)
-    for n0, m, r0, r, cols in tiles:
-        cols = (cols.reshape(m, k, r * w_out) if pointwise
-                else cols.reshape(k, m, r * w_out).transpose(1, 0, 2))
+    for n0, m, r0, r, cols in _patch_tiles(x, p.kernel[0], p.stride, p.padding, h_out, w_out,
+                                           samples, rows):
+        cols = cols.reshape(k, m, r * w_out).transpose(1, 0, 2)
         dst = y[n0:n0 + m, :, r0 * w_out:(r0 + r) * w_out]
         if add_to is None:
             np.matmul(w_mat, cols, out=dst)
@@ -489,11 +471,10 @@ def batch_norm_forward(x: np.ndarray, p: BatchNormParams, mode: str = "train"
     it in place and returns it, with the cache ``(xhat, inv_std)``. Infer
     mode returns ``x`` itself and the cache ``(x, None)``: the affine
     applies the running statistics, folded into its scale and shift. ``x``
-    is only read."""
+    is only read. Train mode needs N*H*W >= 2, which the graph checks before
+    any node runs."""
     if mode == "train":
         m = x.shape[0] * x.shape[2] * x.shape[3]
-        if m < 2:
-            raise ShapeError("train-mode batch norm needs N*H*W >= 2 per channel")
         mean = np.einsum("nchw->c", x) / m
         xhat = x - mean[:, None, None]
         var = np.einsum("nchw,nchw->c", xhat, xhat) / m  # biased (1/M)

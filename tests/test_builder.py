@@ -179,6 +179,20 @@ def test_forward_plan_follows_the_graph_and_the_input_size(monkeypatch):
     assert plans(x, keep=["b"]) == [1, 0]
 
 
+def test_removing_the_output_makes_the_last_node_left_the_output():
+    """A cut that removes the graph output leaves the last node it keeps as
+    the output, which a default forward returns."""
+    g = NetworkGraph(3)
+    g.add_conv("a", g.input_name, layers.msr_initialize(make_conv(3, 4, 3), seed=0))
+    g.add_conv("b", "a", make_conv(4, 2, 1))
+    g.remove_from("b")
+    x = np.random.default_rng(0).normal(size=(2, 3, 5, 5)).astype(np.float32)
+    assert g.output_name == "a"
+    outputs = g.forward(x).outputs
+    assert list(outputs) == ["a"]
+    assert outputs["a"].tobytes() == layers.conv2d_forward(x, g.nodes["a"].conv)[0].tobytes()
+
+
 def test_second_backward_on_one_result_says_so():
     """backward releases each node's cache once used: the first backward's
     gradients equal those of a fresh pass, and a second one is refused."""

@@ -134,14 +134,26 @@ def _set_tile(monkeypatch, shape, cout, k, stride, pad, tile, dtype):
 
 
 def _record_patch_tiles(monkeypatch):
-    """Wrap ``layers._patch_tiles`` and return the list it fills, one
-    ``(input, (rows, H, W, samples, rows per tile))`` per call."""
-    calls, real = [], layers._patch_tiles
+    """Wrap ``layers._patch_tiles`` and ``layers._take`` and return the list
+    they fill, one ``(input, (rows, H, W, samples, rows per tile), direct)``
+    per call, where ``direct`` holds, for each tile yielded so far, whether
+    ``_take`` copied an array input straight into the tile rather than
+    into a band of the padded input."""
+    calls, real, take, outs = [], layers._patch_tiles, layers._take, []
+
+    def recording_take(x, out, *args):
+        outs.append(out)
+        take(x, out, *args)
 
     def recording(x, k, stride, lead, h_out, w_out, samples, rows):
-        calls.append((x, (x.shape[1] * k * k, h_out, w_out, samples, rows)))
-        return real(x, k, stride, lead, h_out, w_out, samples, rows)
+        direct = []
+        calls.append((x, (x.shape[1] * k * k, h_out, w_out, samples, rows), direct))
+        for tile in real(x, k, stride, lead, h_out, w_out, samples, rows):
+            direct.append(any(np.shares_memory(out, tile[-1]) for out in outs))
+            outs.clear()
+            yield tile
 
+    monkeypatch.setattr(layers, "_take", recording_take)
     monkeypatch.setattr(layers, "_patch_tiles", recording)
     return calls
 
@@ -165,7 +177,13 @@ def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias,
     1e-12 (forward) and 1e-10 (backward), in float32 within 1e-5 of the
     float64 oracle on the same inputs; ``dx`` is exactly 0 wherever the
     oracle's is (input pixels no window reads, and phases without taps). A
-    tiled case checks that its tiles are the ones the conv builds."""
+    tiled case checks that its tiles are the ones the conv builds. Every
+    tile is copied straight from its input where the window is one tap and
+    reads no zero border: the forward's of a 1x1 conv, and the backward's
+    where the kernel is at most the stride and ``dy`` covers the phase grid
+    (the 1x1 cases, and ``k3-s3-p1-nonsquare``, ``k3-s4-p2-tapless-phase``
+    and ``k2-s2-p1-even-kernel``); every other tile, as in the
+    stride-above-the-kernel case, from a band."""
     calls = _record_patch_tiles(monkeypatch)
     if tile is not None:
         tiling = _set_tile(monkeypatch, shape, cout, k, stride, pad, tile, dtype)
@@ -198,7 +216,11 @@ def test_conv_matches_naive_seven_loop_kernel(shape, cout, k, stride, pad, bias,
         assert db is None
     if tile is not None:
         tiled = dy if tile[0].startswith("dy") else x
-        assert tiling in [args for a, args in calls if a is tiled]
+        assert tiling in [args for a, args, _ in calls if a is tiled]
+    grid = _tiled_matrix(shape, cout, k, stride, pad, "dy")[2:]
+    dy_direct = k <= stride and all(g <= d for g, d in zip(grid, dy.shape[2:]))
+    assert [(a is x, set(direct)) for a, _, direct in calls] == [(True, {k == 1}),
+                                                                (False, {dy_direct})]
 
 
 @pytest.mark.parametrize("k, stride, tile", [(3, 1, None), (3, 1, 1 << 12), (3, 2, 1 << 12),
@@ -240,19 +262,20 @@ def test_conv_applies_a_preactivation_and_adds_into_add_to(k, stride, tile, mode
     assert [part.tobytes() for part in parts] == before
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv_backward_tiles_only_dy(stride, monkeypatch):
+@pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)],
+                         ids=["1", "2", "1x1-1", "1x1-2"])  # the stride, and 1x1 kernels
+def test_conv_backward_tiles_only_dy(k, stride, monkeypatch):
     """One conv backward builds one patch matrix, of ``dy``: ``_patch_tiles``
     runs once, on ``dy``, and never on ``x``."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 8, 8))
-    p = make_conv(3, 4, 3, stride=stride, dtype=np.float64)
+    p = make_conv(3, 4, k, stride=stride, dtype=np.float64)
     msr_initialize(p, rng)
     y, cache = conv2d_forward(x, p)
     calls = _record_patch_tiles(monkeypatch)
     dy = rng.normal(size=y.shape)
     conv2d_backward(dy, cache)
-    assert [a is dy for a, _ in calls] == [True]
+    assert [a is dy for a, *_ in calls] == [True]
 
 
 # (k, stride, padding), each kernel at least its stride; stride 2 without
@@ -426,12 +449,6 @@ def test_batch_norm_running_stats_ema_and_infer():
     manual = (x - p.running_mean[None, :, None, None]) / np.sqrt(
         p.running_var[None, :, None, None] + layers.BN_EPSILON)
     assert np.allclose(y_infer, manual)
-
-
-def test_batch_norm_rejects_single_element_batch():
-    p = make_batch_norm(1)
-    with pytest.raises(ShapeError):
-        batch_norm_forward(np.zeros((1, 1, 1, 1)), p, mode="train")
 
 
 def test_batch_norm_gradients_match_finite_differences():
@@ -706,7 +723,7 @@ def test_train_mode_conv_caches_hold_only_their_input():
     result = g.forward(x, mode="train", keep_caches=True,
                        keep=[name for name in g.order if g.nodes[name].op != "affine_relu"])
     convs = [node for node in g.nodes.values() if node.op == "conv"]
-    assert any(not layers._is_pointwise(node.conv) for node in convs)
+    assert any(node.conv.kernel != (1, 1) for node in convs)
     applied = [node for node in convs if g.nodes[node.inputs[0]].op == "affine_relu"]
     assert 0 < len(applied) < len(convs)
     for node in convs:
@@ -790,10 +807,10 @@ def test_relu_into_x_conv_backward_allocates_less_than_its_input(monkeypatch):
     read each ``affine_relu`` output (when its kernel is at least its
     stride) runs the last backward of that output's readers, and writes the
     output's ReLU gradient into the rebuilt output it is handed: it returns
-    that array as ``dx`` and allocates fewer bytes than it holds. The tile
-    budget is cut to 16 KiB, so that the tiles' buffers, which do not scale
-    with the input, are small beside the smallest input, 2 channels at
-    16x16 (256 KiB)."""
+    that array as ``dx`` and allocates fewer bytes than it holds, traced
+    from the call's start to its end. The tile budget is cut to 16 KiB, so
+    that the tiles' buffers, which do not scale with the input, are small
+    beside the smallest input, 2 channels at 16x16 (256 KiB)."""
     g = build_network(miniature_config(), seed=0, dtype=np.float64)
     rng = np.random.default_rng(0)
     x, labels = rng.normal(size=(64, 3, 64, 64)), rng.integers(0, 4, size=64)
@@ -802,21 +819,15 @@ def test_relu_into_x_conv_backward_allocates_less_than_its_input(monkeypatch):
     calls, real = [], layers.conv2d_backward
 
     def measured(dy, cache, **kwargs):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        grads = real(dy, cache, **kwargs)
-        if kwargs.get("relu_into_x"):
-            assert grads[0] is cache[0]
-            calls.append((conv_of[id(cache[1])],
-                          tracemalloc.get_traced_memory()[1] - before, cache[0].nbytes))
+        if not kwargs.get("relu_into_x"):
+            return real(dy, cache, **kwargs)
+        grads, peak = _traced_peak(lambda: real(dy, cache, **kwargs))
+        assert grads[0] is cache[0]
+        calls.append((conv_of[id(cache[1])], peak, cache[0].nbytes))
         return grads
 
     monkeypatch.setattr(layers, "conv2d_backward", measured)
-    tracemalloc.start()
-    try:
-        execute(g, x, mode="train", labels=labels)
-    finally:
-        tracemalloc.stop()
+    execute(g, x, mode="train", labels=labels)
     readers = {name: [r for r in g.order if name in g.nodes[r].inputs] for name in g.order}
     first = [readers[name][0] for name, node in g.nodes.items() if node.op == "affine_relu"]
     fused = [r for r in first if g.nodes[r].op == "conv"
