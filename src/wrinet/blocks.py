@@ -6,7 +6,9 @@ Every convolution is preceded by BN -> ReLU, added by
 tensor read by several pre-activations is normalised once. A unit's shortcut
 is the raw input when neither channels nor resolution change; otherwise it
 is a strided 1x1 projection applied to the shared pre-activated input, which
-is the wide residual network convention this family follows.
+is the wide residual network convention this family follows. A unit states
+only its widths: the graph sizes each conv from the node it reads, in the
+graph's dtype.
 
 The residual-inception unit shares one 1x1 convolution across three branches
 (the shared output itself, one 3x3, and a stacked 3x3 pair whose composite
@@ -24,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .graph import NetworkGraph
-from .layers import make_conv
-from .tensor import DEFAULT_DTYPE
+from .tensor import DEFAULT_DTYPE, ShapeError
 
 _WIDTH_COUNT = {"basic": 2, "bottleneck": 3, "inception": 4}
 _CHAIN_KERNELS = {"basic": (3, 3), "bottleneck": (1, 3, 1)}
@@ -71,56 +72,46 @@ class UnitSpec:
         return self.stride != 1 or self.in_channels != self.out_channels
 
 
-def _shortcut(g: NetworkGraph, raw: str, preact: str, spec: UnitSpec, scope: str,
-              dtype) -> str:
+def _shortcut(g: NetworkGraph, raw: str, preact: str, spec: UnitSpec, scope: str) -> str:
     if not spec.needs_projection():
         return raw
-    proj = make_conv(spec.in_channels, spec.out_channels, kernel=1,
-                     stride=spec.stride, dtype=dtype)
-    return g.add_conv(f"{scope}/shortcut", preact, proj)
+    return g.add_conv(f"{scope}/shortcut", preact, spec.out_channels, 1, stride=spec.stride)
 
 
-def _chain_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
-                dtype=DEFAULT_DTYPE) -> str:
+def _chain_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str) -> str:
     """BN-ReLU-conv once per width, with 3x3, 3x3 kernels (basic) or 1x1,
     3x3, 1x1 (bottleneck); the first 3x3 carries the unit stride. Plus
     shortcut, which projects the first pre-activation ``bn1``."""
     kernels = _CHAIN_KERNELS[spec.variant]
     strided = kernels.index(3)
-    x, c_in = inp, spec.in_channels
+    x = inp
     for i, (k, width) in enumerate(zip(kernels, spec.widths)):
-        x = g.add_bn_relu(f"{scope}/bn{i + 1}", x, dtype)
+        x = g.add_bn_relu(f"{scope}/bn{i + 1}", x)
         stride = spec.stride if i == strided else 1
-        x = g.add_conv(f"{scope}/conv{i + 1}", x,
-                       make_conv(c_in, width, k, stride=stride, dtype=dtype))
-        c_in = width
-    sc = _shortcut(g, inp, f"{scope}/bn1", spec, scope, dtype)
+        x = g.add_conv(f"{scope}/conv{i + 1}", x, width, k, stride=stride)
+    sc = _shortcut(g, inp, f"{scope}/bn1", spec, scope)
     return g.add_add(f"{scope}/add", x, sc)
 
 
-def _inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
-                    dtype=DEFAULT_DTYPE) -> str:
+def _inception_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str) -> str:
     """Shared 1x1 (carrying the unit stride) feeding three branches of
     receptive extents 1/3/5, joined by the projection's pre-activation and
     projected back by a 1x1."""
     w_shared, w_b, w_c1, w_c2 = spec.widths
-    pre = g.add_bn_relu(f"{scope}/bn1", inp, dtype)
-    shared = g.add_conv(f"{scope}/shared", pre,
-                        make_conv(spec.in_channels, w_shared, 1, stride=spec.stride,
-                                  dtype=dtype))
+    pre = g.add_bn_relu(f"{scope}/bn1", inp)
+    shared = g.add_conv(f"{scope}/shared", pre, w_shared, 1, stride=spec.stride)
 
-    b = g.add_bn_relu(f"{scope}/b/bn", shared, dtype)
-    b = g.add_conv(f"{scope}/b/conv", b, make_conv(w_shared, w_b, 3, dtype=dtype))
+    b = g.add_bn_relu(f"{scope}/b/bn", shared)
+    b = g.add_conv(f"{scope}/b/conv", b, w_b, 3)
 
-    c = g.add_bn_relu(f"{scope}/c/bn1", shared, dtype)
-    c = g.add_conv(f"{scope}/c/conv1", c, make_conv(w_shared, w_c1, 3, dtype=dtype))
-    c = g.add_bn_relu(f"{scope}/c/bn2", c, dtype)
-    c = g.add_conv(f"{scope}/c/conv2", c, make_conv(w_c1, w_c2, 3, dtype=dtype))
+    c = g.add_bn_relu(f"{scope}/c/bn1", shared)
+    c = g.add_conv(f"{scope}/c/conv1", c, w_c1, 3)
+    c = g.add_bn_relu(f"{scope}/c/bn2", c)
+    c = g.add_conv(f"{scope}/c/conv2", c, w_c2, 3)
 
-    x = g.add_bn_relu(f"{scope}/proj/bn", [shared, b, c], dtype)
-    x = g.add_conv(f"{scope}/proj/conv", x,
-                   make_conv(spec.concat_width, spec.out_channels, 1, dtype=dtype))
-    sc = _shortcut(g, inp, pre, spec, scope, dtype)
+    x = g.add_bn_relu(f"{scope}/proj/bn", [shared, b, c])
+    x = g.add_conv(f"{scope}/proj/conv", x, spec.out_channels, 1)
+    sc = _shortcut(g, inp, pre, spec, scope)
     return g.add_add(f"{scope}/add", x, sc)
 
 
@@ -131,16 +122,22 @@ _BUILDERS = {
 }
 
 
-def make_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str,
-              dtype=DEFAULT_DTYPE) -> str:
-    return _BUILDERS[spec.variant](g, inp, spec, scope, dtype=dtype)
+def make_unit(g: NetworkGraph, inp: str, spec: UnitSpec, scope: str) -> str:
+    """Add the unit ``spec`` on ``inp`` under ``scope``; returns its output
+    node. The spec's ``in_channels`` is the one stated input width that
+    meets the graph, so a mismatch with ``inp``'s channels is a ShapeError."""
+    have = g.nodes[inp].channels
+    if spec.in_channels != have:
+        raise ShapeError(f"unit {scope!r} expects {spec.in_channels} input channels, "
+                         f"node {inp!r} provides {have}")
+    return _BUILDERS[spec.variant](g, inp, spec, scope)
 
 
 def build_standalone_unit(spec: UnitSpec, dtype=DEFAULT_DTYPE) -> tuple[NetworkGraph, str]:
-    """A unit on its own graph, for per-unit analysis and gradient checks."""
-    g = NetworkGraph(spec.in_channels, name=f"{spec.variant}-unit")
-    out = make_unit(g, g.input_name, spec, "unit", dtype=dtype)
-    return g, out
+    """A unit on its own graph of ``dtype``, for per-unit analysis and
+    gradient checks."""
+    g = NetworkGraph(spec.in_channels, name=f"{spec.variant}-unit", dtype=dtype)
+    return g, make_unit(g, g.input_name, spec, "unit")
 
 
 def effective_receptive_paths(spec: UnitSpec) -> set[int]:

@@ -17,7 +17,7 @@ import numpy as np
 from . import layers
 from .blocks import UnitSpec, make_unit
 from .graph import NetworkGraph
-from .layers import make_conv, make_fc, msr_initialize
+from .layers import msr_initialize
 from .tensor import DEFAULT_DTYPE, ShapeError
 
 BUILTIN_NAMES = ("wrn-16-4", "wr-inception", "wr-inception-l2", "preact-resnet-164")
@@ -152,20 +152,18 @@ def builtin_config(name: str, num_classes: int = 10,
 
 
 def build_network(config: NetworkConfig, seed: int = 0, dtype=DEFAULT_DTYPE) -> NetworkGraph:
-    """Materialize a graph with MSR-initialized parameters, deterministically
-    for a given (config, seed)."""
+    """Materialize a graph of ``dtype`` with MSR-initialized parameters,
+    deterministically for a given (config, seed)."""
     config.validate_chaining()
-    g = NetworkGraph(config.input_shape[0], name=config.name)
+    g = NetworkGraph(config.input_shape[0], name=config.name, dtype=dtype)
     kernel, stem_out = config.conv1
-    x = g.add_conv("conv1", g.input_name,
-                   make_conv(config.input_shape[0], stem_out, kernel, dtype=dtype))
+    x = g.add_conv("conv1", g.input_name, stem_out, kernel)
     for s_idx, stage in enumerate(config.stages, start=1):
         for u_idx, unit in enumerate(stage.units):
-            x = make_unit(g, x, unit, f"stage{s_idx}/unit{u_idx}", dtype=dtype)
-    final_c = config.stages[-1].units[-1].out_channels
-    x = g.add_bn_relu("head/bn", x, dtype)
+            x = make_unit(g, x, unit, f"stage{s_idx}/unit{u_idx}")
+    x = g.add_bn_relu("head/bn", x)
     x = g.add_global_avg_pool("head/gap", x)
-    g.add_fc("head/fc", x, make_fc(final_c, config.num_classes, dtype=dtype))
+    g.add_fc("head/fc", x, config.num_classes)
 
     rng = np.random.default_rng(seed)
     for node in g.nodes.values():

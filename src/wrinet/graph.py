@@ -43,12 +43,14 @@ sum on. So a residual unit's forward holds the unit input and one conv's
 input or output, not a third map. Each pixel takes the float ops it took
 unfused, so every value is bit for bit the same.
 
-Parameters live in a registry keyed by hierarchical names
-(``stage1/unit0/conv1/weight``) so optimizers, freeze masks, and
-checkpoints all address the same namespace. Each node kind is defined
-once, as an :class:`Op` in the table :data:`OPS`; evaluation, shape and
-receptive-field inference, the registry and cost analysis all read that
-table.
+The graph makes every parameter and running statistic it holds, in its one
+``dtype``: a node is added by its output width, and the graph sizes its
+parameters from the widths of the nodes it reads. They live in a registry
+keyed by hierarchical names (``stage1/unit0/conv1/weight``) so optimizers,
+freeze masks, and checkpoints all address the same namespace. Each node
+kind is defined once, as an :class:`Op` in the table :data:`OPS`;
+evaluation, shape and receptive-field inference, the registry and cost
+analysis all read that table.
 """
 
 from __future__ import annotations
@@ -313,8 +315,9 @@ class NetworkGraph:
     a built graph is evaluated without mutation (batch-norm running statistics
     are the one exception, updated only in train mode)."""
 
-    def __init__(self, input_channels: int, name: str = "net"):
+    def __init__(self, input_channels: int, name: str = "net", dtype=DEFAULT_DTYPE):
         self.name = name
+        self.dtype = dtype
         self.nodes: dict[str, Node] = {}
         self.order: list[str] = []
         self._passes: dict[tuple, _Pass] = {}
@@ -347,21 +350,21 @@ class NetworkGraph:
             self.output_name = self.order[-1]
         self._passes.clear()
 
-    def add_conv(self, name: str, inp: str, params: ConvParams) -> str:
-        have = self.nodes[inp].channels
-        if params.in_channels != have:
-            raise ShapeError(
-                f"conv {name!r} expects {params.in_channels} input channels, "
-                f"node {inp!r} provides {have}")
-        return self._add(Node(name, "conv", [inp], conv=params,
-                              channels=params.out_channels))
+    def add_conv(self, name: str, inp: str, out_channels: int, kernel: int,
+                 stride: int = 1, padding: Optional[int] = None, bias: bool = False) -> str:
+        """A conv from ``inp``'s channels to ``out_channels``, in the graph's
+        dtype; ``padding`` defaults to ``(kernel - 1) // 2``."""
+        conv = layers.make_conv(self.nodes[inp].channels, out_channels, kernel, stride,
+                                padding, bias, dtype=self.dtype)
+        return self._add(Node(name, "conv", [inp], conv=conv, channels=out_channels))
 
-    def add_bn_relu(self, name: str, inputs: str | list[str], dtype=DEFAULT_DTYPE) -> str:
+    def add_bn_relu(self, name: str, inputs: str | list[str]) -> str:
         """Batch norm over the channels of ``inputs`` (one node or several,
         joined in order), then ReLU, as the node ``name``: an
         ``affine_relu`` with its own ``gamma`` and ``beta``, reading the
         ``<input>/norm`` node of each input, which the first pre-activation
-        of that input makes and every later one shares."""
+        of that input makes and every later one shares. The graph makes the
+        norm's running statistics and the affine's parameters in its dtype."""
         if name in self.nodes:  # before any normalisation is made
             raise ValueError(f"duplicate node name {name!r}")
         norms = []
@@ -370,9 +373,9 @@ class NetworkGraph:
             if norm not in self.nodes:
                 channels = self.nodes[inp].channels
                 self._add(Node(norm, "norm", [inp], channels=channels,
-                               bn=layers.make_batch_norm(channels, dtype=dtype)))
+                               bn=layers.make_batch_norm(channels, dtype=self.dtype)))
             norms.append(norm)
-        affine = layers.make_affine(tuple(self.nodes[n].bn for n in norms), dtype=dtype)
+        affine = layers.make_affine(tuple(self.nodes[n].bn for n in norms), dtype=self.dtype)
         return self._add(Node(name, "affine_relu", norms, affine=affine,
                               channels=affine.gamma.size))
 
@@ -396,9 +399,11 @@ class NetworkGraph:
         features = self.nodes[inp].channels * hw[0] * hw[1]
         return self._add(Node(name, "flatten", [inp], channels=features))
 
-    def add_fc(self, name: str, inp: str, params: FCParams) -> str:
-        return self._add(Node(name, "fc", [inp], fc=params,
-                              channels=params.weights.shape[0]))
+    def add_fc(self, name: str, inp: str, out_features: int) -> str:
+        """A dense layer from ``inp``'s channels to ``out_features``, in the
+        graph's dtype."""
+        fc = layers.make_fc(self.nodes[inp].channels, out_features, dtype=self.dtype)
+        return self._add(Node(name, "fc", [inp], fc=fc, channels=out_features))
 
     # -- parameter registry --------------------------------------------------
 

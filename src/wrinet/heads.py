@@ -9,6 +9,7 @@ grids, which the head keeps as its ``layout``. Checkpoints,
 MAC counts, non-finite localization and parameter gradients therefore cover
 the head like any other node, and gradients flow through the predictors back
 into the backbone (transfer learning with frozen early stages at toy scale).
+The backbone makes the convs' parameters, so the head has the backbone's dtype.
 A checkpoint must hold every entry of the graph it is loaded into, so load a
 classifier checkpoint *before* adding the head.
 """
@@ -22,8 +23,7 @@ import numpy as np
 from .detection import (PRIORS_PER_CELL, encode_boxes, generate_priors, match_priors,
                         multibox_loss)
 from .graph import ForwardResult, NetworkGraph
-from .layers import ConvParams, make_conv, msr_initialize
-from .tensor import DEFAULT_DTYPE
+from .layers import ConvParams, msr_initialize
 
 LOGITS, OFFSETS = "head/logits", "head/offsets"
 
@@ -40,7 +40,7 @@ class DetectionHead:
 
 def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
                          input_hw: tuple[int, int], num_classes: int,
-                         seed: int = 0, dtype=DEFAULT_DTYPE) -> DetectionHead:
+                         seed: int = 0) -> DetectionHead:
     """Add the head's nodes to ``backbone``, sized for ``input_hw``; a head
     built earlier on it is replaced. ``backbone.output_name`` is unchanged.
     The priors are :func:`~wrinet.detection.generate_priors` over the taps'
@@ -56,12 +56,11 @@ def build_detection_head(backbone: NetworkGraph, taps: tuple[str, ...],
     convs: dict[str, list[ConvParams]] = {"cls": [], "loc": []}
     flats: dict[str, list[str]] = {"cls": [], "loc": []}
     for i, tap in enumerate(taps):
-        channels, h, w = shapes[tap]
+        _, h, w = shapes[tap]
         for kind, fields in (("cls", num_classes + 1), ("loc", 4)):
-            conv = make_conv(channels, PRIORS_PER_CELL * fields, 3, bias=True, dtype=dtype)
-            msr_initialize(conv, rng)
-            convs[kind].append(conv)
-            node = backbone.add_conv(f"head/map{i}/{kind}", tap, conv)
+            node = backbone.add_conv(f"head/map{i}/{kind}", tap, PRIORS_PER_CELL * fields, 3,
+                                     bias=True)
+            convs[kind].append(msr_initialize(backbone.nodes[node].conv, rng))
             flats[kind].append(backbone.add_flatten(f"{node}/flat", node, (h, w)))
     backbone.add_concat(LOGITS, flats["cls"])
     backbone.add_concat(OFFSETS, flats["loc"])

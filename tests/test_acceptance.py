@@ -19,7 +19,6 @@ from wrinet.detection import (Box, Detection, GroundTruth, decode_boxes,
                               nms)
 from wrinet.gradcheck import run_suite
 from wrinet.graph import NetworkGraph, load_checkpoint, save_checkpoint
-from wrinet.layers import make_conv
 from wrinet.optim import LRSchedule, TrainConfig, train_epochs
 from wrinet.builder import execute
 
@@ -88,8 +87,8 @@ def test_receptive_fields():
     from oracles import influence_receptive_field
 
     g = NetworkGraph(1)
-    g.add_conv("c1", "input", make_conv(1, 1, 3))
-    g.add_conv("c2", "c1", make_conv(1, 1, 3))
+    g.add_conv("c1", "input", 1, 3)
+    g.add_conv("c2", "c1", 1, 3)
     double_3x3 = g.receptive_field_map((11, 11))["c2"][0]
 
     inception = effective_receptive_paths(
@@ -97,14 +96,14 @@ def test_receptive_fields():
 
     # miniature all-ones network: conv, stride-2 conv, two branches, joins
     m = NetworkGraph(1, name="rf-acceptance")
-    m.add_conv("c1", "input", make_conv(1, 2, 3))
-    m.add_conv("down", "c1", make_conv(2, 2, 3, stride=2))
+    m.add_conv("c1", "input", 2, 3)
+    m.add_conv("down", "c1", 2, 3, stride=2)
     m.add_bn_relu("relu", "down")
-    m.add_conv("b1", "relu", make_conv(2, 2, 1, padding=0))
-    m.add_conv("b2", "relu", make_conv(2, 2, 3))
+    m.add_conv("b1", "relu", 2, 1, padding=0)
+    m.add_conv("b2", "relu", 2, 3)
     m.add_concat("cat", ["b1", "b2"])
-    m.add_conv("proj", "cat", make_conv(4, 2, 1, padding=0))
-    m.add_conv("d", "proj", make_conv(2, 2, 3))
+    m.add_conv("proj", "cat", 2, 1, padding=0)
+    m.add_conv("d", "proj", 2, 3)
     m.add_add("join", "d", "proj")
     for node in m.nodes.values():
         if node.op == "conv":

@@ -9,7 +9,6 @@ from wrinet.analysis import (analyze, compare_unit_cost, count_macs,
 from wrinet.blocks import UnitSpec
 from wrinet.builder import NetworkConfig, build_network, builtin_config
 from wrinet.graph import NetworkGraph
-from wrinet.layers import make_conv, make_fc
 from wrinet.tensor import ShapeError
 
 
@@ -71,7 +70,7 @@ def test_count_parameters_matches_arithmetic_oracle(name, expected):
 
 def test_single_conv_with_bias_count():
     g = NetworkGraph(128)
-    g.add_conv("c", "input", make_conv(128, 128, 3, bias=True))
+    g.add_conv("c", "input", 128, 3, bias=True)
     total, _ = count_parameters(g)
     assert total == 128 * 9 * 128 + 128 == 147584
 
@@ -88,22 +87,22 @@ def test_inception_minus_basic_conv_weight_delta():
 
 def test_conv_macs_on_16x16_output():
     g = NetworkGraph(128)
-    g.add_conv("c", "input", make_conv(128, 128, 3))
+    g.add_conv("c", "input", 128, 3)
     total, _, _ = count_macs(g, (16, 16))
     assert total == 128 * 9 * 128 * 256 == 37748736
 
 
 def test_projection_macs_per_position():
     g = NetworkGraph(320)
-    g.add_conv("c", "input", make_conv(320, 128, 1, padding=0))
+    g.add_conv("c", "input", 128, 1, padding=0)
     total, _, _ = count_macs(g, (1, 1))
     assert total == 320 * 128 == 40960
 
 
 def test_fc_width_must_match_flattened_input():
     g = NetworkGraph(3)
-    g.add_conv("c", "input", make_conv(3, 4, 3))
-    g.add_fc("head", "c", make_fc(4, 10))  # input is 4x8x8 = 256 wide, not 4
+    g.add_conv("c", "input", 4, 3)
+    g.add_fc("head", "c", 10)  # input is 4x8x8 = 256 wide, not 4
     with pytest.raises(ShapeError, match="'head' expects 4 input features"):
         g.infer_shapes((8, 8))
     with pytest.raises(ShapeError, match="'head'"):
@@ -113,13 +112,13 @@ def test_fc_width_must_match_flattened_input():
 def test_macs_additive_and_order_invariant():
     def build(order_swapped: bool) -> NetworkGraph:
         g = NetworkGraph(4)
-        g.add_conv("stem", "input", make_conv(4, 4, 3))
+        g.add_conv("stem", "input", 4, 3)
         if order_swapped:
-            g.add_conv("b", "stem", make_conv(4, 4, 3))
-            g.add_conv("a", "stem", make_conv(4, 4, 1, padding=0))
+            g.add_conv("b", "stem", 4, 3)
+            g.add_conv("a", "stem", 4, 1, padding=0)
         else:
-            g.add_conv("a", "stem", make_conv(4, 4, 1, padding=0))
-            g.add_conv("b", "stem", make_conv(4, 4, 3))
+            g.add_conv("a", "stem", 4, 1, padding=0)
+            g.add_conv("b", "stem", 4, 3)
         g.add_concat("cat", ["a", "b"])
         return g
 
@@ -144,21 +143,21 @@ def test_compare_unit_cost_examples():
 
 def test_two_stacked_3x3_cover_5():
     g = NetworkGraph(1)
-    g.add_conv("c1", "input", make_conv(1, 1, 3))
-    g.add_conv("c2", "c1", make_conv(1, 1, 3))
+    g.add_conv("c1", "input", 1, 3)
+    g.add_conv("c2", "c1", 1, 3)
     assert g.receptive_field_map((9, 9))["c2"][:2] == (5, 1)
 
 
 def test_single_1x1_is_pointwise():
     g = NetworkGraph(1)
-    g.add_conv("c", "input", make_conv(1, 1, 1, padding=0))
+    g.add_conv("c", "input", 1, 1, padding=0)
     assert g.receptive_field_map((5, 5))["c"][:2] == (1, 1)
 
 
 def test_strided_then_unit_stride():
     g = NetworkGraph(1)
-    g.add_conv("c1", "input", make_conv(1, 1, 3, stride=2))
-    g.add_conv("c2", "c1", make_conv(1, 1, 3))
+    g.add_conv("c1", "input", 1, 3, stride=2)
+    g.add_conv("c2", "c1", 1, 3)
     assert g.receptive_field_map((17, 17))["c2"][:2] == (7, 2)
 
 
@@ -172,14 +171,14 @@ def rf_test_graph() -> NetworkGraph:
     """Convs, a stride-2 step, a concat and an add; all-ones weights so the
     pixel-influence oracle sees strictly positive propagation."""
     g = NetworkGraph(1, name="rf-mini")
-    g.add_conv("c1", "input", make_conv(1, 2, 3))
-    g.add_conv("down", "c1", make_conv(2, 2, 3, stride=2))
+    g.add_conv("c1", "input", 2, 3)
+    g.add_conv("down", "c1", 2, 3, stride=2)
     g.add_bn_relu("relu", "down")
-    g.add_conv("b1", "relu", make_conv(2, 2, 1, padding=0))
-    g.add_conv("b2", "relu", make_conv(2, 2, 3))
+    g.add_conv("b1", "relu", 2, 1, padding=0)
+    g.add_conv("b2", "relu", 2, 3)
     g.add_concat("cat", ["b1", "b2"])
-    g.add_conv("proj", "cat", make_conv(4, 2, 1, padding=0))
-    g.add_conv("d", "proj", make_conv(2, 2, 3))
+    g.add_conv("proj", "cat", 2, 1, padding=0)
+    g.add_conv("d", "proj", 2, 3)
     g.add_add("join", "d", "proj")
     for node in g.nodes.values():
         if node.op == "conv":
@@ -217,8 +216,8 @@ def test_spatial_join_of_unequal_strides_rejected():
     g = NetworkGraph(1)
     x = "input"
     for i in range(3):
-        x = g.add_conv(f"c{i}", x, make_conv(1, 1, 3, padding=0))
-    g.add_conv("down", "input", make_conv(1, 1, 1, stride=2, padding=0))
+        x = g.add_conv(f"c{i}", x, 1, 3, padding=0)
+    g.add_conv("down", "input", 1, 1, stride=2, padding=0)
     g.add_add("join", x, "down")
     assert g.infer_shapes((13, 13))["join"] == (1, 7, 7)
     with pytest.raises(ShapeError, match="'join' merges paths of unequal stride"):

@@ -11,14 +11,14 @@ import pytest
 from wrinet.analysis import count_parameters
 from wrinet.builder import (BUILTIN_NAMES, NetworkConfig, StageConfig,
                             build_network, builtin_config, execute)
-from wrinet.blocks import UnitSpec
-from wrinet.gradcheck import miniature_config
+from wrinet.blocks import UnitSpec, build_standalone_unit, make_unit
+from wrinet.gradcheck import UNIT_SPECS, miniature_config
 from wrinet import graph as graph_module
 from wrinet import layers, tensor
 from wrinet.graph import NetworkGraph, load_checkpoint, save_checkpoint
 from wrinet.heads import build_detection_head, detection_forward
-from wrinet.layers import make_conv
 from wrinet.tensor import ShapeError
+from test_heads import TAPS, tiny_backbone
 
 PARAM_WINDOWS = {
     "wrn-16-4": (2.8e6 * 0.98, 2.8e6 * 1.02),
@@ -34,6 +34,32 @@ def test_builtin_parameter_totals(name):
     total, _ = count_parameters(g)
     lo, hi = PARAM_WINDOWS[name]
     assert lo <= total <= hi
+
+
+def _float64_detection_graph() -> NetworkGraph:
+    g = tiny_backbone(dtype=np.float64)
+    build_detection_head(g, TAPS, (16, 16), num_classes=2)
+    return g
+
+
+ONE_DTYPE_GRAPHS = {
+    **{name: lambda name=name: build_network(builtin_config(name), seed=0)
+       for name in BUILTIN_NAMES},
+    "miniature-float64": lambda: build_network(miniature_config(), seed=0, dtype=np.float64),
+    **{f"{name}-float64": lambda spec=spec: build_standalone_unit(spec, dtype=np.float64)[0]
+       for name, spec in UNIT_SPECS.items()},
+    "detection-float64": _float64_detection_graph,
+}
+
+
+@pytest.mark.parametrize("build", ONE_DTYPE_GRAPHS.values(), ids=ONE_DTYPE_GRAPHS.keys())
+def test_graph_makes_every_state_entry_in_its_dtype(build):
+    """The graph makes every parameter and running statistic it holds in its
+    own dtype, so units and a detection head, which take no dtype, follow
+    the graph they are built on."""
+    g = build()
+    dtypes = {entry: a.dtype for entry, a in g.state_entries().items()}
+    assert dtypes == dict.fromkeys(dtypes, np.dtype(g.dtype))
 
 
 def test_unknown_name_rejected():
@@ -156,12 +182,12 @@ def test_forward_plan_follows_the_graph_and_the_input_size(monkeypatch):
 
     monkeypatch.setattr(NetworkGraph, "infer_shapes", counting)
     g = NetworkGraph(3)
-    g.add_conv("a", g.input_name, make_conv(3, 4, 3, padding=0))
+    g.add_conv("a", g.input_name, 4, 3, padding=0)
     x = np.ones((2, 3, 5, 5), dtype=np.float32)
     assert g.forward(x).outputs["a"].shape == (2, 4, 3, 3)
     assert plans(x) == [0, 0]
     g.add_bn_relu("pre", "a")
-    g.add_conv("b", "pre", make_conv(4, 2, 3, padding=0))
+    g.add_conv("b", "pre", 2, 3, padding=0)
     assert list(g.forward(x, mode="train").outputs) == ["b"]
     assert g.forward(x)["b"].shape == (2, 2, 1, 1)
     with pytest.raises(ShapeError, match="'b' output collapses"):
@@ -173,7 +199,7 @@ def test_forward_plan_follows_the_graph_and_the_input_size(monkeypatch):
                  {"keep": ["a", "b"], "mode": "train"}, {"keep_caches": True},
                  {"check_finite": True}):
         assert plans(**{"x": x, **kind}) == [1, 0], kind
-    g.add_conv("c", "b", make_conv(2, 2, 1))
+    g.add_conv("c", "b", 2, 1)
     assert plans(x, keep=["b"]) == [1, 0]
     g.remove_from("c")
     assert plans(x, keep=["b"]) == [1, 0]
@@ -183,8 +209,9 @@ def test_removing_the_output_makes_the_last_node_left_the_output():
     """A cut that removes the graph output leaves the last node it keeps as
     the output, which a default forward returns."""
     g = NetworkGraph(3)
-    g.add_conv("a", g.input_name, layers.msr_initialize(make_conv(3, 4, 3), seed=0))
-    g.add_conv("b", "a", make_conv(4, 2, 1))
+    g.add_conv("a", g.input_name, 4, 3)
+    layers.msr_initialize(g.nodes["a"].conv, seed=0)
+    g.add_conv("b", "a", 2, 1)
     g.remove_from("b")
     x = np.random.default_rng(0).normal(size=(2, 3, 5, 5)).astype(np.float32)
     assert g.output_name == "a"
@@ -339,30 +366,31 @@ def test_backward_rebuilds_each_bn_relu_output_once_bit_for_bit(monkeypatch, mod
 
 def _strided_join(g: NetworkGraph) -> None:
     pre = g.add_bn_relu("pre", "input")
-    a = g.add_conv("a", pre, make_conv(3, 4, 3, stride=2))
-    b = g.add_conv("b", pre, make_conv(3, 4, 3))
+    a = g.add_conv("a", pre, 4, 3, stride=2)
+    b = g.add_conv("b", pre, 4, 3)
     g.add_add("join", a, b)
 
 
 def _collapsing_conv(g: NetworkGraph) -> None:
     pre = g.add_bn_relu("pre", "input")
-    g.add_conv("c", pre, make_conv(3, 4, 2))  # 2x2, padding 0
+    g.add_conv("c", pre, 4, 2)  # 2x2, padding 0
 
 
 @pytest.mark.parametrize("build, input_hw, match", [
-    pytest.param(lambda g: g.add_conv("c", "input", make_conv(4, 8, 3)), None,
-                 "'c' expects 4 input channels, node 'input' provides 3",
-                 id="conv-channels"),
-    pytest.param(lambda g: g.add_add("sum", g.add_conv("a", "input", make_conv(3, 4, 1)),
+    pytest.param(lambda g: make_unit(g, "input", UnitSpec("basic", 4, (8, 8), 1, 8), "u"),
+                 None, "unit 'u' expects 4 input channels, node 'input' provides 3",
+                 id="unit-channels"),
+    pytest.param(lambda g: g.add_add("sum", g.add_conv("a", "input", 4, 1),
                                      "input"),
                  None, "add 'sum': channel mismatch 4 vs 3", id="add-channels"),
     pytest.param(_strided_join, (8, 8), "add 'join': spatial mismatch", id="add-strides"),
     pytest.param(_collapsing_conv, (1, 1), "'c' output collapses", id="conv-collapse"),
 ])
 def test_graph_checks_shapes_before_any_node_runs(build, input_hw, match):
-    """Shapes are checked by the graph: channels when a node is added, and
-    spatial sizes by every node's shape rule at the start of forward, so a
-    bad input fails naming its node before any batch-norm buffer moves."""
+    """Shapes are checked by the graph: channels when a node or a unit is
+    added, and spatial sizes by every node's shape rule at the start of
+    forward, so a bad input fails naming its node before any batch-norm
+    buffer moves."""
     g = NetworkGraph(3)
     if input_hw is None:
         with pytest.raises(ShapeError, match=match):
@@ -639,7 +667,7 @@ def test_truncated_checkpoint_is_a_value_error_and_writes_nothing(tmp_path):
     flip that makes a value NaN or Inf is a NodeNonFiniteError."""
     def conv_bn_relu() -> NetworkGraph:
         g = NetworkGraph(3)
-        g.add_bn_relu("bn", g.add_conv("c", g.input_name, layers.make_conv(3, 2, 3)))
+        g.add_bn_relu("bn", g.add_conv("c", g.input_name, 2, 3))
         return g
 
     source = conv_bn_relu()

@@ -230,25 +230,23 @@ def _dag(channels, size, steps) -> NetworkGraph:
     """The float64 graph of a :func:`_dags` draw, its parameters unset,
     with a tail that every tensor no step reads feeds: a global average
     pool of each, joined along channels, and an fc."""
-    g = NetworkGraph(channels)
+    g = NetworkGraph(channels, dtype=np.float64)
     names = [g.input_name]
     for i, (kind, *args) in enumerate(steps):
         name = f"n{i}"
         if kind == "conv":
             src, k, stride, c_out, bias = args
-            p = layers.make_conv(g.nodes[names[src]].channels, c_out, k, stride, bias=bias,
-                                 dtype=np.float64)
-            names.append(g.add_conv(name, names[src], p))
+            names.append(g.add_conv(name, names[src], c_out, k, stride, bias=bias))
         elif kind == "add":
             names.append(g.add_add(name, names[args[0]], names[args[1]]))
         elif kind == "concat":
             names.append(g.add_concat(name, [names[j] for j in args[0]]))
         else:
-            names.append(g.add_bn_relu(name, [names[j] for j in args[0]], dtype=np.float64))
+            names.append(g.add_bn_relu(name, [names[j] for j in args[0]]))
     read = {i for node in g.nodes.values() for i in node.inputs}
     pools = [g.add_global_avg_pool(f"{name}/gap", name) for name in names if name not in read]
     tail = g.add_concat("tail", pools)
-    g.add_fc("fc", tail, layers.make_fc(g.nodes[tail].channels, 2, dtype=np.float64))
+    g.add_fc("fc", tail, 2)
     return g
 
 
@@ -341,10 +339,10 @@ def test_a_pre_activation_read_by_a_conv_and_a_concat_is_held_by_no_cache_as_a_m
     (2 MiB) and the four convs' after it, 7 MiB, and not the map too."""
     g = NetworkGraph(16)
     pre = g.add_bn_relu("pre", g.input_name)
-    conv = g.add_conv("conv", pre, layers.make_conv(16, 16, 3))
+    conv = g.add_conv("conv", pre, 16, 3)
     name = g.add_concat("concat", [pre, conv])
     for i in range(4):
-        name = g.add_conv(f"conv{i}", name, layers.make_conv(g.nodes[name].channels, 16, 3))
+        name = g.add_conv(f"conv{i}", name, 16, 3)
     x = np.random.default_rng(0).normal(size=(16, 16, 32, 32)).astype(np.float32)
     tracemalloc.start()
     try:

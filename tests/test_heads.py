@@ -70,8 +70,7 @@ def test_prediction_and_prior_orderings_align():
 
 def test_head_gradients_match_finite_differences():
     g = tiny_backbone(seed=5, dtype=np.float64)
-    head = build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=4,
-                                dtype=np.float64)
+    head = build_detection_head(g, TAPS, (16, 16), num_classes=2, seed=4)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 3, 16, 16))
     p = head.priors.shape[0]

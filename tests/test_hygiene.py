@@ -185,6 +185,19 @@ def test_definition_scan_is_not_fooled_by_same_names():
     assert unread_definitions(modules, readers + ["from pkg import a\na.dead()\n"]) == []
 
 
+PARAMETER_MAKERS = {"make_conv", "make_fc", "make_batch_norm", "make_affine"}
+
+
+def test_only_the_graph_makes_parameters():
+    """The graph makes every parameter and running statistic it holds, in
+    its own dtype, so no builder passes one in. Besides it, only gradcheck's
+    kernel-level cases, which hold no graph, read the layers' makers."""
+    readers = {p.stem for p in SRC.glob("*.py")
+               if any(name in PARAMETER_MAKERS
+                      for _, name in qualified_reads(ast.parse(p.read_text()), {"layers"}))}
+    assert readers == {"graph", "gradcheck"}
+
+
 # Public definitions that nothing in src/ or perfbench/ calls yet, each kept
 # on purpose.
 UNREAD_ALLOWED = {
