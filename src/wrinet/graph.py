@@ -4,8 +4,20 @@ A :class:`NetworkGraph` is a list of named layer nodes in construction
 (topological) order. Forward evaluation walks that order and drops each node's
 output right after its last reader has run, so only the outputs a caller
 names in ``keep`` outlive the pass (memory sharing by liveness, Chen et al.
-2016, on a static DAG). Backward walks the order in reverse, accumulating
-gradients from the caches and the outputs each op's backward reads.
+2016, on a static DAG). An infer pass that keeps no caches and is not
+checked walks it once per chunk of samples, as many as the largest
+per-sample output fits in ``layers.CONV_TILE_BYTES``, and writes each
+chunk's kept outputs into one whole-batch array each: a conv runs one GEMM
+per sample anyway, so the pass holds one chunk's live maps whatever the
+batch. An fc's one GEMM spans the batch, and BLAS rounds its rows by their
+number, so the fc nodes and all they feed run after the chunks, on the
+whole batch, and every value is bit for bit a whole-batch pass's. A train
+pass normalises by batch statistics, backward reads whole-batch caches,
+and a checked pass names the first bad node over the whole batch (a chunk
+failing at a late node would be reached before a later one failing
+earlier), so these run as one chunk. Backward walks the order in reverse,
+accumulating gradients from the caches and the outputs each op's backward
+reads.
 
 A pre-activation (batch norm, then ReLU) is two kinds of node. A ``norm``
 node normalises one tensor by its batch statistics and owns its running
@@ -299,15 +311,23 @@ class _Pass:
     the nodes that are not convs and read the ``PreActivation`` of an
     ``affine_relu`` that is not kept, each of which makes its map
     (``makes_maps``). A checked pass makes each ``affine_relu``'s map at
-    the node and adds into nothing."""
+    the node and adds into nothing. An infer pass without caches or checks
+    is chunked: ``sample_items``, the elements of the largest per-sample
+    output, sizes its chunks, which run ``steps``, and ``tail`` holds the
+    fc nodes and all they feed, which run after them on the whole batch;
+    liveness and the adds into arrays follow the order ``steps`` then
+    ``tail``. Any other pass runs ``steps``, every node, as one chunk: its
+    ``sample_items`` is None and its ``tail`` empty."""
 
     steps: list[tuple[str, Node]]
+    tail: list[tuple[str, Node]]
     shapes: dict[str, Shape]
     batch_statistics: list[str]
     dies_after: dict[str, list[str]]
     add_into: dict[str, str]
     passed: dict[str, str]
     makes_maps: frozenset[str]
+    sample_items: Optional[int]
 
 
 class NetworkGraph:
@@ -450,18 +470,27 @@ class NetworkGraph:
             return plan
         nodes = self.nodes
         shapes = self.infer_shapes(hw)
-        steps = [(name, nodes[name]) for name in self.order[1:]]
+        chunked = mode == "infer" and not (keep_caches or check_finite)
+        # an fc's one GEMM spans the batch, and BLAS rounds its rows by their
+        # number, so a chunked pass runs it and all it feeds on the whole batch
+        whole: set[str] = set()
+        for name in self.order[1:] if chunked else ():
+            if nodes[name].op == "fc" or whole.intersection(nodes[name].inputs):
+                whole.add(name)
+        steps = [(name, nodes[name]) for name in self.order[1:] if name not in whole]
+        tail = [(name, nodes[name]) for name in self.order[1:] if name in whole]
+        order = steps + tail  # the order the nodes run in
         readers: dict[str, list[str]] = {name: [] for name in self.order}
-        for name, node in steps:
+        for name, node in order:
             for inp in node.inputs:
                 readers[inp].append(name)
         dies_after: dict[str, list[str]] = {}
         for name, its_readers in readers.items():
             if name not in keep:  # an unread output dies at once
                 dies_after.setdefault(its_readers[-1] if its_readers else name, []).append(name)
-        at = {name: i for i, name in enumerate(self.order)}
+        at = {name: i for i, name in enumerate([self.input_name, *(n for n, _ in order)])}
         # the affine_relu outputs that stay a PreActivation
-        unmade = set() if check_finite else {name for name, node in steps
+        unmade = set() if check_finite else {name for name, node in order
                                              if node.op == "affine_relu" and name not in keep}
 
         def passes_on(name: str) -> bool:  # its output is its input's array
@@ -474,7 +503,7 @@ class NetworkGraph:
                     yield from uses(reader)
 
         add_into, passed = {}, {}
-        for name, node in steps:
+        for name, node in order:
             if node.op != "add" or check_finite:
                 continue
             into, conv = sorted(node.inputs, key=at.__getitem__)  # add(a, a): a has 2 readers
@@ -490,6 +519,7 @@ class NetworkGraph:
                 add_into[conv], passed[name] = into, conv
         plan = self._passes[key] = _Pass(
             steps=steps,
+            tail=tail,
             shapes=shapes,
             batch_statistics=[name for name, node in steps
                               if mode == "train" and OPS[node.op].batch_statistics],
@@ -497,7 +527,8 @@ class NetworkGraph:
             add_into=add_into,
             passed=passed,
             makes_maps=frozenset(r for name in unmade for r in readers[name]
-                                 if nodes[r].op != "conv"))
+                                 if nodes[r].op != "conv"),
+            sample_items=max(map(math.prod, shapes.values())) if chunked else None)
         return plan
 
     def forward(self, x: np.ndarray, mode: str = "infer", keep_caches: bool = False,
@@ -516,6 +547,15 @@ class NetworkGraph:
         graph output; a name that is not a node is a ValueError). Every other
         output is dropped right after the last node that reads it has run,
         or at once if none does, so the pass holds only live outputs.
+        An infer pass without ``keep_caches`` or ``check_finite`` runs its
+        samples in consecutive chunks, as many as the largest per-sample
+        output fits in ``layers.CONV_TILE_BYTES`` (12 for wr-inception at
+        3x32x32 in float32), all inside this call; the fc nodes and all
+        they feed then run once on the whole batch (see :class:`_Pass`).
+        With more than one chunk, each kept output is a whole-batch array
+        the chunks write into (a kept input is a copy of ``x``). Every
+        value equals a whole-batch pass's bit for bit. Any other pass runs
+        as one chunk (the module docstring says why).
         ``keep_caches`` keeps every node's cache for one :meth:`backward`,
         which releases each once used, together with the outputs named by
         each op's ``reads``. An ``affine_relu``'s output is its
@@ -567,32 +607,49 @@ class NetworkGraph:
                     f"{self.nodes[name].op} {name!r} normalises over N*H*W = "
                     f"{x.shape[0]}*{h}*{w} values per channel in train mode, "
                     "which needs at least 2")
-        outputs: dict[str, np.ndarray | layers.PreActivation] = {self.input_name: x}
         caches: dict[str, tuple] = {}
-        for name, node in plan.steps:
-            op = OPS[node.op]  # looked up at call time, as the kernels are
-            xs = [outputs[i] for i in node.inputs]
-            if name in plan.makes_maps:  # a conv applies a PreActivation; others read its map
-                xs = [a.array() if isinstance(a, layers.PreActivation) else a for a in xs]
-            if name in plan.add_into:
-                y, cache = layers.conv2d_forward(xs[0], node.conv,
-                                                 add_to=outputs[plan.add_into[name]])
-            elif name in plan.passed:
-                y, cache = outputs[plan.passed[name]], None
-            else:
-                y, cache = op.forward(node, xs, mode)
-                if (check_finite or name in keep) and node.op == "affine_relu":
-                    y = y.array()
-            if check_finite and not all(np.all(np.isfinite(a)) for a in (
-                    y, *op.params(node).values(), *op.buffers(node).values())):
-                raise NodeNonFiniteError(name)
-            outputs[name] = y
-            if keep_caches:
-                caches[name] = cache
-            del xs, y, cache  # without keep_caches, a train-mode norm's xhat dies here
-            for dead in plan.dies_after.get(name, ()):
-                del outputs[dead]
-        return ForwardResult(outputs=outputs, caches=caches)
+
+        def run(steps: list[tuple[str, Node]], outputs: dict) -> dict:
+            for name, node in steps:
+                op = OPS[node.op]  # looked up at call time, as the kernels are
+                xs = [outputs[i] for i in node.inputs]
+                if name in plan.makes_maps:  # a conv applies a PreActivation; others read its map
+                    xs = [a.array() if isinstance(a, layers.PreActivation) else a for a in xs]
+                if name in plan.add_into:
+                    y, cache = layers.conv2d_forward(xs[0], node.conv,
+                                                     add_to=outputs[plan.add_into[name]])
+                elif name in plan.passed:
+                    y, cache = outputs[plan.passed[name]], None
+                else:
+                    y, cache = op.forward(node, xs, mode)
+                    if (check_finite or name in keep) and node.op == "affine_relu":
+                        y = y.array()
+                if check_finite and not all(np.all(np.isfinite(a)) for a in (
+                        y, *op.params(node).values(), *op.buffers(node).values())):
+                    raise NodeNonFiniteError(name)
+                outputs[name] = y
+                if keep_caches:
+                    caches[name] = cache
+                del xs, y, cache  # without keep_caches, a train-mode norm's xhat dies here
+                for dead in plan.dies_after.get(name, ()):
+                    del outputs[dead]
+            return outputs
+
+        n = x.shape[0]
+        chunk = n if plan.sample_items is None else max(1, layers.CONV_TILE_BYTES // (
+            plan.sample_items * np.result_type(x.dtype, self.dtype).itemsize))
+        if chunk < n:  # each chunk leaves its kept outputs and those the tail reads
+            outputs = {}
+            for n0 in range(0, n, chunk):
+                for name, y in run(plan.steps, {self.input_name: x[n0:n0 + chunk]}).items():
+                    if isinstance(y, layers.PreActivation):  # one an fc reads
+                        y = y.array()
+                    if name not in outputs:
+                        outputs[name] = np.empty((n, *y.shape[1:]), dtype=y.dtype)
+                    outputs[name][n0:n0 + len(y)] = y
+        else:
+            outputs = run(plan.steps, {self.input_name: x})
+        return ForwardResult(outputs=run(plan.tail, outputs), caches=caches)
 
     def backward(self, result: ForwardResult, out_grads: dict[str, np.ndarray]
                  ) -> tuple[dict[str, np.ndarray], np.ndarray]:

@@ -170,7 +170,9 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # a call reuses one buffer, and one buffer of the padded input rows it reads,
 # so no conv writes a batch-wide patch matrix or, when it tiles by rows, a
 # whole padded sample to fresh memory; 4 MiB ran infer and detect fastest of
-# 2, 4, 8 and 16 MiB (BENCH_pr9.json).
+# 2, 4, 8 and 16 MiB (BENCH_pr9.json). Its second use: a chunked infer pass of
+# the graph (``NetworkGraph.forward``) runs as many samples at a time as its
+# largest per-sample output fits in it, at least one.
 CONV_TILE_BYTES = 4 << 20
 
 

@@ -249,7 +249,12 @@ def evaluate_classifier(graph: NetworkGraph, dataset: "data_io.ClassificationDat
     """Top-1 accuracy in inference mode. A NaN/Inf logit raises
     :class:`NodeNonFiniteError` naming the first node that holds or makes a
     NaN/Inf; one that a later ReLU clamps away leaves the logits finite. A
-    label the network cannot predict is a ValueError before any batch runs."""
+    label the network cannot predict is a ValueError before any batch runs.
+    ``batch_size`` does not set the passes' peak memory: each infer pass
+    runs its batch in chunks sized by ``layers.CONV_TILE_BYTES`` (see
+    :meth:`NetworkGraph.forward`), so a larger batch adds only the few
+    values per image that the fc reads and makes. The checked pass that
+    names a bad node runs its batch whole."""
     images, labels = dataset.images, dataset.labels
     _check_labels(graph, labels)
     correct = 0

@@ -7,7 +7,6 @@ the identical read -> normalize -> train -> evaluate path.
 """
 
 import numpy as np
-import pytest
 
 from oracles import match_reference, nms_reference
 from wrinet import data as data_io

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wrinet import gradcheck, layers
-from wrinet.analysis import count_parameters, unit_macs_per_position
+from wrinet.analysis import unit_macs_per_position
 from wrinet.blocks import (UnitSpec, build_standalone_unit,
                            effective_receptive_paths)
 from wrinet.layers import batch_norm_forward, make_batch_norm, msr_initialize

@@ -10,7 +10,7 @@ from oracles import iou_by_pixel_count, match_reference, nms_reference, priors_r
 from wrinet.detection import (PRIORS_PER_CELL, VARIANCES, Box, Detection, GroundTruth,
                               decode_boxes, encode_boxes, evaluate_detections,
                               generate_priors, iou_matrix, match_priors,
-                              multibox_loss, nms, smooth_l1)
+                              multibox_loss, nms)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ ReLU gradient into that map. None of that may change a value: every
 output, running statistic and gradient must equal, bit for bit, what
 running each node's op on its own, on copies, gives
 (``oracles.reference_forward``/``reference_backward``), on the built-in
-graphs and on small random ones.
+graphs and on small random ones. Nor may running an infer pass's batch in
+chunks, which also must not let the pass's peak grow with the batch.
 """
 
+import math
 import tracemalloc
 from collections import Counter
 
@@ -161,6 +163,69 @@ def test_traced_convs_see_their_input_shape_and_count_every_mac(name, mode, monk
     assert sum(macs) == analysis.count_macs(g, x.shape[2:])[0] * len(x)
 
 
+def _sample_bytes(g: NetworkGraph, x: np.ndarray) -> int:
+    """The bytes of the largest per-sample output of ``g`` on ``x``."""
+    return max(map(math.prod, g.infer_shapes(x.shape[2:]).values())) * x.itemsize
+
+
+@pytest.mark.parametrize("name", ["wr-inception", "wrn-16-4", "preact-resnet-164",
+                                  "inception-unit", "projection-unit", "detect"])
+def test_chunked_infer_passes_match_the_unfused_reference(name, monkeypatch):
+    """With ``layers.CONV_TILE_BYTES`` set to hold two samples' largest
+    output and N=3, an infer pass that keeps no caches and is not checked
+    runs each conv once per chunk, twice, and each fc once, on the whole
+    batch. Its kept outputs (the graph output, or the detection head's
+    logits and offsets; with them the input, the first ``norm``, which
+    passes its input through, and the first ``affine_relu``) equal the
+    reference's on the whole batch bit for bit, and ``x`` is unchanged. A
+    pass that keeps caches, a checked pass and a train pass run each conv
+    once."""
+    g, x, keeps = _graph(name)
+    x = np.random.default_rng(2).normal(size=(3, *x.shape[1:])).astype(np.float32)
+    monkeypatch.setattr(layers, "CONV_TILE_BYTES", 2 * _sample_bytes(g, x))
+    ref_outputs, _ = reference_forward(g, x, "infer")
+    x_bytes = x.tobytes()
+    node_of = {id(n.params): n.name for n in g.nodes.values() if n.op in ("conv", "fc")}
+    calls = Counter()
+    for kernel in ("conv2d_forward", "fully_connected_forward"):
+        def counting(*args, real=getattr(layers, kernel), **kwargs):
+            calls[node_of[id(args[1])]] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(layers, kernel, counting)
+    first = {op: next(k for k in g.order if g.nodes[k].op == op) for op in ("norm", "affine_relu")}
+    outputs = keeps[0] or (g.output_name,)
+    for keep in (outputs, (*outputs, g.input_name, first["norm"], first["affine_relu"])):
+        calls.clear()
+        result = g.forward(x, keep=keep)
+        assert sorted(result.outputs) == sorted(keep)
+        assert _bytes(result.outputs) == _bytes({k: ref_outputs[k] for k in keep})
+        assert calls == {k: 2 if g.nodes[k].op == "conv" else 1 for k in node_of.values()}
+        assert x.tobytes() == x_bytes
+    for kwargs in ({"keep_caches": True}, {"check_finite": True}, {"mode": "train"}):
+        calls.clear()
+        g.forward(x, **kwargs)
+        assert calls == dict.fromkeys(node_of.values(), 1)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_an_infer_pass_holds_the_maps_of_one_chunk(n):
+    """wr-inception's float32 infer forward at 3x32x32 runs 12 samples at a
+    time: its traced peak is at most two maps of one chunk, one conv tile
+    budget and the kept logits, whatever N (a pass that holds whole-batch
+    maps reads 38.6 MiB at N=64)."""
+    g = build_network(builtin_config("wr-inception"), seed=0)
+    x = np.random.default_rng(0).normal(size=(n, 3, 32, 32)).astype(np.float32)
+    sample = _sample_bytes(g, x)
+    assert layers.CONV_TILE_BYTES // sample == 12
+    tracemalloc.start()
+    try:
+        logits = g.forward(x)[g.output_name]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 12 * sample + layers.CONV_TILE_BYTES + logits.nbytes
+
+
 @st.composite
 def _dags(draw):
     """A small random graph as (input channels, input size, steps).
@@ -262,7 +327,9 @@ def test_random_dags_match_the_unfused_reference(dag, data):
     pre-activated map (``PreActivation.array``) twice; and, on an instance
     whose ReLU inputs all clear ``gradcheck.KINK_MARGIN`` in train mode, the
     train-mode gradients of a few random coordinates agree with central
-    differences within ``gradcheck.DEFAULT_TOLERANCE``."""
+    differences within ``gradcheck.DEFAULT_TOLERANCE``. An infer pass run in
+    chunks of a drawn 1-3 samples, at N=5, keeps the reference's outputs of
+    the whole batch too, and leaves its input unchanged."""
     g = _dag(*dag)
     keep = data.draw(st.sets(st.sampled_from(g.order[1:]), min_size=1), label="keep")
 
@@ -312,6 +379,16 @@ def test_random_dags_match_the_unfused_reference(dag, data):
                         assert (dx is None and ref_dx is None) or dx.tobytes() == ref_dx.tobytes()
                         assert _bytes(result.outputs) == kept
                     assert x.tobytes() == x_bytes
+        # an infer pass in chunks of 1-3 samples, at N=5
+        x5 = np.random.default_rng(1).normal(size=(5, *x.shape[1:]))
+        chunk = data.draw(st.integers(1, 3), label="chunk")
+        patch.setattr(layers, "CONV_TILE_BYTES", chunk * _sample_bytes(g, x5))
+        ref_outputs, _ = reference_forward(g, x5, "infer")
+        x5_bytes = x5.tobytes()
+        for kept_names in (None, keep):
+            result = g.forward(x5, keep=kept_names)
+            assert _bytes(result.outputs) == _bytes({k: ref_outputs[k] for k in result.outputs})
+        assert x5.tobytes() == x5_bytes
 
     result = g.forward(x, mode="train", keep_caches=True, keep=keep)
     proj = {k: gradcheck._projection(v, rng) for k, v in sorted(result.outputs.items())}

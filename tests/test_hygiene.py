@@ -35,9 +35,14 @@ def test_scan_finds_unused_import():
     assert unused_imports(source) == ["b", "os"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+# the package's modules by file name, the tests' by tests/<file name>
+MODULES = {**{p.name: p for p in SRC.glob("*.py")},
+           **{f"tests/{p.name}": p for p in (ROOT / "tests").glob("*.py")}}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_module_reads_every_import(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(MODULES[module].read_text()) == []
 
 
 def op_names_compared(source: str) -> set[str]:

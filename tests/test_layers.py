@@ -9,7 +9,7 @@ from wrinet import gradcheck, layers
 from wrinet.builder import build_network, execute
 from wrinet.gradcheck import miniature_config
 from wrinet.graph import OPS, Node
-from wrinet.layers import (BatchNormParams, ConvParams, FCParams,
+from wrinet.layers import (ConvParams, FCParams,
                            affine_backward, affine_forward,
                            batch_norm_backward, batch_norm_forward,
                            conv2d_backward, conv2d_forward,
