@@ -1,11 +1,27 @@
 """Directed acyclic network graphs with deterministic evaluation order.
 
 A :class:`NetworkGraph` is a list of named layer nodes in construction
-(topological) order. Forward evaluation walks that order and drops each node's
-output right after its last reader has run, so only the outputs a caller
-names in ``keep`` outlive the pass (memory sharing by liveness, Chen et al.
-2016, on a static DAG). An infer pass that keeps no caches and is not
-checked walks it once per chunk of samples, as many as the largest
+(topological) order, the order of its parameter registry, shapes and
+checkpoints. Evaluation follows one schedule made from that order by one
+rule: each conv that reads an ``affine_relu`` output runs right after the
+first conv that reads it. Each conv reads one input, so the schedule is
+topological too. A projection unit, built ``bn1, conv1, bn2, conv2,
+shortcut, add``, so runs ``bn1, conv1, shortcut, bn2, conv2, add``: the
+maps ``bn1``'s output is made from die after the shortcut instead of
+living through ``conv2``, and ``conv2`` adds its output into the
+shortcut's. Backward walks the schedule in reverse, so the shortcut's
+backward runs just before ``conv1``'s, which stays the last of ``bn1``'s
+readers, and ``bn1``'s map made for backward is not held through
+``conv2``'s backward. Only the order of the convs changes, not what they
+compute. In the built-in networks each moved conv's input has two
+readers, whose gradients sum alike in either order, so every value is bit
+for bit what construction order gives.
+
+Forward evaluation walks the schedule and drops each node's output right
+after its last reader has run, so only the outputs a caller names in
+``keep`` outlive the pass (memory sharing by liveness, Chen et al. 2016, on
+a static DAG). An infer pass that keeps no caches and is not checked walks
+it once per chunk of samples, as many as the largest
 per-sample output fits in ``layers.CONV_TILE_BYTES``, and writes each
 chunk's kept outputs into one whole-batch array each: a conv runs one GEMM
 per sample anyway, so the pass holds one chunk's live maps whatever the
@@ -15,9 +31,9 @@ whole batch, and every value is bit for bit a whole-batch pass's. A train
 pass normalises by batch statistics, backward reads whole-batch caches,
 and a checked pass names the first bad node over the whole batch (a chunk
 failing at a late node would be reached before a later one failing
-earlier), so these run as one chunk. Backward walks the order in reverse,
-accumulating gradients from the caches and the outputs each op's backward
-reads.
+earlier), so these run as one chunk. Backward walks the schedule in
+reverse, accumulating gradients from the caches and the outputs each op's
+backward reads.
 
 A pre-activation (batch norm, then ReLU) is two kinds of node. A ``norm``
 node normalises one tensor by its batch statistics and owns its running
@@ -302,8 +318,9 @@ OPS: dict[str, Op] = {
 class _Pass:
     """What :meth:`NetworkGraph.forward` plans for one kind of pass (input
     H x W, ``keep``, mode, ``keep_caches``, ``check_finite``), made once
-    and reused until a node is added or removed: the nodes in order
-    (``steps``), every node's shape, the nodes whose batch statistics a
+    and reused until a node is added or removed: the nodes in the order
+    of :meth:`NetworkGraph._schedule` (``steps``), every node's shape, the
+    nodes whose batch statistics a
     train pass takes (none in infer mode), the outputs that die after each
     step (``dies_after``), each conv that adds its output into the other
     input of the add that reads it (``add_into``: conv -> that input) and
@@ -450,6 +467,20 @@ class NetworkGraph:
 
     # -- evaluation ----------------------------------------------------------
 
+    def _schedule(self) -> list[str]:
+        """Every node, the input first, in the order forward runs them;
+        backward runs the reverse. It is construction order, except that
+        each conv that reads an ``affine_relu`` output runs right after the
+        first conv that reads it (see the module docstring)."""
+        convs: dict[str, list[str]] = {}  # affine_relu -> the convs that read it
+        for name in self.order[1:]:
+            node = self.nodes[name]
+            if node.op == "conv" and self.nodes[node.inputs[0]].op == "affine_relu":
+                convs.setdefault(node.inputs[0], []).append(name)
+        runs = {group[0]: group for group in convs.values()}
+        moved = {name for group in convs.values() for name in group[1:]}
+        return [r for name in self.order if name not in moved for r in runs.get(name, [name])]
+
     def _plan(self, hw: tuple[int, int], keep: frozenset[str], mode: str,
               keep_caches: bool, check_finite: bool) -> _Pass:
         """The :class:`_Pass` for these arguments of :meth:`forward`, made
@@ -470,15 +501,16 @@ class NetworkGraph:
             return plan
         nodes = self.nodes
         shapes = self.infer_shapes(hw)
+        schedule = self._schedule()[1:]
         chunked = mode == "infer" and not (keep_caches or check_finite)
         # an fc's one GEMM spans the batch, and BLAS rounds its rows by their
         # number, so a chunked pass runs it and all it feeds on the whole batch
         whole: set[str] = set()
-        for name in self.order[1:] if chunked else ():
+        for name in schedule if chunked else ():
             if nodes[name].op == "fc" or whole.intersection(nodes[name].inputs):
                 whole.add(name)
-        steps = [(name, nodes[name]) for name in self.order[1:] if name not in whole]
-        tail = [(name, nodes[name]) for name in self.order[1:] if name in whole]
+        steps = [(name, nodes[name]) for name in schedule if name not in whole]
+        tail = [(name, nodes[name]) for name in schedule if name in whole]
         order = steps + tail  # the order the nodes run in
         readers: dict[str, list[str]] = {name: [] for name in self.order}
         for name, node in order:
@@ -534,7 +566,10 @@ class NetworkGraph:
     def forward(self, x: np.ndarray, mode: str = "infer", keep_caches: bool = False,
                 check_finite: bool = False,
                 keep: Optional[Iterable[str]] = None) -> ForwardResult:
-        """Evaluate all nodes in topological order. ``mode`` is ``"train"``
+        """Evaluate all nodes, in the order of :meth:`_schedule` (a conv
+        that reads an ``affine_relu`` output right after the first conv that
+        reads it, so a projection unit's shortcut runs right after
+        ``conv1``). ``mode`` is ``"train"``
         (batch statistics, folded into each normalisation's running
         statistics) or ``"infer"`` (running statistics).
         ``x`` must be (N, C, H, W) with the graph's input channels, and every
@@ -544,7 +579,8 @@ class NetworkGraph:
         node runs, so a rejected input changes no state. The kernels check no
         shapes of their own.
         ``keep`` names the outputs returned in ``outputs`` (default: the
-        graph output; a name that is not a node is a ValueError). Every other
+        graph output; a name that is not a node is a ValueError), which holds
+        them in construction order whatever the schedule. Every other
         output is dropped right after the last node that reads it has run,
         or at once if none does, so the pass holds only live outputs.
         An infer pass without ``keep_caches`` or ``check_finite`` runs its
@@ -649,7 +685,9 @@ class NetworkGraph:
                     outputs[name][n0:n0 + len(y)] = y
         else:
             outputs = run(plan.steps, {self.input_name: x})
-        return ForwardResult(outputs=run(plan.tail, outputs), caches=caches)
+        outputs = run(plan.tail, outputs)  # what is left is what was kept
+        return ForwardResult(outputs={name: outputs[name] for name in self.order if name in keep},
+                             caches=caches)
 
     def backward(self, result: ForwardResult, out_grads: dict[str, np.ndarray]
                  ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -664,15 +702,18 @@ class NetworkGraph:
         proceeds and one forward result supports one backward. Each
         ``affine_relu`` output is made once per backward from its
         :class:`layers.PreActivation`, when the first node whose cache holds
-        that runs, and dropped after the producer's backward. An
+        that runs, and dropped after the producer's backward. Nodes run in
+        the reverse of forward's order (:meth:`_schedule`), so a projection
+        unit's shortcut runs just before ``conv1``, and ``bn1``'s map is
+        made after ``conv2``'s backward, not before it. An
         ``affine_relu``'s backward, which runs after every reader's, consumes
         that map, and a train-mode ``norm``'s backward, which runs after
         every consumer's, its normalised output, or a copy of it where that
         output is kept. The gradients of an output read by several nodes are
         summed before its producer's backward runs, so a ``norm`` read by
-        several pre-activations runs one backward. The first conv to read an
-        ``affine_relu`` output that it applied, if its kernel is at least
-        its stride, runs after every other reader; its backward
+        several pre-activations runs one backward. The first conv forward
+        runs to read an ``affine_relu`` output that it applied, if its kernel
+        is at least its stride, runs after every other reader; its backward
         (``conv2d_backward(relu_into_x=True)``) writes the ReLU gradient of
         the output's summed gradient into the map made for backward, tile by
         tile, and hands that array to the ``affine_relu``, which skips its
@@ -703,17 +744,18 @@ class NetworkGraph:
                     f"{np.shape(g)}, but its output is {y.dtype} {y.shape}")
             contribute(name, g)
 
-        # each output's first reader, if a conv whose kernel is at least its
-        # stride: one that applied its input runs the last of its readers'
-        # backward (see conv2d_backward's relu_into_x)
+        # each output's first reader to run forward, if a conv whose kernel is
+        # at least its stride: one that applied its input runs the last of its
+        # readers' backward (see conv2d_backward's relu_into_x)
+        schedule = self._schedule()
         first: dict[str, str] = {}
-        for name in self.order:
+        for name in schedule:
             for inp in self.nodes[name].inputs:
                 first.setdefault(inp, name)
         relu_into_x = {r for r in first.values() if self.nodes[r].op == "conv"
                        and self.nodes[r].conv.kernel[0] >= self.nodes[r].conv.stride}
         param_grads: dict[str, np.ndarray] = {}
-        for name in reversed(self.order[1:]):
+        for name in reversed(schedule[1:]):
             if name not in acc:
                 continue
             if name not in result.caches:

@@ -381,7 +381,9 @@ def conv2d_backward(dy: np.ndarray, cache: tuple, relu_into_x: bool = False,
     transposed and flipped into one row block per phase, times the tile, and
     ``dw`` by phase accumulates the tile times the transpose of ``x`` by
     phase, which is copied into a reused buffer (this order ran a tile's GEMM
-    1.5-1.8x faster than its transpose for 16- and 64-channel inputs). A
+    1.5-1.8x faster than its transpose for 16- and 64-channel inputs); that
+    product is written into the buffer ``dx`` by phase was made in, so no
+    tile makes an array of the weights' size. A
     tile holds as many samples or rows as the larger of those two matrices
     fits in ``CONV_TILE_BYTES``: in a 1x1 320->128 conv the copy of ``x``
     has 2.5x the rows of the patches of ``dy``. Phases
@@ -428,7 +430,10 @@ def conv2d_backward(dy: np.ndarray, cache: tuple, relu_into_x: bool = False,
         dx = (np.empty if phases == s else np.zeros)(x.shape, dtype=dtype)
     dw_ph = np.zeros((rows_dy, rows_x), dtype=np.result_type(dy, x))
     xs_buf = np.empty(rows_x * samples * rows * grid_w, dtype=x.dtype)
-    dxs_buf = np.empty(xs_buf.size, dtype=dtype)
+    # one buffer holds dx by phase, then, once dx has it, the tile's dw by phase
+    buf = np.empty(max(xs_buf.size * dtype.itemsize, dw_ph.nbytes), dtype=np.uint8)
+    dxs_buf = buf[:xs_buf.size * dtype.itemsize].view(dtype)
+    dw_tile = buf[:dw_ph.nbytes].view(dw_ph.dtype).reshape(dw_ph.shape)
     cols_w = _phase_slices(s, phases, offset, w, 0, grid_w)
     for n0, m, r0, r, cols in _patch_tiles(dy, u, 1, u - 1 - q0, grid_h, grid_w, samples, rows):
         cols = cols.reshape(rows_dy, -1)
@@ -449,7 +454,7 @@ def conv2d_backward(dy: np.ndarray, cache: tuple, relu_into_x: bool = False,
                 if pending is not None:
                     dx_ij = pending[n0:n0 + m, :, xh, xw] + dx_ij
                 np.multiply(dx_ij, x_ij > 0, out=x_ij)  # x_ij is copied in xs_ij
-        dw_ph += cols @ xs.reshape(rows_x, -1).T
+        dw_ph += np.matmul(cols, xs.reshape(rows_x, -1).T, out=dw_tile)
     dw_pad = np.zeros((c_out, c_in, s * u, s * u), dtype=dw_ph.dtype)
     dw_pad.reshape(c_out, c_in, u, s, u, s)[taps] = dw_ph.T.reshape(
         phases, phases, c_in, c_out, u, u).transpose(np.argsort(order))

@@ -129,11 +129,12 @@ def sgd_nesterov_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray
 
 def first_nonfinite_node(graph: NetworkGraph, x: np.ndarray, mode: str = "train",
                          grads: Optional[dict[str, np.ndarray]] = None) -> str:
-    """The first node, in topological order, whose output, parameters or
-    buffers hold a NaN/Inf on ``x``; failing that, the node of the first
-    non-finite entry of ``grads`` (backward order, as :meth:`backward`
-    returns them); failing that, ``"loss"``. The graph's buffers are restored
-    after the diagnostic forward, so diagnosing changes no state."""
+    """The first node, in the order forward runs them, whose output,
+    parameters or buffers hold a NaN/Inf on ``x``; failing that, the node
+    of the first non-finite entry of ``grads`` (backward order, as
+    :meth:`backward` returns them); failing that, ``"loss"``. The graph's
+    buffers are restored after the diagnostic forward, so diagnosing
+    changes no state."""
     saved = [(b, b.copy()) for b in graph.buffers().values()]
     try:
         graph.forward(x, mode=mode, check_finite=True)

@@ -429,3 +429,46 @@ def test_a_pre_activation_read_by_a_conv_and_a_concat_is_held_by_no_cache_as_a_m
         tracemalloc.stop()
     assert held < 7.5 * 2**20
     assert result.caches[conv][0] is result.caches[pre][0]
+
+
+def test_a_projection_unit_runs_its_shortcut_beside_conv1(monkeypatch):
+    """Each conv that reads a pre-activation runs right after the first
+    conv that reads it, and backward runs the reverse. In a stride-2
+    projection unit, built ``conv1, conv2, shortcut``, forward runs
+    ``conv1`` and then ``shortcut``, one after the other, and ``conv2``
+    adds its output into the shortcut's; backward runs ``shortcut`` right
+    before ``conv1``, whose backward is the last of ``bn1``'s readers.
+    That holds in both modes with caches, and per chunk in an infer pass
+    without them; kept outputs come back in construction order."""
+    g, out = build_standalone_unit(UnitSpec("basic", 8, (16, 16), 2, 16))
+    assert [n for n in g.order if g.nodes[n].op == "conv"] == [
+        "unit/conv1", "unit/conv2", "unit/shortcut"]
+    conv_of = {id(node.conv): name for name, node in g.nodes.items() if node.conv is not None}
+    calls = []
+    real_forward, real_backward = layers.conv2d_forward, layers.conv2d_backward
+
+    def forward(x, p, add_to=None):
+        calls.append(("forward", conv_of[id(p)], add_to is not None))
+        return real_forward(x, p, add_to=add_to)
+
+    def backward(dy, cache, **kwargs):
+        calls.append(("backward", conv_of[id(cache[1])], kwargs.get("relu_into_x", False)))
+        return real_backward(dy, cache, **kwargs)
+
+    monkeypatch.setattr(layers, "conv2d_forward", forward)
+    monkeypatch.setattr(layers, "conv2d_backward", backward)
+    runs = [("forward", "unit/conv1", False), ("forward", "unit/shortcut", False),
+            ("forward", "unit/conv2", True)]
+    x = np.random.default_rng(0).normal(size=(4, 8, 8, 8)).astype(np.float32)
+    for mode in ("train", "infer"):
+        calls.clear()
+        result = g.forward(x, mode=mode, keep_caches=True)
+        g.backward(result, {out: np.ones_like(result[out])})
+        assert calls == runs + [("backward", "unit/conv2", True),
+                                ("backward", "unit/shortcut", False),
+                                ("backward", "unit/conv1", True)]
+    monkeypatch.setattr(layers, "CONV_TILE_BYTES", 2 * _sample_bytes(g, x))
+    calls.clear()
+    g.forward(x)
+    assert calls == runs * 2  # two chunks of two samples
+    assert list(g.forward(x, keep=g.order[::-1]).outputs) == g.order
